@@ -1,20 +1,15 @@
 //! Renders a post-hoc run report from a `mec-serve --trace-out` JSONL
-//! trace: arm-elimination timeline, admission funnel, fault/restart
-//! log, per-shard latency histograms, final bandit state.
+//! trace: admission funnel, request lifecycles, arm-elimination
+//! timeline, learning and flight-recorder sections, fault/restart log,
+//! per-shard latency histograms, final bandit state.
 //!
-//! Also understands three sibling streams, each detected from its
-//! first line: profile streams from `--profile-out` (a
-//! `{"kind":"profile",...}` header), request-lifecycle streams from
-//! `--lifecycle-out` (`id`/`stage` records with no `kind`), and
-//! decision flight-recorder streams from `--flight-out`
-//! (`flight_dump`/`flight` events) — rendering the matching summary
-//! instead of the trace report.
+//! Also understands profile streams from `--profile-out` (detected by
+//! their `{"kind":"profile",...}` header), rendering the phase report
+//! instead.
 //!
 //! ```text
 //! mec-obs-report events.jsonl
 //! mec-obs-report profile.jsonl
-//! mec-obs-report lifecycle.jsonl
-//! mec-obs-report flight.jsonl
 //! mec-serve --trace-out - ... | mec-obs-report -
 //! ```
 //!
@@ -91,22 +86,6 @@ fn main() -> ExitCode {
     if ProfileReport::sniff(&text) {
         return render_profile(&path, &lines, &text, last_line_no);
     }
-    let first_line = lines
-        .iter()
-        .find(|l| !l.trim().is_empty())
-        .map(String::as_str)
-        .unwrap_or("");
-    if mec_obs::sniff_lifecycle(first_line) {
-        return render_salvaged("lifecycle stream", &path, &lines, last_line_no, |lines| {
-            mec_obs::build_lifecycle_report(lines).map(|r| (r.records, r.render()))
-        });
-    }
-    if mec_obs::sniff_flight(first_line) {
-        return render_salvaged("flight stream", &path, &lines, last_line_no, |lines| {
-            mec_obs::build_flight_report(lines).map(|r| (r.events, r.render()))
-        });
-    }
-
     match mec_obs::build_report(&lines) {
         Ok(report) => {
             print!("{}", report.render());
@@ -132,43 +111,6 @@ fn main() -> ExitCode {
         }
         Err((line_no, e)) => {
             eprintln!("trace {path:?} line {line_no}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Builds and prints a stream summary via `build`, salvaging a torn
-/// final line exactly like the trace path: the report is rendered from
-/// the complete lines, the truncation is diagnosed on stderr, and the
-/// exit code is nonzero.
-fn render_salvaged(
-    what: &str,
-    path: &str,
-    lines: &[String],
-    last_line_no: usize,
-    build: impl Fn(&[String]) -> Result<(u64, String), (usize, mec_obs::json::ParseError)>,
-) -> ExitCode {
-    match build(lines) {
-        Ok((_, text)) => {
-            print!("{text}");
-            ExitCode::SUCCESS
-        }
-        Err((line_no, e)) if line_no == last_line_no => match build(&lines[..line_no - 1]) {
-            Ok((complete, text)) => {
-                print!("{text}");
-                eprintln!(
-                    "{what} {path:?}: last line {line_no} is truncated ({e}); \
-                     reported the {complete} complete record(s) before it"
-                );
-                ExitCode::FAILURE
-            }
-            Err((line_no, e)) => {
-                eprintln!("{what} {path:?} line {line_no}: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Err((line_no, e)) => {
-            eprintln!("{what} {path:?} line {line_no}: {e}");
             ExitCode::FAILURE
         }
     }

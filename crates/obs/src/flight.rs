@@ -1,6 +1,7 @@
 //! Decision flight recorder: a bounded per-shard ring of compact
-//! per-slot decision snapshots, dumped to JSONL when something goes
-//! wrong (SLO breach, suspected drift, shard crash) or on demand.
+//! per-slot decision snapshots, dumped into the run's trace when
+//! something goes wrong (SLO breach, suspected drift, shard crash) or
+//! rendered on demand.
 //!
 //! The recorder answers "what was the learner doing in the slots right
 //! before the incident?" without paying for a full trace: each shard
@@ -164,8 +165,8 @@ impl FlightTriggerSet {
         Ok(set)
     }
 
-    /// Every trigger enabled — the default when `--flight-out` is given
-    /// without `--flight-dump-on`.
+    /// Every trigger enabled — the default when the learner probe and a
+    /// trace are attached without `--flight-dump-on`.
     pub fn all() -> Self {
         Self {
             slo: true,

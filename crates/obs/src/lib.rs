@@ -6,8 +6,8 @@
 //! structured event-tracing API ([`event!`], [`span!`], [`TraceRing`],
 //! [`TraceWriter`]), a tiny scrape server ([`MetricsServer`]), and a
 //! post-hoc report builder ([`report`]) that renders arm-elimination
-//! timelines, admission funnels, and latency histograms from a JSONL
-//! trace.
+//! timelines, admission funnels, request lifecycles, flight-recorder
+//! dumps, and latency histograms from one JSONL trace.
 //!
 //! ## Feature gating
 //!
@@ -16,11 +16,9 @@
 //! is evaluated in the **calling** crate, so a consumer that declares
 //! an `obs` feature gets tracing and wall-clock spans compiled in only
 //! when that feature is on, and a compile-time no-op (arguments
-//! type-checked, never evaluated) when it is off. The [`lifecycle!`]
-//! macro works the same way against a consumer `lifecycle` feature for
-//! per-request lifecycle records. The registry is not gated: counters
-//! are integer atomics cheap enough to stay always-on, which lets
-//! runtime snapshots source their counters from the registry
+//! type-checked, never evaluated) when it is off. The registry is not
+//! gated: counters are integer atomics cheap enough to stay always-on,
+//! which lets runtime snapshots source their counters from the registry
 //! unconditionally.
 //!
 //! ## Determinism contract
@@ -29,8 +27,9 @@
 //! deterministic quantities — virtual slots, event counts, rewards.
 //! Wall-clock timings ([`span!`]) go to live histograms only and must
 //! never cross into snapshots or the trace; the supervisor drains
-//! worker [`TraceRing`]s at the slot barrier in shard order, so a traced
-//! run replayed with the same seed yields an identical event stream.
+//! worker [`TraceRing`]s at each watermark fold in shard order, so a
+//! traced run replayed with the same seed yields an identical event
+//! stream.
 //!
 //! ## Example
 //!
@@ -59,7 +58,6 @@
 pub mod drift;
 pub mod flight;
 pub mod json;
-pub mod lifecycle;
 pub mod prof;
 pub mod registry;
 pub mod report;
@@ -71,16 +69,12 @@ pub use drift::PageHinkley;
 pub use flight::{
     DecisionSnapshot, FlightRecorder, FlightTrigger, FlightTriggerParseError, FlightTriggerSet,
 };
-pub use lifecycle::{LifecycleRecord, LifecycleRing, LifecycleSink, LifecycleWriter};
 pub use prof::{PhaseNode, ProfileReport};
 pub use registry::{
     log_linear_bounds, BoundsMismatch, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
     WindowedHistogram, STRIPES,
 };
-pub use report::{
-    build_flight_report, build_lifecycle_report, build_report, sniff_flight, sniff_lifecycle,
-    FlightStreamReport, LifecycleReport, RunReport, LATENCY_MS_BOUNDS,
-};
+pub use report::{build_report, RunReport, LATENCY_MS_BOUNDS};
 pub use server::{MetricsServer, SharedDoc};
 pub use slo::{SloEngine, SloParseError, SloSpec, SloStatus, SloTransition, SlotSample};
 pub use trace::{EventSink, TraceEvent, TraceRing, TraceWriter, Value};
@@ -187,42 +181,6 @@ macro_rules! span {
                 let _ = &$hist;
             }
             $body
-        }
-    }};
-}
-
-/// Records one [`LifecycleRecord`] into a [`LifecycleSink`].
-///
-/// ```ignore
-/// mec_obs::lifecycle!(sink, id, "admit", slot, shard as i64, bs as i64);
-/// ```
-///
-/// Mirrors [`event!`]: in a consumer crate compiled **with** its
-/// `lifecycle` feature this builds the record and calls
-/// [`LifecycleSink::life`]; without the feature it compiles to nothing
-/// (arguments type-checked, never evaluated), so the per-request hot
-/// path carries zero cost in plain builds.
-#[macro_export]
-macro_rules! lifecycle {
-    ($sink:expr, $id:expr, $stage:expr, $slot:expr, $shard:expr, $bs:expr $(,)?) => {{
-        #[cfg(feature = "lifecycle")]
-        {
-            $crate::LifecycleSink::life(
-                &$sink,
-                $crate::LifecycleRecord {
-                    id: $id,
-                    stage: $stage,
-                    slot: $slot,
-                    shard: $shard,
-                    bs: $bs,
-                },
-            );
-        }
-        #[cfg(not(feature = "lifecycle"))]
-        {
-            if false {
-                let _ = (&$sink, &$id, &$stage, &$slot, &$shard, &$bs);
-            }
         }
     }};
 }

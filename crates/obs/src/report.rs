@@ -3,14 +3,15 @@
 //! [`build_report`] folds the event stream emitted by a traced serving
 //! run (see the `mec-serve --trace-out` schema in DESIGN.md §10) into a
 //! [`RunReport`]; [`RunReport::render`] produces the human-readable
-//! text: run header, admission funnel, arm-elimination timeline, fault
-//! and restart log, disk-recovery summary (checkpoint mirror sizes,
-//! salvage and corruption incidents, per-handoff moved state), per-shard
-//! latency histograms, and the final bandit state per shard.
+//! text: run header, admission funnel, request lifecycles,
+//! arm-elimination timeline, learning and flight-recorder sections,
+//! fault and restart log, disk-recovery summary (checkpoint mirror
+//! sizes, salvage and corruption incidents, per-handoff moved state),
+//! per-shard latency histograms, and the final bandit state per shard.
 
 use crate::json::{parse_flat_object, JsonValue, ParseError};
 use crate::registry::HistogramSnapshot;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Latency bucket bounds (ms) used when rebuilding per-shard
@@ -154,34 +155,35 @@ pub struct LearningState {
     pub steps: u64,
 }
 
-/// Final per-shard LP introspection (from the last `lp_state` sweep).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LpState {
-    /// Slot of the sweep.
-    pub slot: u64,
-    /// Slot-LP solves so far.
-    pub solves: u64,
-    /// Warm starts that installed and survived.
-    pub warm_hits: u64,
-    /// Warm starts that fell back to a cold solve.
-    pub warm_fallbacks: u64,
-    /// Solves with no usable cached basis.
-    pub cold_starts: u64,
-    /// Simplex pivots performed.
-    pub pivots: u64,
-    /// Basis refactorizations performed.
-    pub refactorizations: u64,
-}
-
-/// One `flight_dump` header from the decision flight recorder.
+/// One flight-recorder dump: its `flight_dump` header plus the `flight`
+/// snapshot lines that follow it in the stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightDump {
     /// Slot the trigger fired at.
     pub slot: u64,
     /// What tripped the dump (`slo`, `drift`, `crash`, `manual`).
     pub trigger: String,
-    /// Snapshots in the dump.
+    /// Snapshots the header advertised.
     pub snapshots: u64,
+    /// Snapshot lines actually present under this header.
+    pub present: u64,
+    /// Slot range the present snapshots cover.
+    pub slots: Option<(u64, u64)>,
+    /// Distinct shards contributing snapshots.
+    pub shards: BTreeSet<u64>,
+}
+
+/// Request-journey totals folded from `lifecycle` events.
+#[derive(Debug, Default)]
+pub struct LifecycleSummary {
+    /// Lifecycle records read.
+    pub records: u64,
+    /// Distinct request ids seen.
+    pub requests: BTreeSet<u64>,
+    /// Records per stage name, sorted.
+    pub stages: BTreeMap<String, u64>,
+    /// Slot range covered (first, last).
+    pub slots: Option<(u64, u64)>,
 }
 
 /// One `stall_shard` event: a shard's run-total wall-time split under
@@ -291,9 +293,8 @@ pub struct RunReport {
     pub stall_driver: Option<StallDriver>,
     /// Trace events dropped to ring saturation (from `trace_drops`).
     pub trace_dropped: u64,
-    /// Lifecycle records dropped to ring saturation (from
-    /// `lifecycle_drops`).
-    pub lifecycle_dropped: u64,
+    /// Request journeys from `lifecycle` events.
+    pub lifecycle: LifecycleSummary,
     /// Arm-lifecycle event counts by kind (`activate`, `sample`, ...),
     /// from `arm_lifecycle` events.
     pub arm_lifecycle: BTreeMap<String, u64>,
@@ -304,9 +305,7 @@ pub struct RunReport {
     pub drift_events: Vec<DriftEvent>,
     /// Final per-shard regret accounting (last `learning_state` wins).
     pub learning: BTreeMap<u64, LearningState>,
-    /// Final per-shard LP introspection (last `lp_state` wins).
-    pub lp: BTreeMap<u64, LpState>,
-    /// Flight-recorder dump headers, in stream order.
+    /// Flight-recorder dumps, in stream order.
     pub flight_dumps: Vec<FlightDump>,
 }
 
@@ -502,7 +501,13 @@ where
                 });
             }
             "trace_drops" => r.trace_dropped += get_u64(&obj, "count"),
-            "lifecycle_drops" => r.lifecycle_dropped += get_u64(&obj, "count"),
+            "lifecycle" => {
+                let l = &mut r.lifecycle;
+                l.records += 1;
+                l.requests.insert(get_u64(&obj, "id"));
+                *l.stages.entry(get_str(&obj, "stage")).or_insert(0) += 1;
+                l.slots = Some(widen(l.slots, slot));
+            }
             "arm_lifecycle" => {
                 *r.arm_lifecycle.entry(get_str(&obj, "event")).or_insert(0) += 1;
             }
@@ -527,25 +532,21 @@ where
                     },
                 );
             }
-            "lp_state" => {
-                r.lp.insert(
-                    shard,
-                    LpState {
-                        slot,
-                        solves: get_u64(&obj, "solves"),
-                        warm_hits: get_u64(&obj, "warm_hits"),
-                        warm_fallbacks: get_u64(&obj, "warm_fallbacks"),
-                        cold_starts: get_u64(&obj, "cold_starts"),
-                        pivots: get_u64(&obj, "pivots"),
-                        refactorizations: get_u64(&obj, "refactorizations"),
-                    },
-                );
-            }
             "flight_dump" => r.flight_dumps.push(FlightDump {
                 slot,
                 trigger: get_str(&obj, "trigger"),
                 snapshots: get_u64(&obj, "snapshots"),
+                present: 0,
+                slots: None,
+                shards: BTreeSet::new(),
             }),
+            "flight" => {
+                if let Some(dump) = r.flight_dumps.last_mut() {
+                    dump.present += 1;
+                    dump.slots = Some(widen(dump.slots, slot));
+                    dump.shards.insert(shard);
+                }
+            }
             "arm_state" => {
                 let arm = get_u64(&obj, "arm");
                 // A new sweep (later slot) replaces the previous table.
@@ -573,6 +574,11 @@ where
     Ok(r)
 }
 
+/// Extends an inclusive slot range to cover `slot`.
+fn widen(range: Option<(u64, u64)>, slot: u64) -> (u64, u64) {
+    range.map_or((slot, slot), |(lo, hi)| (lo.min(slot), hi.max(slot)))
+}
+
 fn section(out: &mut String, title: &str) {
     let _ = writeln!(out, "\n== {title} ==");
 }
@@ -595,16 +601,9 @@ impl RunReport {
             let _ = writeln!(
                 out,
                 "WARNING: trace ring saturated — {} event(s) dropped; \
-                 this report may be incomplete (raise the ring capacity)",
+                 this report may be incomplete and request journeys may have \
+                 gaps (raise the ring capacity)",
                 self.trace_dropped
-            );
-        }
-        if self.lifecycle_dropped > 0 {
-            let _ = writeln!(
-                out,
-                "WARNING: lifecycle ring saturated — {} record(s) dropped; \
-                 request journeys may have gaps (raise the lifecycle ring capacity)",
-                self.lifecycle_dropped
             );
         }
 
@@ -635,6 +634,23 @@ impl RunReport {
                     0.0
                 };
                 let _ = writeln!(out, "  {key:>9}: {v} ({pct:.1}%)");
+            }
+        }
+
+        let l = &self.lifecycle;
+        if l.records > 0 {
+            section(&mut out, "lifecycle");
+            let _ = writeln!(
+                out,
+                "  {} record(s), {} request(s)",
+                l.records,
+                l.requests.len()
+            );
+            if let Some((lo, hi)) = l.slots {
+                let _ = writeln!(out, "  slots {lo}..={hi}");
+            }
+            for (stage, n) in &l.stages {
+                let _ = writeln!(out, "  {stage:>9}: {n}");
             }
         }
 
@@ -730,8 +746,6 @@ impl RunReport {
         let learning_active = !self.arm_lifecycle.is_empty()
             || !self.drift_events.is_empty()
             || !self.learning.is_empty()
-            || !self.lp.is_empty()
-            || !self.flight_dumps.is_empty()
             || self.arm_lifecycle_dropped > 0;
         if learning_active {
             section(&mut out, "learning");
@@ -774,22 +788,6 @@ impl RunReport {
                     l.slot, l.regret, l.cum_reward, l.oracle, l.steps
                 );
             }
-            for (shard, lp) in &self.lp {
-                let warm_pct = pct(lp.warm_hits as f64, lp.solves as f64);
-                let _ = writeln!(
-                    out,
-                    "  shard {shard} slot-lp (as of slot {}): {} solve(s), \
-                     {} warm hit(s) ({warm_pct:.1}%), {} fallback(s), {} cold, \
-                     {} pivot(s), {} refactorization(s)",
-                    lp.slot,
-                    lp.solves,
-                    lp.warm_hits,
-                    lp.warm_fallbacks,
-                    lp.cold_starts,
-                    lp.pivots,
-                    lp.refactorizations
-                );
-            }
             if !self.drift_events.is_empty() {
                 let _ = writeln!(out, "  drift timeline:");
                 for d in &self.drift_events {
@@ -802,13 +800,42 @@ impl RunReport {
                     );
                 }
             }
-            for f in &self.flight_dumps {
+        }
+
+        if !self.flight_dumps.is_empty() {
+            section(&mut out, "flight recorder");
+            for d in &self.flight_dumps {
+                let range = d.slots.map_or_else(
+                    || "no snapshots".to_string(),
+                    |(lo, hi)| format!("slots {lo}..={hi}"),
+                );
                 let _ = writeln!(
                     out,
-                    "  slot {:>6}  flight recorder dumped {} snapshot(s) \
-                     (trigger: {})",
-                    f.slot, f.snapshots, f.trigger
+                    "  slot {:>6}  flight recorder dumped {} snapshot(s) (trigger: {}) \
+                     over {} shard(s), {range}",
+                    d.slot,
+                    d.snapshots,
+                    d.trigger,
+                    d.shards.len()
                 );
+                if d.present != d.snapshots {
+                    let _ = writeln!(
+                        out,
+                        "    WARNING: header advertised {} snapshot(s) but {} present \
+                         (torn dump?)",
+                        d.snapshots, d.present
+                    );
+                }
+                if let Some((_, hi)) = d.slots {
+                    if hi != d.slot {
+                        let _ = writeln!(
+                            out,
+                            "    note: last snapshot slot {hi} != trigger slot {} \
+                             (shards may have lagged the trigger)",
+                            d.slot
+                        );
+                    }
+                }
             }
         }
 
@@ -1013,207 +1040,6 @@ impl RunReport {
                         out,
                         "    {:>3} {:>9.1} {:>7} {:>7.3} {:>7.3} {:>7.3}  {state}",
                         row.arm, row.value_mhz, row.pulls, row.mean, row.lcb, row.ucb
-                    );
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Summary of a `--lifecycle-out` request-journey stream.
-#[derive(Debug, Default)]
-pub struct LifecycleReport {
-    /// Records read.
-    pub records: u64,
-    /// Distinct request ids seen.
-    pub requests: u64,
-    /// Records per stage name, sorted.
-    pub stages: BTreeMap<String, u64>,
-    /// Slot range covered (first, last).
-    pub slots: Option<(u64, u64)>,
-}
-
-/// Does this line look like a lifecycle record? (`id` and `stage`
-/// fields, no `kind` — trace events always carry `kind`.)
-pub fn sniff_lifecycle(first_line: &str) -> bool {
-    parse_flat_object(first_line.trim()).is_ok_and(|obj| {
-        obj.contains_key("id") && obj.contains_key("stage") && !obj.contains_key("kind")
-    })
-}
-
-/// Folds a lifecycle JSONL stream into a [`LifecycleReport`]. Blank
-/// lines are skipped.
-///
-/// # Errors
-///
-/// Fails on the first malformed line, reporting its 1-based number —
-/// callers salvage a torn tail exactly like they do for traces.
-pub fn build_lifecycle_report<I, S>(lines: I) -> Result<LifecycleReport, (usize, ParseError)>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut r = LifecycleReport::default();
-    let mut ids = std::collections::BTreeSet::new();
-    for (i, line) in lines.into_iter().enumerate() {
-        let line = line.as_ref().trim();
-        if line.is_empty() {
-            continue;
-        }
-        let obj = parse_flat_object(line).map_err(|e| (i + 1, e))?;
-        r.records += 1;
-        ids.insert(get_u64(&obj, "id"));
-        *r.stages.entry(get_str(&obj, "stage")).or_insert(0) += 1;
-        let slot = get_u64(&obj, "slot");
-        r.slots = Some(match r.slots {
-            None => (slot, slot),
-            Some((lo, hi)) => (lo.min(slot), hi.max(slot)),
-        });
-    }
-    r.requests = ids.len() as u64;
-    Ok(r)
-}
-
-impl LifecycleReport {
-    /// Renders the summary as plain text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "mec-obs lifecycle report ({} record(s), {} request(s))",
-            self.records, self.requests
-        );
-        if let Some((lo, hi)) = self.slots {
-            let _ = writeln!(out, "  slots {lo}..={hi}");
-        }
-        for (stage, n) in &self.stages {
-            let _ = writeln!(out, "  {stage:>9}: {n}");
-        }
-        out
-    }
-}
-
-/// One dump block inside a flight-recorder stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightDumpBlock {
-    /// The header (trigger, slot, advertised snapshot count).
-    pub header: FlightDump,
-    /// Snapshot lines actually present under this header.
-    pub snapshots: u64,
-    /// Slot range the snapshots cover.
-    pub slots: Option<(u64, u64)>,
-    /// Distinct shards contributing snapshots.
-    pub shards: u64,
-}
-
-/// Summary of a `--flight-out` decision flight-recorder stream.
-#[derive(Debug, Default)]
-pub struct FlightStreamReport {
-    /// Lines read.
-    pub events: u64,
-    /// The dump blocks, in stream order.
-    pub dumps: Vec<FlightDumpBlock>,
-}
-
-/// Does this line look like a flight-recorder stream? (First event is
-/// always a `flight_dump` header; a bare `flight` line means a torn
-/// stream, still recognizably flight data.)
-pub fn sniff_flight(first_line: &str) -> bool {
-    parse_flat_object(first_line.trim())
-        .is_ok_and(|obj| matches!(get_str(&obj, "kind").as_str(), "flight_dump" | "flight"))
-}
-
-/// Folds a flight-recorder JSONL stream into a [`FlightStreamReport`].
-///
-/// # Errors
-///
-/// Fails on the first malformed line, reporting its 1-based number —
-/// callers salvage a torn tail exactly like they do for traces.
-pub fn build_flight_report<I, S>(lines: I) -> Result<FlightStreamReport, (usize, ParseError)>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut r = FlightStreamReport::default();
-    let mut shards = std::collections::BTreeSet::new();
-    for (i, line) in lines.into_iter().enumerate() {
-        let line = line.as_ref().trim();
-        if line.is_empty() {
-            continue;
-        }
-        let obj = parse_flat_object(line).map_err(|e| (i + 1, e))?;
-        r.events += 1;
-        let slot = get_u64(&obj, "slot");
-        match get_str(&obj, "kind").as_str() {
-            "flight_dump" => {
-                if let Some(last) = r.dumps.last_mut() {
-                    last.shards = shards.len() as u64;
-                }
-                shards.clear();
-                r.dumps.push(FlightDumpBlock {
-                    header: FlightDump {
-                        slot,
-                        trigger: get_str(&obj, "trigger"),
-                        snapshots: get_u64(&obj, "snapshots"),
-                    },
-                    snapshots: 0,
-                    slots: None,
-                    shards: 0,
-                });
-            }
-            "flight" => {
-                shards.insert(get_u64(&obj, "shard"));
-                if let Some(dump) = r.dumps.last_mut() {
-                    dump.snapshots += 1;
-                    dump.slots = Some(match dump.slots {
-                        None => (slot, slot),
-                        Some((lo, hi)) => (lo.min(slot), hi.max(slot)),
-                    });
-                    dump.shards = shards.len() as u64;
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(r)
-}
-
-impl FlightStreamReport {
-    /// Renders the summary as plain text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "mec-obs flight report ({} dump(s), {} line(s))",
-            self.dumps.len(),
-            self.events
-        );
-        for d in &self.dumps {
-            let range = d.slots.map_or_else(
-                || "no snapshots".to_string(),
-                |(lo, hi)| format!("slots {lo}..={hi}"),
-            );
-            let _ = writeln!(
-                out,
-                "  slot {:>6}  trigger {}: {} snapshot(s) over {} shard(s), {range}",
-                d.header.slot, d.header.trigger, d.snapshots, d.shards
-            );
-            if d.snapshots != d.header.snapshots {
-                let _ = writeln!(
-                    out,
-                    "    WARNING: header advertised {} snapshot(s) but {} present \
-                     (torn dump?)",
-                    d.header.snapshots, d.snapshots
-                );
-            }
-            if let Some((_, hi)) = d.slots {
-                if hi != d.header.slot {
-                    let _ = writeln!(
-                        out,
-                        "    note: last snapshot slot {hi} != trigger slot {} \
-                         (shards may have lagged the trigger)",
-                        d.header.slot
                     );
                 }
             }
@@ -1454,8 +1280,6 @@ mod tests {
             r#"{"slot":12,"kind":"drift_suspected","shard":0,"arm":1,"mean":0.3120,"score":2.145}"#,
             r#"{"slot":30,"kind":"drift_cleared","shard":0,"arm":1,"mean":0.7,"score":0.1}"#,
             r#"{"slot":40,"kind":"learning_state","shard":0,"cum_reward":22.5,"oracle":24.0,"regret":1.5,"steps":40}"#,
-            r#"{"slot":40,"kind":"lp_state","shard":0,"solves":40,"warm_hits":36,"warm_fallbacks":2,"cold_starts":2,"pivots":120,"refactorizations":3}"#,
-            r#"{"slot":41,"kind":"flight_dump","trigger":"drift","snapshots":12,"evicted":3}"#,
             r#"{"slot":50,"kind":"arm_lifecycle_drops","count":7}"#,
         ];
         let report = build_report(lines.iter().copied()).unwrap();
@@ -1465,8 +1289,6 @@ mod tests {
         assert!(report.drift_events[0].suspected);
         assert!(!report.drift_events[1].suspected);
         assert_eq!(report.learning[&0].steps, 40);
-        assert_eq!(report.lp[&0].warm_hits, 36);
-        assert_eq!(report.flight_dumps[0].trigger, "drift");
         assert_eq!(report.arm_lifecycle_dropped, 7);
 
         let text = report.render();
@@ -1481,14 +1303,6 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("40 solve(s), 36 warm hit(s) (90.0%), 2 fallback(s), 2 cold"),
-            "{text}"
-        );
-        assert!(
-            text.contains("flight recorder dumped 12 snapshot(s) (trigger: drift)"),
-            "{text}"
-        );
-        assert!(
             text.contains("learner probe buffer saturated — 7 event(s) dropped"),
             "{text}"
         );
@@ -1498,85 +1312,77 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_drops_warn_up_top() {
-        let lines = [r#"{"slot":80,"kind":"lifecycle_drops","count":9}"#];
-        let report = build_report(lines.iter().copied()).unwrap();
-        assert_eq!(report.lifecycle_dropped, 9);
-        let text = report.render();
-        assert!(
-            text.contains("WARNING: lifecycle ring saturated — 9 record(s) dropped"),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn lifecycle_stream_builds_salvages_and_sniffs() {
+    fn lifecycle_events_render_their_own_section() {
         let lines = [
-            r#"{"id":1,"stage":"admit","slot":0,"shard":-1,"bs":3}"#,
-            r#"{"id":1,"stage":"start","slot":2,"shard":0,"bs":3}"#,
-            r#"{"id":2,"stage":"admit","slot":2,"shard":-1,"bs":4}"#,
-            r#"{"id":1,"stage":"complete","slot":9,"shard":0,"bs":3}"#,
+            r#"{"slot":0,"kind":"lifecycle","id":1,"stage":"admit","shard":0,"bs":-1}"#,
+            r#"{"slot":0,"kind":"admission","admitted":1,"buffered":0,"spilled":0,"shed":0,"shed_down":0}"#,
+            r#"{"slot":2,"kind":"lifecycle","id":1,"stage":"start","shard":0,"bs":3}"#,
+            r#"{"slot":2,"kind":"lifecycle","id":2,"stage":"shed","shard":-1,"bs":-1}"#,
+            r#"{"slot":9,"kind":"lifecycle","id":1,"stage":"complete","shard":0,"bs":-1}"#,
         ];
-        assert!(sniff_lifecycle(lines[0]));
-        assert!(!sniff_lifecycle(SAMPLE[0]), "trace lines must not sniff");
-        let r = build_lifecycle_report(lines.iter().copied()).unwrap();
-        assert_eq!(r.records, 4);
-        assert_eq!(r.requests, 2);
-        assert_eq!(r.stages["admit"], 2);
-        assert_eq!(r.slots, Some((0, 9)));
-        let text = r.render();
+        let report = build_report(lines.iter().copied()).unwrap();
+        let l = &report.lifecycle;
+        assert_eq!(l.records, 4);
+        assert_eq!(l.requests.len(), 2);
+        assert_eq!(l.stages["admit"], 1);
+        assert_eq!(l.slots, Some((0, 9)));
+        assert_eq!(report.funnel["admitted"], 1, "other kinds still fold");
+        let text = report.render();
+        assert!(text.contains("== lifecycle =="), "{text}");
         assert!(text.contains("4 record(s), 2 request(s)"), "{text}");
         assert!(text.contains("slots 0..=9"), "{text}");
-
-        // A torn final line errors exactly there, and the prefix
-        // salvages cleanly — the bin's recovery contract.
-        let mut torn: Vec<String> = lines.iter().map(|s| s.to_string()).collect();
-        torn.push(r#"{"id":3,"stage":"adm"#.to_string());
-        let (line_no, _) = build_lifecycle_report(&torn).unwrap_err();
-        assert_eq!(line_no, 5);
-        let salvaged = build_lifecycle_report(&torn[..line_no - 1]).unwrap();
-        assert_eq!(salvaged.records, 4);
+        assert!(text.contains("complete: 1"), "{text}");
+        let quiet = build_report(SAMPLE.iter().copied()).unwrap();
+        assert!(!quiet.render().contains("== lifecycle =="));
     }
 
     #[test]
-    fn flight_stream_builds_salvages_and_sniffs() {
-        let lines = [
-            r#"{"slot":60,"kind":"flight_dump","trigger":"crash","snapshots":3,"evicted":0}"#,
-            r#"{"slot":58,"kind":"flight","shard":0,"arm":3,"value":400.0,"active_arms":5,"best_arm":3,"best_mean":0.7,"granted":9,"granted_mhz":3600.0,"assign_digest":123,"lp_solves":0,"lp_warm_hits":0,"lp_pivots":0}"#,
-            r#"{"slot":59,"kind":"flight","shard":0,"arm":3,"value":400.0,"active_arms":5,"best_arm":3,"best_mean":0.7,"granted":9,"granted_mhz":3600.0,"assign_digest":124,"lp_solves":0,"lp_warm_hits":0,"lp_pivots":0}"#,
-            r#"{"slot":60,"kind":"flight","shard":0,"arm":3,"value":400.0,"active_arms":5,"best_arm":3,"best_mean":0.7,"granted":9,"granted_mhz":3600.0,"assign_digest":125,"lp_solves":0,"lp_warm_hits":0,"lp_pivots":0}"#,
+    fn flight_dumps_fold_their_snapshot_lines() {
+        let snapshot = |slot: u64, shard: u64| {
+            format!(
+                r#"{{"slot":{slot},"kind":"flight","shard":{shard},"arm":3,"value":400.0,"active_arms":5,"best_arm":3,"best_mean":0.7,"granted":9,"granted_mhz":3600.0,"assign_digest":123,"lp_solves":0,"lp_warm_hits":0,"lp_pivots":0}}"#
+            )
+        };
+        let lines = vec![
+            r#"{"slot":55,"kind":"served","shard":0,"lat_ms":42.0}"#.to_string(),
+            r#"{"slot":60,"kind":"flight_dump","trigger":"crash","snapshots":3,"evicted":0}"#
+                .to_string(),
+            snapshot(58, 0),
+            snapshot(59, 1),
+            snapshot(60, 0),
+            r#"{"slot":61,"kind":"flight_dump","trigger":"drift","snapshots":2,"evicted":0}"#
+                .to_string(),
+            snapshot(61, 0),
         ];
-        assert!(sniff_flight(lines[0]));
-        assert!(sniff_flight(lines[1]), "bare snapshots still sniff");
-        assert!(!sniff_flight(SAMPLE[0]));
-        let r = build_flight_report(lines.iter().copied()).unwrap();
-        assert_eq!(r.dumps.len(), 1);
-        assert_eq!(r.dumps[0].snapshots, 3);
-        assert_eq!(r.dumps[0].slots, Some((58, 60)));
-        assert_eq!(r.dumps[0].shards, 1);
-        let text = r.render();
+        let report = build_report(&lines).unwrap();
+        assert_eq!(report.flight_dumps.len(), 2);
+        let crash = &report.flight_dumps[0];
+        assert_eq!((crash.present, crash.slots), (3, Some((58, 60))));
+        assert_eq!(crash.shards.len(), 2);
+        let text = report.render();
+        assert!(text.contains("== flight recorder =="), "{text}");
         assert!(
-            text.contains("trigger crash: 3 snapshot(s) over 1 shard(s), slots 58..=60"),
+            text.contains(
+                "flight recorder dumped 3 snapshot(s) (trigger: crash) over 2 shard(s), \
+                 slots 58..=60"
+            ),
             "{text}"
         );
-        assert!(!text.contains("WARNING"), "complete dump: {text}");
-
-        // Torn tail: error at the last line, salvage the prefix; the
-        // under-count vs. the header is called out.
-        let mut torn: Vec<String> = lines.iter().map(|s| s.to_string()).collect();
-        torn.push(r#"{"slot":60,"kind":"fli"#.to_string());
-        let (line_no, _) = build_flight_report(&torn).unwrap_err();
-        assert_eq!(line_no, 5);
-        let salvaged = build_flight_report(&torn[..line_no - 1]).unwrap();
-        assert_eq!(salvaged.dumps[0].snapshots, 3);
-        let partial = build_flight_report(lines[..3].iter().copied()).unwrap();
+        // The second dump lost a line: the under-count is called out.
         assert!(
-            partial
-                .render()
-                .contains("advertised 3 snapshot(s) but 2 present"),
-            "{}",
-            partial.render()
+            text.contains("advertised 2 snapshot(s) but 1 present"),
+            "{text}"
         );
+        assert_eq!(text.matches("WARNING").count(), 1, "{text}");
+
+        // A torn final line errors exactly there, and the prefix salvages
+        // cleanly — the bin's recovery contract.
+        let mut torn = lines.clone();
+        torn.push(r#"{"slot":62,"kind":"fli"#.to_string());
+        let (line_no, _) = build_report(&torn).unwrap_err();
+        assert_eq!(line_no, lines.len() + 1);
+        let salvaged = build_report(&torn[..line_no - 1]).unwrap();
+        assert_eq!(salvaged.flight_dumps[0].present, 3);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A [`TraceEvent`] is a flat record — a virtual slot, an event kind,
 //! and scalar fields — serialized as one JSON line. Worker threads push
 //! events into a shared [`TraceRing`]; the supervisor drains the rings
-//! at the slot barrier (in shard order) and appends to a
+//! at each watermark fold (in shard order) and appends to a
 //! [`TraceWriter`], so the stream order is a pure function of the run's
 //! deterministic decisions, never of thread scheduling.
 //!
@@ -12,6 +12,7 @@
 //! workspace vendors no JSON library).
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -93,6 +94,20 @@ pub struct TraceEvent {
 /// Escapes a string for embedding in a JSON string literal.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped for a JSON string literal.
+fn push_escaped(out: &mut String, s: &str) {
+    // Kinds, keys, and most values are plain identifiers: copy them whole.
+    if !s
+        .chars()
+        .any(|c| c == '"' || c == '\\' || (c as u32) < 0x20)
+    {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -101,44 +116,53 @@ pub fn escape_json(s: &str) -> String {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out
 }
 
-fn value_json(v: &Value) -> String {
-    match v {
-        Value::U64(x) => x.to_string(),
-        Value::I64(x) => x.to_string(),
-        Value::F64(x) => {
-            if x.is_finite() {
-                format!("{x:?}")
-            } else {
-                "null".to_string()
-            }
+fn push_value(out: &mut String, v: &Value) {
+    let _ = match v {
+        Value::U64(x) => write!(out, "{x}"),
+        Value::I64(x) => write!(out, "{x}"),
+        Value::F64(x) if x.is_finite() => write!(out, "{x:?}"),
+        Value::F64(_) => {
+            out.push_str("null");
+            Ok(())
         }
-        Value::Str(s) => format!("\"{}\"", escape_json(s)),
-        Value::Bool(b) => b.to_string(),
-    }
+        Value::Str(s) => {
+            out.push('"');
+            push_escaped(out, s);
+            out.push('"');
+            Ok(())
+        }
+        Value::Bool(b) => write!(out, "{b}"),
+    };
 }
 
 impl TraceEvent {
     /// Serializes the event as one JSON object (no trailing newline).
     /// `slot` and `kind` always lead; fields follow in emission order.
     pub fn to_json_line(&self) -> String {
-        let mut out = format!(
-            "{{\"slot\":{},\"kind\":\"{}\"",
-            self.slot,
-            escape_json(&self.kind)
-        );
+        let mut out = String::new();
+        self.push_json(&mut out);
+        out
+    }
+
+    /// Appends the [`TraceEvent::to_json_line`] rendering to `out`.
+    fn push_json(&self, out: &mut String) {
+        let _ = write!(out, "{{\"slot\":{},\"kind\":\"", self.slot);
+        push_escaped(out, &self.kind);
+        out.push('"');
         for (k, v) in &self.fields {
-            out.push_str(&format!(",\"{}\":{}", escape_json(k), value_json(v)));
+            out.push_str(",\"");
+            push_escaped(out, k);
+            out.push_str("\":");
+            push_value(out, v);
         }
         out.push('}');
-        out
     }
 }
 
@@ -172,7 +196,7 @@ struct RingInner {
 }
 
 /// A bounded, shareable event buffer: workers push, the supervisor
-/// drains at the slot barrier. When full, the *newest* event is dropped
+/// drains at each watermark fold. When full, the *newest* event is dropped
 /// (and counted) — keeping the prefix preserves causality for whatever
 /// was already recorded.
 #[derive(Clone)]
@@ -247,6 +271,8 @@ impl EventSink for Option<TraceRing> {
 pub struct TraceWriter {
     out: Box<dyn Write + Send>,
     written: u64,
+    /// Reused line buffer, so writing an event allocates nothing.
+    line: String,
 }
 
 impl std::fmt::Debug for TraceWriter {
@@ -260,7 +286,11 @@ impl std::fmt::Debug for TraceWriter {
 impl TraceWriter {
     /// Wraps a byte sink (file, buffer, pipe).
     pub fn new(out: Box<dyn Write + Send>) -> Self {
-        Self { out, written: 0 }
+        Self {
+            out,
+            written: 0,
+            line: String::new(),
+        }
     }
 
     /// Writes one event as a JSON line. Write errors are swallowed after
@@ -268,8 +298,10 @@ impl TraceWriter {
     /// is visible as the difference between events offered and
     /// [`TraceWriter::written`].
     pub fn write(&mut self, event: &TraceEvent) {
-        let line = event.to_json_line();
-        if writeln!(self.out, "{line}").is_ok() {
+        self.line.clear();
+        event.push_json(&mut self.line);
+        self.line.push('\n');
+        if self.out.write_all(self.line.as_bytes()).is_ok() {
             self.written += 1;
         }
     }

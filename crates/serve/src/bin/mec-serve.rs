@@ -21,7 +21,6 @@ struct Args {
     requests: usize,
     shards: usize,
     policy: String,
-    solver: mec_core::SolverKind,
     rps: f64,
     seed: u64,
     snapshot_every: u64,
@@ -49,10 +48,8 @@ struct Args {
     ops_journal_out: Option<String>,
     state_dir: Option<String>,
     slo: Vec<mec_obs::SloSpec>,
-    lifecycle_out: Option<String>,
     stall_events: bool,
     learner_events: bool,
-    flight_out: Option<String>,
     flight_dump_on: Option<mec_obs::FlightTriggerSet>,
 }
 
@@ -65,7 +62,6 @@ impl Default for Args {
             requests: 100_000,
             shards: 4,
             policy: "DynamicRR".to_string(),
-            solver: mec_core::SolverKind::default(),
             rps: 2_000.0,
             seed: 0,
             snapshot_every: 100,
@@ -93,10 +89,8 @@ impl Default for Args {
             ops_journal_out: None,
             state_dir: None,
             slo: Vec::new(),
-            lifecycle_out: None,
             stall_events: false,
             learner_events: false,
-            flight_out: None,
             flight_dump_on: None,
         }
     }
@@ -113,8 +107,6 @@ OPTIONS:
     --requests <N>        requests to generate [default: 100000]
     --shards <N>          shard worker threads [default: 4]
     --policy <NAME>       scheduling policy [default: DynamicRR]
-    --solver <KIND>       simplex backing the policy's LP solves:
-                          dense | revised [default: revised]
     --rps <F>             offered load, requests per second [default: 2000]
     --seed <N>            run seed (topology, workload, demand) [default: 0]
     --snapshot-every <N>  slots between JSON snapshots; 0 = none [default: 100]
@@ -165,8 +157,11 @@ OBSERVABILITY (requires a build with --features obs):
     --metrics-addr <ADDR> serve GET /metrics (Prometheus text) and
                           /metrics.json on this address, e.g. 127.0.0.1:9100
                           (port 0 picks a free port, printed to stderr)
-    --trace-out <PATH>    append one JSON line per structured event to PATH
-                          (feed it to mec-obs-report)
+    --trace-out <PATH>    write the run's one event stream to PATH as JSON
+                          lines: structured events, a lifecycle record per
+                          request stage (admit, start, complete, handoff,
+                          ...), and flight-recorder dumps (feed it to
+                          mec-obs-report)
     --telemetry-every <N> poll shard learners for per-arm telemetry every
                           N slots; 0 = off [default: 25]
     --hold-metrics-ms <N> keep the metrics endpoint up N ms after the run
@@ -182,19 +177,14 @@ OBSERVABILITY (requires a build with --features obs):
                           same-seed traces stay byte-identical)
     --learner-events      attach the learner probe: per-arm lifecycle
                           trace events, live regret gauges, drift
-                          detection, and GET /learning.json + /flight.json
-                          (emits for learning policies, i.e. DynamicRR)
-    --flight-out <PATH>   append flight-recorder dumps (decision-snapshot
-                          JSONL; feed to mec-obs-report) to PATH when a
-                          trigger fires; implies --learner-events
+                          detection, flight-recorder dumps into the
+                          --trace-out stream, and GET /learning.json +
+                          /flight.json (emits for learning policies,
+                          i.e. DynamicRR)
     --flight-dump-on <LIST>
                           which events trip a flight dump, as a comma
-                          list of slo, drift, crash [default: all three]
-
-LIFECYCLE (requires a build with --features lifecycle):
-    --lifecycle-out <PATH>
-                          append one JSON line per request-lifecycle stage
-                          (admit, start, complete, handoff, ...) to PATH
+                          list of slo, drift, crash [default: all three];
+                          needs --learner-events and --trace-out
 
 PROFILING (requires a build with --features prof):
     --profile-out <PATH>  write the hierarchical phase profile as JSON
@@ -215,7 +205,6 @@ fn parse_args() -> Result<Args, String> {
             "--requests" => args.requests = parse(&value("--requests")?)?,
             "--shards" => args.shards = parse(&value("--shards")?)?,
             "--policy" => args.policy = value("--policy")?,
-            "--solver" => args.solver = parse(&value("--solver")?)?,
             "--rps" => args.rps = parse(&value("--rps")?)?,
             "--seed" => args.seed = parse(&value("--seed")?)?,
             "--snapshot-every" => args.snapshot_every = parse(&value("--snapshot-every")?)?,
@@ -273,10 +262,8 @@ fn parse_args() -> Result<Args, String> {
             "--slo" => args.slo.push(
                 mec_obs::SloSpec::parse(&value("--slo")?).map_err(|e| format!("--slo: {e}"))?,
             ),
-            "--lifecycle-out" => args.lifecycle_out = Some(value("--lifecycle-out")?),
             "--stall-events" => args.stall_events = true,
             "--learner-events" => args.learner_events = true,
-            "--flight-out" => args.flight_out = Some(value("--flight-out")?),
             "--flight-dump-on" => {
                 args.flight_dump_on = Some(
                     mec_obs::FlightTriggerSet::parse(&value("--flight-dump-on")?)
@@ -327,8 +314,8 @@ fn parse_args() -> Result<Args, String> {
     if !args.chaos.disk_faults.is_empty() && args.state_dir.is_none() {
         return Err("disk fault injection needs a state directory (--state-dir)".to_string());
     }
-    if args.flight_dump_on.is_some() && args.flight_out.is_none() {
-        return Err("--flight-dump-on needs a flight sink (--flight-out)".to_string());
+    if args.flight_dump_on.is_some() && !(args.learner_events && args.trace_out.is_some()) {
+        return Err("--flight-dump-on needs --learner-events and --trace-out".to_string());
     }
     #[cfg(not(feature = "obs"))]
     if args.metrics_addr.is_some()
@@ -338,17 +325,9 @@ fn parse_args() -> Result<Args, String> {
         || !args.slo.is_empty()
         || args.stall_events
         || args.learner_events
-        || args.flight_out.is_some()
     {
         return Err(
             "observability flags need the obs feature; rebuild with --features obs".to_string(),
-        );
-    }
-    #[cfg(not(feature = "lifecycle"))]
-    if args.lifecycle_out.is_some() {
-        return Err(
-            "--lifecycle-out needs the lifecycle feature; rebuild with --features lifecycle"
-                .to_string(),
         );
     }
     #[cfg(not(feature = "prof"))]
@@ -408,18 +387,15 @@ fn main() -> ExitCode {
     // Observability attachment: built only when a flag asks for it, so a
     // plain run keeps a private registry and its exact legacy behaviour.
     #[cfg(feature = "obs")]
-    let probe = args.learner_events || args.flight_out.is_some();
-    #[cfg(feature = "obs")]
     let hub = if args.metrics_addr.is_some()
         || args.trace_out.is_some()
         || args.telemetry_every.is_some()
         || args.hold_metrics_ms > 0
-        || args.lifecycle_out.is_some()
         || !args.slo.is_empty()
         || args.stall_events
-        || probe
+        || args.learner_events
     {
-        let mut hub = mec_serve::ObsHub::new().with_probe(probe);
+        let mut hub = mec_serve::ObsHub::new().with_probe(args.learner_events);
         if let Some(path) = &args.trace_out {
             let file = match std::fs::File::create(path) {
                 Ok(file) => file,
@@ -429,30 +405,6 @@ fn main() -> ExitCode {
                 }
             };
             hub = hub.with_trace(mec_obs::TraceWriter::new(Box::new(
-                std::io::BufWriter::new(file),
-            )));
-        }
-        if let Some(path) = &args.lifecycle_out {
-            let file = match std::fs::File::create(path) {
-                Ok(file) => file,
-                Err(e) => {
-                    eprintln!("cannot create lifecycle file {path:?}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            hub = hub.with_lifecycle(mec_obs::LifecycleWriter::new(Box::new(
-                std::io::BufWriter::new(file),
-            )));
-        }
-        if let Some(path) = &args.flight_out {
-            let file = match std::fs::File::create(path) {
-                Ok(file) => file,
-                Err(e) => {
-                    eprintln!("cannot create flight file {path:?}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            hub = hub.with_flight(mec_obs::TraceWriter::new(Box::new(
                 std::io::BufWriter::new(file),
             )));
         }
@@ -477,7 +429,7 @@ fn main() -> ExitCode {
             if !args.slo.is_empty() {
                 docs.push(("/slo.json", hub.slo_doc()));
             }
-            if probe {
+            if args.learner_events {
                 docs.push(("/learning.json", hub.learning_doc()));
                 docs.push(("/flight.json", hub.flight_doc()));
             }
@@ -509,7 +461,6 @@ fn main() -> ExitCode {
         snapshot_every: args.snapshot_every,
         epoch_horizon: args.epoch_horizon,
         policy: args.policy.clone(),
-        solver: args.solver,
         sim: mec_sim::SlotConfig {
             slot_ms: args.slot_ms,
             seed: args.seed,
@@ -644,18 +595,6 @@ fn main() -> ExitCode {
             hub.flush();
             if let Some(path) = &args.trace_out {
                 eprintln!("trace: {} event(s) written to {path}", hub.trace_written());
-            }
-            if let Some(path) = &args.lifecycle_out {
-                eprintln!(
-                    "lifecycle: {} record(s) written to {path}",
-                    hub.lifecycle_written()
-                );
-            }
-            if let Some(path) = &args.flight_out {
-                eprintln!(
-                    "flight: {} dump line(s) written to {path}",
-                    hub.flight_written()
-                );
             }
         }
         if args.hold_metrics_ms > 0 {

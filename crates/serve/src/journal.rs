@@ -1156,9 +1156,7 @@ mod tests {
         let topo = TopologyBuilder::new(6).seed(5).build();
         let paths = topo.shortest_paths();
         let requests = sample_requests(12);
-        let policy =
-            crate::policy::policy_from_name("Greedy", 100, mec_core::SolverKind::default())
-                .unwrap();
+        let policy = crate::policy::policy_from_name("Greedy", 100).unwrap();
         let mut engine = Engine::new(&topo, &paths, requests, SlotConfig::default());
         let mut policy = policy;
         for _ in 0..7 {

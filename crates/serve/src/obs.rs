@@ -16,9 +16,12 @@
 //! Everything that can reach a snapshot or the trace derives from
 //! virtual slots, event counts, and rewards. Wall-clock quantities
 //! (`mec_serve_step_ms`) live only in the registry for live scraping.
-//! Worker-side events go through per-shard [`TraceRing`]s that the
-//! driver drains at the slot barrier in shard order, so a traced run
-//! replayed with the same seed yields a byte-identical event stream.
+//! Worker-side events — fault injections and per-request lifecycle
+//! records — go through per-shard [`TraceRing`]s that the driver drains
+//! at each watermark fold in shard order; driver-side events, lifecycle
+//! records, and flight-recorder dumps go straight to the one
+//! [`TraceWriter`]. A traced run replayed with the same seed therefore
+//! yields a byte-identical event stream.
 
 use crate::chaos::{DiskFaultKind, DiskFaultSpec, DiskTarget};
 use crate::journal::DiskIncidents;
@@ -28,22 +31,24 @@ use crate::snapshot::{FaultStats, PlacementStats};
 use mec_core::RegretAccountant;
 use mec_obs::{
     Counter, DecisionSnapshot, EventSink, FlightRecorder, FlightTrigger, FlightTriggerSet, Gauge,
-    Histogram, LifecycleRecord, LifecycleRing, LifecycleSink, LifecycleWriter, PageHinkley,
-    Registry, SharedDoc, SloEngine, SloTransition, TraceEvent, TraceRing, TraceWriter,
-    LATENCY_MS_BOUNDS, STEP_MS_BOUNDS,
+    Histogram, PageHinkley, Registry, SharedDoc, SloEngine, SloTransition, TraceEvent, TraceRing,
+    TraceWriter, LATENCY_MS_BOUNDS, STEP_MS_BOUNDS,
 };
 use mec_placement::{InstallDone, PlacementState, ReconfigOp};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// Capacity of each worker's event ring — ample for one slot's worth of
-/// fault events between barrier drains.
-const RING_CAP: usize = 4_096;
-
-/// Capacity of each worker's lifecycle ring. Lifecycle records are per
+/// Capacity of each worker's event ring. Lifecycle records are per
 /// request (start/complete/expire/abort), so the ring is sized for a
-/// burst of several slots' worth of terminal events between drains.
-const LIFE_RING_CAP: usize = 65_536;
+/// burst of several slots' worth of terminal events between watermark
+/// folds; the buffer only grows as far as a burst actually needs.
+const RING_CAP: usize = 65_536;
+
+/// Shard field of a lifecycle record the driver emits.
+pub(crate) const DRIVER: i64 = -1;
+
+/// Base-station field of a lifecycle record with no station involved.
+pub(crate) const NO_BS: i64 = -1;
 
 /// Install latencies are a handful of slots (warm 1–2, cold 2–5), so the
 /// buckets hug the small integers.
@@ -51,7 +56,9 @@ const INSTALL_SLOT_BOUNDS: &[f64] = &[1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 13.0];
 
 /// Observability attachment for a serving run: a shared metrics
 /// registry (scrape it with [`mec_obs::MetricsServer`]), an optional
-/// JSONL trace sink, and the learner-telemetry polling interval.
+/// JSONL trace sink — the run's one event stream, carrying structured
+/// events, request-lifecycle records, and flight-recorder dumps — and
+/// the learner-telemetry polling interval.
 ///
 /// The hub outlives the run: registry counters accumulate across every
 /// run attached to the same hub (Prometheus semantics). Runs without a
@@ -59,11 +66,9 @@ const INSTALL_SLOT_BOUNDS: &[f64] = &[1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 13.0];
 pub struct ObsHub {
     registry: Arc<Registry>,
     trace: Option<Mutex<TraceWriter>>,
-    lifecycle: Option<Mutex<LifecycleWriter>>,
     slo_doc: SharedDoc,
     learning_doc: SharedDoc,
     flight_doc: SharedDoc,
-    flight: Option<Mutex<TraceWriter>>,
     flight_on: FlightTriggerSet,
     probe: bool,
     stall_events: bool,
@@ -74,8 +79,6 @@ impl fmt::Debug for ObsHub {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ObsHub")
             .field("tracing", &self.trace.is_some())
-            .field("lifecycle", &self.lifecycle.is_some())
-            .field("flight", &self.flight.is_some())
             .field("probe", &self.probe)
             .field("stall_events", &self.stall_events)
             .field("telemetry_every", &self.telemetry_every)
@@ -102,11 +105,9 @@ impl ObsHub {
         Self {
             registry,
             trace: None,
-            lifecycle: None,
             slo_doc: Arc::new(Mutex::new(String::new())),
             learning_doc: Arc::new(Mutex::new(String::new())),
             flight_doc: Arc::new(Mutex::new(String::new())),
-            flight: None,
             flight_on: FlightTriggerSet::all(),
             probe: false,
             stall_events: false,
@@ -114,27 +115,18 @@ impl ObsHub {
         }
     }
 
-    /// Attaches a JSONL trace sink; structured events are appended to it
-    /// as the run executes (requires the `obs` cargo feature to emit
-    /// anything).
+    /// Attaches a JSONL trace sink; structured events, per-request
+    /// `lifecycle` records (admit, start, complete, ...), and — with the
+    /// probe attached — flight-recorder dumps are appended to it as the
+    /// run executes (requires the `obs` cargo feature to emit anything).
     #[must_use]
     pub fn with_trace(mut self, writer: TraceWriter) -> Self {
         self.trace = Some(Mutex::new(writer));
         self
     }
 
-    /// Attaches a lifecycle sink; per-request lifecycle records (admit,
-    /// start, complete, ...) are appended to it as JSONL (requires the
-    /// `lifecycle` cargo feature to emit anything).
-    #[must_use]
-    pub fn with_lifecycle(mut self, writer: LifecycleWriter) -> Self {
-        self.lifecycle = Some(Mutex::new(writer));
-        self
-    }
-
     /// Attaches the learner probe: every shard policy streams arm-
-    /// lifecycle events, decision records, and LP solve times to the
-    /// driver, feeding the regret accountant, drift detectors, flight
+    /// lifecycle events and decision records to the driver, feeding the regret accountant, drift detectors, flight
     /// recorder, and the `/learning.json` document. Off by default —
     /// with the probe detached policies take the exact pre-probe code
     /// paths, so snapshots stay byte-identical.
@@ -144,18 +136,10 @@ impl ObsHub {
         self
     }
 
-    /// Attaches a flight-recorder sink: on each enabled trigger (SLO
-    /// breach, drift firing, shard crash) the recorder's decision rings
-    /// are dumped to this JSONL writer. Implies nothing by itself — the
-    /// rings only fill while the probe is attached.
-    #[must_use]
-    pub fn with_flight(mut self, writer: TraceWriter) -> Self {
-        self.flight = Some(Mutex::new(writer));
-        self
-    }
-
-    /// Selects which events trigger a flight-recorder dump (default:
-    /// all of SLO breach, drift, and crash).
+    /// Selects which events trigger a flight-recorder dump into the
+    /// trace (default: all of SLO breach, drift, and crash). Dumps need
+    /// both the probe (the decision rings only fill while it is
+    /// attached) and a trace sink.
     #[must_use]
     pub fn with_flight_triggers(mut self, on: FlightTriggerSet) -> Self {
         self.flight_on = on;
@@ -188,11 +172,6 @@ impl ObsHub {
     /// Whether a trace sink is attached.
     pub fn has_trace(&self) -> bool {
         self.trace.is_some()
-    }
-
-    /// Whether a lifecycle sink is attached.
-    pub fn has_lifecycle(&self) -> bool {
-        self.lifecycle.is_some()
     }
 
     /// Whether run-end stall events were requested.
@@ -229,64 +208,9 @@ impl ObsHub {
         self.probe
     }
 
-    /// Whether a flight-recorder sink is attached.
-    pub fn has_flight(&self) -> bool {
-        self.flight.is_some()
-    }
-
     /// The enabled flight-dump trigger set.
     pub fn flight_triggers(&self) -> FlightTriggerSet {
         self.flight_on
-    }
-
-    /// Events successfully written to the flight-recorder sink so far.
-    pub fn flight_written(&self) -> u64 {
-        self.flight.as_ref().map_or(0, |w| {
-            w.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .written()
-        })
-    }
-
-    /// Appends one event to the flight-recorder sink, if any.
-    pub(crate) fn write_flight(&self, event: &TraceEvent) {
-        if let Some(writer) = &self.flight {
-            writer
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .write(event);
-        }
-    }
-
-    /// Flushes the flight sink immediately — dumps fire on faults, so
-    /// waiting for the run-end flush could lose the one dump that
-    /// mattered.
-    pub(crate) fn flush_flight(&self) {
-        if let Some(writer) = &self.flight {
-            writer
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .flush();
-        }
-    }
-
-    /// Lifecycle records successfully written to the sink so far.
-    pub fn lifecycle_written(&self) -> u64 {
-        self.lifecycle.as_ref().map_or(0, |w| {
-            w.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .written()
-        })
-    }
-
-    /// Appends one record to the lifecycle sink, if any.
-    pub(crate) fn write_life(&self, record: &LifecycleRecord) {
-        if let Some(writer) = &self.lifecycle {
-            writer
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .write(record);
-        }
     }
 
     /// Events successfully written to the trace sink so far.
@@ -308,7 +232,7 @@ impl ObsHub {
         }
     }
 
-    /// Flushes the trace, lifecycle, and flight sinks, if any.
+    /// Flushes the trace sink, if any.
     pub fn flush(&self) {
         if let Some(writer) = &self.trace {
             writer
@@ -316,13 +240,6 @@ impl ObsHub {
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .flush();
         }
-        if let Some(writer) = &self.lifecycle {
-            writer
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .flush();
-        }
-        self.flush_flight();
     }
 }
 
@@ -381,17 +298,6 @@ struct LearnGauges {
     drift_total: Arc<Counter>,
 }
 
-/// Per-shard slot-LP introspection gauges (built on the first solver
-/// sweep — LP-free policies never create them).
-struct LpGauges {
-    solves: Arc<Gauge>,
-    warm_hits: Arc<Gauge>,
-    warm_fallbacks: Arc<Gauge>,
-    cold_starts: Arc<Gauge>,
-    pivots: Arc<Gauge>,
-    refactorizations: Arc<Gauge>,
-}
-
 /// Renders a float for the learning document; non-finite values (an
 /// unpulled arm's infinite radius) become JSON `null`.
 fn json_f64(v: f64) -> String {
@@ -410,13 +316,10 @@ struct LearnPlane {
     regret: Vec<RegretAccountant>,
     drift: Vec<Vec<ArmDrift>>,
     gauges: Vec<LearnGauges>,
-    lp: Vec<Option<LpGauges>>,
     /// Last solver sweep per shard (rides along in decision snapshots).
     lp_last: Vec<mec_sim::SolverTelemetry>,
     /// Last telemetry-sweep arm views per shard, behind `/learning.json`.
     last_arms: Vec<Vec<mec_sim::ArmTelemetry>>,
-    /// Wall-clock LP solve times (live metrics only, like step timing).
-    solve_ms: Arc<Histogram>,
     /// Last-seen cumulative probe-ring drop count per shard.
     probe_dropped: Vec<u64>,
     probe_drop_counter: Arc<Counter>,
@@ -459,15 +362,8 @@ impl LearnPlane {
             regret: vec![RegretAccountant::new(); shards],
             drift: (0..shards).map(|_| Vec::new()).collect(),
             gauges,
-            lp: (0..shards).map(|_| None).collect(),
             lp_last: vec![mec_sim::SolverTelemetry::default(); shards],
             last_arms: vec![Vec::new(); shards],
-            solve_ms: r.histogram(
-                "mec_slotlp_solve_ms",
-                "wall-clock slot-LP solve time (live only, never snapshotted)",
-                &[],
-                STEP_MS_BOUNDS,
-            ),
             probe_dropped: vec![0; shards],
             probe_drop_counter: r.counter(
                 "mec_obs_probe_dropped_total",
@@ -562,16 +458,15 @@ pub(crate) struct ObsState {
     /// Per-BS cache occupancy gauges, grown lazily to the fleet size.
     occupancy: Vec<Arc<Gauge>>,
     rings: Vec<Option<TraceRing>>,
-    /// Per-shard lifecycle rings (present only with a lifecycle sink).
-    life_rings: Vec<Option<LifecycleRing>>,
     /// Per-shard holdback of worker trace events whose slot is past the
     /// fold watermark: a run-ahead worker may ring events for slots the
     /// coordinator has not folded yet, and emitting them early would make
     /// the trace depend on wall-clock scheduling. Drained in slot order
     /// as the watermark advances.
     held_events: Vec<std::collections::VecDeque<TraceEvent>>,
-    /// Same holdback for worker lifecycle records.
-    held_life: Vec<std::collections::VecDeque<LifecycleRecord>>,
+    /// Whether request-lifecycle records are emitted (see
+    /// [`ObsState::lifecycle`]).
+    lifecycle: bool,
     /// Per-shard work/mailbox/watermark stall probes (always on, like
     /// the registry).
     stall: Vec<StallProbe>,
@@ -581,7 +476,7 @@ pub(crate) struct ObsState {
     /// Per-spec SLO gauges (value, burn fast/slow, breached), built on
     /// the first `note_slo` call.
     slo_gauges: Vec<[Arc<Gauge>; 4]>,
-    /// Driver phase totals: wall, dispatch, recovery, barrier (ms).
+    /// Driver phase totals: wall, dispatch, recovery, fold (ms).
     driver_stall: [Arc<Gauge>; 4],
     telemetry_every: u64,
     /// Outage length of every successful restart, in slots (feeds the
@@ -598,17 +493,6 @@ impl EventSink for ObsState {
     fn record(&self, event: TraceEvent) {
         if let Some(hub) = &self.hub {
             hub.write_event(&event);
-        }
-    }
-}
-
-impl LifecycleSink for ObsState {
-    /// Driver-side lifecycle records go straight to the hub's sink —
-    /// the driver runs between barriers, so its records are already
-    /// deterministically ordered relative to the worker-ring drains.
-    fn life(&self, record: LifecycleRecord) {
-        if let Some(hub) = &self.hub {
-            hub.write_life(&record);
         }
     }
 }
@@ -633,8 +517,6 @@ impl ObsState {
             .map_or_else(|| Arc::new(Registry::new()), |h| Arc::clone(h.registry()));
         let telemetry_every = hub.as_ref().map_or(0, |h| h.telemetry_every);
         let tracing = hub.as_ref().is_some_and(|h| h.has_trace());
-        let lifecycle =
-            cfg!(feature = "lifecycle") && hub.as_ref().is_some_and(|h| h.has_lifecycle());
         let fine_bounds = mec_obs::log_linear_bounds(1.0, 100_000.0, 9);
         let r = &registry;
         let per_shard = |name: &str, help: &str| -> Vec<Arc<Counter>> {
@@ -784,15 +666,10 @@ impl ObsState {
             rings: (0..shards)
                 .map(|_| tracing.then(|| TraceRing::with_capacity(RING_CAP)))
                 .collect(),
-            life_rings: (0..shards)
-                .map(|_| lifecycle.then(|| LifecycleRing::with_capacity(LIFE_RING_CAP)))
-                .collect(),
             held_events: (0..shards)
                 .map(|_| std::collections::VecDeque::new())
                 .collect(),
-            held_life: (0..shards)
-                .map(|_| std::collections::VecDeque::new())
-                .collect(),
+            lifecycle: cfg!(feature = "obs") && tracing,
             stall: (0..shards)
                 .map(|s| {
                     let l: &[(&str, &str)] = &[("shard", &s.to_string())];
@@ -869,10 +746,29 @@ impl ObsState {
         Some(Arc::clone(&self.step[shard]))
     }
 
-    /// The worker lifecycle ring for `shard` (shared across restarts,
-    /// like the trace ring). `None` when no lifecycle sink is attached.
-    pub(crate) fn life_ring(&self, shard: usize) -> Option<LifecycleRing> {
-        self.life_rings[shard].clone()
+    /// Whether request-lifecycle records are emitted: the `obs` feature
+    /// is compiled in and a trace sink is attached. Gates the id
+    /// bookkeeping lifecycle records need, so untraced runs skip it.
+    pub(crate) fn lifecycle(&self) -> bool {
+        self.lifecycle
+    }
+
+    /// Records one driver-side request-lifecycle stage straight into the
+    /// trace. The driver runs between watermark folds, so its records
+    /// are already deterministically ordered relative to the worker-ring
+    /// drains.
+    pub(crate) fn note_life(&self, slot: u64, id: u64, stage: &str, shard: i64, bs: i64) {
+        if self.lifecycle() {
+            mec_obs::event!(
+                self,
+                slot,
+                "lifecycle",
+                id = id,
+                stage = stage,
+                shard = shard,
+                bs = bs
+            );
+        }
     }
 
     /// The worker's stall probe for `shard`.
@@ -1018,9 +914,6 @@ impl ObsState {
                 lp_pivots: lp.pivots,
             });
         }
-        for &ms in &tick.solve_times_ms {
-            learn.solve_ms.observe(ms);
-        }
         let a = &learn.regret[shard];
         let g = &learn.gauges[shard];
         g.regret.set(a.regret());
@@ -1034,8 +927,8 @@ impl ObsState {
     }
 
     /// Learner-sweep bookkeeping while the probe is attached: caches
-    /// the arm views behind `/learning.json`, mirrors the solver
-    /// counters, and emits the `learning_state` / `lp_state` events.
+    /// the arm views behind `/learning.json` and the solver counters
+    /// decision snapshots carry, and emits the `learning_state` event.
     fn note_learn_sweep(&mut self, slot: u64, shard: usize, t: &mec_sim::PolicyTelemetry) {
         let Some(mut learn) = self.learn.take() else {
             return;
@@ -1056,51 +949,6 @@ impl ObsState {
         }
         if let Some(s) = &t.solver {
             learn.lp_last[shard] = *s;
-            let lp = learn.lp[shard].get_or_insert_with(|| {
-                let l: &[(&str, &str)] = &[("shard", &shard.to_string())];
-                let g = |name: &str, help: &str| self.registry.gauge(name, help, l);
-                LpGauges {
-                    solves: g("mec_slotlp_solves_total", "slot-LPs solved"),
-                    warm_hits: g(
-                        "mec_slotlp_warm_hits_total",
-                        "warm-started solves that converged from the reused basis",
-                    ),
-                    warm_fallbacks: g(
-                        "mec_slotlp_warm_fallbacks_total",
-                        "warm starts that fell back to a cold solve",
-                    ),
-                    cold_starts: g(
-                        "mec_slotlp_cold_starts_total",
-                        "solves with no warm basis available",
-                    ),
-                    pivots: g(
-                        "mec_slotlp_pivots_total",
-                        "simplex pivots across all solves",
-                    ),
-                    refactorizations: g(
-                        "mec_slotlp_refactorizations_total",
-                        "basis refactorizations across all solves",
-                    ),
-                }
-            });
-            lp.solves.set(s.solves as f64);
-            lp.warm_hits.set(s.warm_hits as f64);
-            lp.warm_fallbacks.set(s.warm_fallbacks as f64);
-            lp.cold_starts.set(s.cold_starts as f64);
-            lp.pivots.set(s.pivots as f64);
-            lp.refactorizations.set(s.refactorizations as f64);
-            mec_obs::event!(
-                self,
-                slot,
-                "lp_state",
-                shard = shard,
-                solves = s.solves,
-                warm_hits = s.warm_hits,
-                warm_fallbacks = s.warm_fallbacks,
-                cold_starts = s.cold_starts,
-                pivots = s.pivots,
-                refactorizations = s.refactorizations,
-            );
         }
         let doc = learn.render_doc(slot);
         if let Some(hub) = &self.hub {
@@ -1119,14 +967,14 @@ impl ObsState {
     }
 
     /// Dumps the flight recorder's decision rings for `trigger` at
-    /// `slot`, when the trigger is enabled and a flight sink is
-    /// attached. The dump flushes immediately — dumps fire on faults,
-    /// and the run-end flush may never come.
+    /// `slot` into the trace, when the trigger is enabled and a trace
+    /// sink is attached. The dump flushes immediately — dumps fire on
+    /// faults, and the run-end flush may never come.
     pub(crate) fn dump_flight(&mut self, trigger: FlightTrigger, slot: u64) {
         let Some(hub) = &self.hub else {
             return;
         };
-        if !hub.has_flight() || !hub.flight_triggers().contains(trigger) {
+        if !hub.has_trace() || !hub.flight_triggers().contains(trigger) {
             return;
         }
         let Some(learn) = &mut self.learn else {
@@ -1134,10 +982,10 @@ impl ObsState {
         };
         let events = learn.recorder.dump_events(trigger, slot);
         for event in &events {
-            hub.write_flight(event);
+            hub.write_event(event);
         }
         if !events.is_empty() {
-            hub.flush_flight();
+            hub.flush();
         }
     }
 
@@ -1296,7 +1144,7 @@ impl ObsState {
         );
     }
 
-    /// Updates the slot gauge at the end of a barrier.
+    /// Updates the slot gauge after each watermark fold.
     pub(crate) fn set_slot(&self, slot: u64) {
         self.slot.set(slot as f64);
     }
@@ -1483,12 +1331,11 @@ impl ObsState {
     }
 
     /// Drains worker rings into the trace, in shard order, emitting only
-    /// records stamped at or below the fold watermark `through`. Called
+    /// events stamped at or below the fold watermark `through`. Called
     /// once per watermark fold so worker events interleave
     /// deterministically with driver events even when workers run ahead
-    /// of the fold: records past the watermark are held back (worker
-    /// streams are slot-nondecreasing) and emitted by a later fold.
-    /// Lifecycle rings drain the same way into the lifecycle sink. The
+    /// of the fold: events past the watermark are held back (worker
+    /// streams are slot-nondecreasing) and emitted by a later fold. The
     /// run-end drain passes `u64::MAX` to flush every holdback.
     pub(crate) fn drain_rings_through(&mut self, through: u64) {
         for (shard, ring) in self.rings.iter().enumerate() {
@@ -1502,20 +1349,6 @@ impl ObsState {
                 let event = self.held_events[shard].pop_front().expect("checked front");
                 if let Some(hub) = &self.hub {
                     hub.write_event(&event);
-                }
-            }
-        }
-        for (shard, ring) in self.life_rings.iter().enumerate() {
-            if let Some(ring) = ring {
-                self.held_life[shard].extend(ring.drain());
-            }
-            while self.held_life[shard]
-                .front()
-                .is_some_and(|r| r.slot <= through)
-            {
-                let record = self.held_life[shard].pop_front().expect("checked front");
-                if let Some(hub) = &self.hub {
-                    hub.write_life(&record);
                 }
             }
         }
@@ -1666,12 +1499,10 @@ impl ObsState {
         }
     }
 
-    /// Surfaces ring saturation, then flushes the hub's sinks. Trace
-    /// and lifecycle drops are accounted separately — a saturated
-    /// lifecycle ring means request journeys have gaps, which warrants
-    /// its own counter and report warning. Drop counts are
-    /// deterministic (ring capacity vs per-slot event volume), so the
-    /// drop events keep byte-identity.
+    /// Surfaces ring saturation, then flushes the hub's sink. A
+    /// saturated ring means the trace — request journeys included — has
+    /// gaps. Drop counts are deterministic (ring capacity vs per-slot
+    /// event volume), so the drop event keeps byte-identity.
     pub(crate) fn flush(&self, slot: u64) {
         let dropped: u64 = self.rings.iter().flatten().map(TraceRing::dropped).sum();
         if dropped > 0 {
@@ -1683,22 +1514,6 @@ impl ObsState {
                 )
                 .store(dropped);
             mec_obs::event!(self, slot, "trace_drops", count = dropped);
-        }
-        let life_dropped: u64 = self
-            .life_rings
-            .iter()
-            .flatten()
-            .map(LifecycleRing::dropped)
-            .sum();
-        if life_dropped > 0 {
-            self.registry
-                .counter(
-                    "mec_obs_lifecycle_dropped_total",
-                    "lifecycle ring records lost to saturation",
-                    &[],
-                )
-                .store(life_dropped);
-            mec_obs::event!(self, slot, "lifecycle_drops", count = life_dropped);
         }
         if let Some(learn) = &self.learn {
             let probe_dropped = learn.probe_drop_counter.get();

@@ -3,7 +3,7 @@
 //! Mirrors the online contenders of the paper's Fig. 4/6 so an operator can
 //! pick the scheduling algorithm from the command line.
 
-use mec_core::{DynamicRr, DynamicRrConfig, OnlineGreedy, OnlineHeuKkt, OnlineOcorp, SolverKind};
+use mec_core::{DynamicRr, DynamicRrConfig, OnlineGreedy, OnlineHeuKkt, OnlineOcorp};
 use mec_sim::SlotPolicy;
 use std::fmt;
 
@@ -34,8 +34,8 @@ impl std::error::Error for UnknownPolicy {}
 ///
 /// `horizon_hint` seeds `DynamicRR`'s bandit schedule; the serving loop is
 /// open-ended, so the hint is the driver's best estimate of how many slots
-/// the run will last. `solver` picks which simplex backs any LP the policy
-/// solves (only `DynamicRR` consults it today; the others ignore it).
+/// the run will last. `DynamicRR` serves with the water-filling rounding
+/// (no per-slot LP).
 ///
 /// # Errors
 ///
@@ -44,12 +44,10 @@ impl std::error::Error for UnknownPolicy {}
 pub fn policy_from_name(
     name: &str,
     horizon_hint: u64,
-    solver: SolverKind,
 ) -> Result<Box<dyn SlotPolicy + Send>, UnknownPolicy> {
     Ok(match name {
         "DynamicRR" => Box::new(DynamicRr::new(DynamicRrConfig {
             horizon_hint,
-            solver,
             ..Default::default()
         })),
         "HeuKKT" => Box::new(OnlineHeuKkt::new()),
@@ -70,16 +68,13 @@ mod tests {
     #[test]
     fn every_listed_name_resolves() {
         for name in POLICY_NAMES {
-            assert!(
-                policy_from_name(name, 400, SolverKind::default()).is_ok(),
-                "{name}"
-            );
+            assert!(policy_from_name(name, 400).is_ok(), "{name}");
         }
     }
 
     #[test]
     fn unknown_name_lists_accepted_values() {
-        let err = match policy_from_name("Oracle", 400, SolverKind::default()) {
+        let err = match policy_from_name("Oracle", 400) {
             Err(err) => err,
             Ok(_) => panic!("Oracle should not resolve"),
         };

@@ -358,52 +358,6 @@ impl Router {
         }
     }
 
-    /// Moves every journaled request homed on global station `from` to
-    /// global station `to` — the journal half of a drain/leave handoff.
-    /// Entries leave the source shard's journal, are rewritten to `to`'s
-    /// local id space, and merge into the destination shard's journal in
-    /// admission-slot order (existing entries first on equal slots, so
-    /// the merge is deterministic). Returns how many entries moved.
-    ///
-    /// The caller is responsible for rebuilding affected live workers by
-    /// journal replay; the router only rewrites the replay log. The live
-    /// handoff path no longer uses this (it ships engine state directly
-    /// as a [`mec_sim::StationSlice`] and keeps journals untouched so
-    /// replay stays exact); it remains for offline journal surgery.
-    pub fn migrate_station(&mut self, from: StationId, to: StationId) -> u64 {
-        let from_shard = self.shard_of(from);
-        let to_shard = self.shard_of(to);
-        let from_local = from.index() / self.shards;
-        let to_local = to.index() / self.shards;
-        let (moved, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.journal[from_shard])
-            .into_iter()
-            .partition(|(_, r)| r.home().index() == from_local);
-        self.journal[from_shard] = kept.into_iter().collect();
-        let migrated = moved.len() as u64;
-        if migrated == 0 {
-            return 0;
-        }
-        let mut merged: Vec<(u64, Request)> = self.journal[to_shard].drain(..).collect();
-        for (slot, r) in moved {
-            merged.push((
-                slot,
-                Request::new(
-                    r.id(),
-                    StationId(to_local),
-                    r.arrival_slot(),
-                    r.duration_slots(),
-                    r.tasks().to_vec(),
-                    r.demand().clone(),
-                    r.deadline(),
-                ),
-            ));
-        }
-        // Stable: existing destination entries keep winning equal-slot ties.
-        merged.sort_by_key(|(slot, _)| *slot);
-        self.journal[to_shard] = merged.into_iter().collect();
-        migrated
-    }
-
     /// Moves `n` tracked in-flight jobs from `from`'s backlog to `to`'s
     /// — the admission-control view of a station handoff. Saturating on
     /// the source side (the next barriered tick reports resynchronize
@@ -704,41 +658,6 @@ mod tests {
             Admission::Spilled { shard, .. } => assert_eq!(shard, 1),
             other => panic!("expected the legacy spill, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn migrate_station_moves_and_rewrites_journal_entries() {
-        let topo = TopologyBuilder::new(8).seed(6).build();
-        let requests = WorkloadBuilder::new(&topo).seed(6).count(40).build();
-        let mut router = Router::new(2, 1024);
-        router.set_station_counts(vec![4, 4]);
-        for (i, r) in requests.iter().enumerate() {
-            let _ = router.admit(r, i as u64);
-        }
-        let before: usize = (0..2).map(|s| router.journal_len(s)).sum();
-        // Move station 6 (shard 0, local 3) onto station 1 (shard 1, local 0).
-        let from_count = router
-            .journal_since(0, 0)
-            .iter()
-            .filter(|(_, r)| r.home().index() == 3)
-            .count() as u64;
-        assert!(
-            from_count > 0,
-            "seeded workload homes requests on station 6"
-        );
-        let moved = router.migrate_station(StationId(6), StationId(1));
-        assert_eq!(moved, from_count);
-        let after: usize = (0..2).map(|s| router.journal_len(s)).sum();
-        assert_eq!(before, after, "migration moves entries, never drops them");
-        assert!(router
-            .journal_since(0, 0)
-            .iter()
-            .all(|(_, r)| r.home().index() != 3));
-        // Destination journal stays slot-sorted after the merge.
-        let dest = router.journal_since(1, 0);
-        assert!(dest.windows(2).all(|w| w[0].0 <= w[1].0));
-        // Nothing homed on the source: a second migration is a no-op.
-        assert_eq!(router.migrate_station(StationId(6), StationId(1)), 0);
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //!   since), never live channel state;
 //! * every slot is folded at the watermark — all live shards' reports
 //!   for the slot are consumed **in shard order** before anything else
-//!   happens, and worker-side trace/lifecycle records are held back
-//!   until the watermark passes their slot;
+//!   happens, and worker-side trace events (request-lifecycle records
+//!   included) are held back until the watermark passes their slot;
 //! * per-shard engine seeds derive from the base seed and shard index;
 //! * the final [`Snapshot`] carries no wall-clock field, and every fault
 //!   counter is in virtual slots or event counts.
@@ -90,7 +90,7 @@ use crate::chaos::{ChaosSpec, FaultSpec, ShardFault};
 use crate::clock::{Clock, ClockMode};
 use crate::journal::{self, DiskStore};
 use crate::loadgen::LoadGen;
-use crate::obs::{ObsHub, ObsState};
+use crate::obs::{ObsHub, ObsState, DRIVER, NO_BS};
 use crate::partition::{partition, ShardPlan};
 use crate::placement::{PlacementPlane, RouteDecision};
 use crate::policy::{policy_from_name, UnknownPolicy};
@@ -100,7 +100,6 @@ use crate::shard::{
     ShardTick, SpawnSpec,
 };
 use crate::snapshot::{LatencyStats, Snapshot};
-use mec_obs::lifecycle::{DRIVER, NO_BS};
 use mec_obs::{SloEngine, SloSpec, SlotSample};
 use mec_placement::{OpsLog, PlacementConfig, ReconfigOp};
 use mec_sim::{EngineState, Metrics, SlotConfig};
@@ -165,9 +164,6 @@ pub struct ServeConfig {
     pub snapshot_every: u64,
     /// Scheduling policy name; see [`crate::POLICY_NAMES`].
     pub policy: String,
-    /// Which simplex backs the policy's LP solves (see
-    /// [`mec_core::SolverKind`]); `DynamicRR` is the only consumer today.
-    pub solver: mec_core::SolverKind,
     /// Slot parameters shared by every shard engine. The per-shard seed is
     /// derived from `sim.seed` and the shard index; `sim.horizon` is
     /// ignored (the serving loop owns the clock).
@@ -228,7 +224,6 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             snapshot_every: 100,
             policy: "DynamicRR".to_string(),
-            solver: mec_core::SolverKind::default(),
             sim: SlotConfig::default(),
             drain_slots: 1_000,
             clock: ClockMode::Virtual,
@@ -395,7 +390,8 @@ struct Supervised {
     /// a checkpoint alone cannot recover global ids; this mirror is
     /// extended at each adoption (from the journal and handoff events the
     /// checkpoint absorbs) and seeds the tracker of a replacement worker.
-    /// Maintained only under the `lifecycle` feature; empty otherwise.
+    /// Maintained only while lifecycle records are emitted; empty
+    /// otherwise.
     life_ids: Vec<u64>,
 }
 
@@ -480,7 +476,7 @@ fn apply_tick(
 ) {
     obs.note_tick(tick);
     if let Some(state) = &tick.checkpoint {
-        if cfg!(feature = "lifecycle") {
+        if obs.lifecycle() {
             // Fold the journal suffix and handoff events this checkpoint
             // embeds into the id mirror *before* they are pruned away —
             // the worker's map as of the new base is the old base's map
@@ -612,7 +608,7 @@ fn restart(
     detected_at: u64,
 ) -> Result<bool, ServeError> {
     let shard = sup.shard;
-    let policy = policy_from_name(&cfg.policy, horizon_hint, cfg.solver)?;
+    let policy = policy_from_name(&cfg.policy, horizon_hint)?;
     let journal = recovery_journal(sup, router, obs, store, slot);
     let through = slot.saturating_sub(1);
     let events: Vec<HandoffEvent> = sup
@@ -650,7 +646,6 @@ fn restart(
         ring: obs.ring(shard),
         step_hist: obs.step_hist(shard),
         telemetry_every: obs.telemetry_every(),
-        life_ring: obs.life_ring(shard),
         stall: Some(obs.stall_probe(shard)),
         fine_hist: Some(obs.latency_fine()),
         probe: obs.probe(),
@@ -838,7 +833,7 @@ fn process_handoffs(
         let to_local = StationId(to / shards);
         router.transfer_backlog(from_shard, to_shard, moved as usize);
         for &id in &ids {
-            mec_obs::lifecycle!(&*obs, id, "handoff", slot, to_shard as i64, to as i64);
+            obs.note_life(slot, id, "handoff", to_shard as i64, to as i64);
         }
         supervised[to_shard]
             .replay_events
@@ -901,12 +896,12 @@ fn dispatch_one(
     let request = match plane.route(request, slot) {
         RouteDecision::Proceed(r) => r,
         RouteDecision::Held { .. } => {
-            mec_obs::lifecycle!(&*obs, rid, "hold", slot, DRIVER, NO_BS);
+            obs.note_life(slot, rid, "hold", DRIVER, NO_BS);
             counts.held += 1;
             return;
         }
         RouteDecision::Shed => {
-            mec_obs::lifecycle!(&*obs, rid, "shed", slot, DRIVER, NO_BS);
+            obs.note_life(slot, rid, "shed", DRIVER, NO_BS);
             router.count_shed(1);
             counts.shed += 1;
             return;
@@ -916,7 +911,7 @@ fn dispatch_one(
     if !holders.is_empty() {
         // Placement steered this request away from its home shard toward
         // a replica holder.
-        mec_obs::lifecycle!(&*obs, rid, "redirect", slot, DRIVER, NO_BS);
+        obs.note_life(slot, rid, "redirect", DRIVER, NO_BS);
     }
     let decision = router.admit_with(
         &request,
@@ -929,19 +924,19 @@ fn dispatch_one(
     );
     match &decision {
         Admission::Inject { shard, .. } => {
-            mec_obs::lifecycle!(&*obs, rid, "admit", slot, *shard as i64, NO_BS);
+            obs.note_life(slot, rid, "admit", *shard as i64, NO_BS);
             counts.injected += 1;
         }
         Admission::Spilled { shard, .. } => {
-            mec_obs::lifecycle!(&*obs, rid, "spill", slot, *shard as i64, NO_BS);
+            obs.note_life(slot, rid, "spill", *shard as i64, NO_BS);
             counts.spilled += 1;
         }
         Admission::Buffered { shard, .. } => {
-            mec_obs::lifecycle!(&*obs, rid, "buffer", slot, *shard as i64, NO_BS);
+            obs.note_life(slot, rid, "buffer", *shard as i64, NO_BS);
             counts.buffered += 1;
         }
         Admission::Shed => {
-            mec_obs::lifecycle!(&*obs, rid, "shed", slot, DRIVER, NO_BS);
+            obs.note_life(slot, rid, "shed", DRIVER, NO_BS);
             counts.shed += 1;
         }
     }
@@ -1062,7 +1057,7 @@ pub fn serve<F: FnMut(&Snapshot)>(
         .into_iter()
         .map(|plan| {
             let shard = plan.shard;
-            let policy = policy_from_name(&cfg.policy, horizon_hint, cfg.solver)?;
+            let policy = policy_from_name(&cfg.policy, horizon_hint)?;
             let sim = SlotConfig {
                 seed: shard_seed(cfg.sim.seed, shard),
                 horizon: horizon_hint,
@@ -1089,7 +1084,6 @@ pub fn serve<F: FnMut(&Snapshot)>(
                 ring: obs.ring(shard),
                 step_hist: obs.step_hist(shard),
                 telemetry_every: obs.telemetry_every(),
-                life_ring: obs.life_ring(shard),
                 stall: Some(obs.stall_probe(shard)),
                 fine_hist: Some(obs.latency_fine()),
                 probe: obs.probe(),
@@ -1255,14 +1249,7 @@ pub fn serve<F: FnMut(&Snapshot)>(
             mec_obs::prof_slot!(slot);
             mec_obs::prof_scope!("serve.dispatch");
             for request in plane.release_due(slot) {
-                mec_obs::lifecycle!(
-                    obs,
-                    request.id().index() as u64,
-                    "release",
-                    slot,
-                    DRIVER,
-                    NO_BS
-                );
+                obs.note_life(slot, request.id().index() as u64, "release", DRIVER, NO_BS);
                 dispatch_one(
                     request,
                     slot,

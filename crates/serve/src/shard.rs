@@ -33,9 +33,7 @@
 use crate::chaos::{FaultKind, ShardFault};
 use crate::obs::StallProbe;
 use crate::partition::ShardPlan;
-use mec_obs::{Histogram, LifecycleRing, TraceRing};
-#[cfg(feature = "lifecycle")]
-use mec_obs::{LifecycleRecord, LifecycleSink};
+use mec_obs::{Histogram, TraceRing};
 use mec_sim::{
     Engine, EngineState, Metrics, PolicyTelemetry, SlotConfig, SlotPolicy, SlotReport, StationSlice,
 };
@@ -115,10 +113,6 @@ pub struct ShardTick {
     /// the flight recorder. `None` unless probing (or the policy is not
     /// a learner).
     pub decision: Option<mec_sim::DecisionRecord>,
-    /// Wall-clock LP solve times (ms) drained from the policy's solver
-    /// this tick. Live-metrics only — never reaches snapshots or
-    /// deterministic traces. Empty unless probing an LP-backed policy.
-    pub solve_times_ms: Vec<f64>,
 }
 
 /// Terminal report from one shard.
@@ -309,30 +303,29 @@ pub struct SpawnSpec {
     /// from stale incarnations.
     pub gen: u64,
     /// Worker-side trace ring, drained by the coordinator at each
-    /// watermark fold. `None` when tracing is off (events become no-ops).
+    /// watermark fold: fault injections plus, with the `obs` feature,
+    /// the serve-side request-lifecycle records (start, complete,
+    /// expire, abort). `None` when tracing is off (events become
+    /// no-ops).
     pub ring: Option<TraceRing>,
     /// Wall-clock engine-step timing histogram (live metrics only; never
     /// reaches snapshots or traces).
     pub step_hist: Option<std::sync::Arc<Histogram>>,
-    /// Worker-side lifecycle ring, drained by the coordinator at each
-    /// watermark fold. `None` when lifecycle tracing is off; records also
-    /// require the `lifecycle` cargo feature to be emitted at all.
-    pub life_ring: Option<LifecycleRing>,
     /// Always-on work / mailbox-wait / watermark-wait stall probe behind
     /// the stall attribution (live metrics only; never reaches snapshots
     /// or deterministic traces).
     pub stall: Option<StallProbe>,
     /// Fine-grained latency histogram to attach completed-request-id
-    /// exemplars to (only consulted while lifecycle tracking is active;
+    /// exemplars to (only consulted while lifecycle records are emitted;
     /// the driver owns the observation counts).
     pub fine_hist: Option<std::sync::Arc<Histogram>>,
     /// Attach a [`PolicyTelemetry`] to every Nth tick reply (0 disables
     /// the learner-telemetry sweep).
     pub telemetry_every: u64,
     /// Attach the policy's learner probe: every tick reply then carries
-    /// the arm-lifecycle events, decision record, and LP solve times
-    /// recorded during that slot. Off by default — with the probe
-    /// detached the policy takes the exact pre-probe code paths.
+    /// the arm-lifecycle events and decision record recorded during that
+    /// slot. Off by default — with the probe detached the policy takes
+    /// the exact pre-probe code paths.
     pub probe: bool,
 }
 
@@ -349,15 +342,13 @@ pub struct ShardHandle {
 
 /// Engine-trace capacity for lifecycle tracking — several events per
 /// request, so this covers runs of a few hundred thousand requests.
-#[cfg(feature = "lifecycle")]
 const LIFE_TRACE_CAP: usize = 1 << 20;
 
 /// Worker-side lifecycle tracking: maps engine-local request ids back to
 /// global ones (the engine re-identifies on inject and absorb) and turns
-/// engine-trace events into [`LifecycleRecord`]s on the shard's ring.
-#[cfg(feature = "lifecycle")]
+/// engine-trace events into `lifecycle` trace events on the shard's ring.
 struct LifeTracker {
-    ring: LifecycleRing,
+    ring: TraceRing,
     /// Engine-local request id (dense inject order) -> global id.
     ids: Vec<u64>,
     /// Engine-trace events already consumed.
@@ -367,7 +358,6 @@ struct LifeTracker {
     emit_from: u64,
 }
 
-#[cfg(feature = "lifecycle")]
 impl LifeTracker {
     /// Called immediately before each `engine.inject`: the engine assigns
     /// local ids densely in inject order.
@@ -404,7 +394,7 @@ impl LifeTracker {
             if traced.slot < self.emit_from {
                 continue;
             }
-            let no_bs = mec_obs::lifecycle::NO_BS;
+            let no_bs = crate::obs::NO_BS;
             let (request, stage, bs) = match traced.event {
                 mec_sim::Event::Arrived { .. } => continue,
                 mec_sim::Event::Started {
@@ -423,13 +413,15 @@ impl LifeTracker {
                 mec_sim::Event::Expired { request } => (request, "expire", no_bs),
                 mec_sim::Event::Aborted { request } => (request, "abort", no_bs),
             };
-            self.ring.life(LifecycleRecord {
-                id: self.global(request),
-                stage,
-                slot: traced.slot,
-                shard: shard as i64,
-                bs,
-            });
+            mec_obs::event!(
+                self.ring,
+                traced.slot,
+                "lifecycle",
+                id = self.global(request),
+                stage = stage,
+                shard = shard as i64,
+                bs = bs,
+            );
         }
         self.seen = events.len();
         completed
@@ -451,17 +443,21 @@ fn worker_main(
     let mut faults = spec.faults;
     let mut next_live_slot = 0u64;
     let mut seen_latencies = 0usize;
-    #[cfg(feature = "lifecycle")]
-    let mut life = spec.life_ring.clone().map(|ring| LifeTracker {
-        ring,
-        ids: spec
-            .recover
-            .as_ref()
-            .map_or_else(Vec::new, |r| r.life_ids.clone()),
-        seen: 0,
-        emit_from: spec.recover.as_ref().map_or(0, |r| r.life_from),
-    });
-    #[cfg(feature = "lifecycle")]
+    // Lifecycle records exist only with the `obs` feature; without it
+    // the tracker's id bookkeeping and engine trace would be dead weight.
+    let mut life = spec
+        .ring
+        .clone()
+        .filter(|_| cfg!(feature = "obs"))
+        .map(|ring| LifeTracker {
+            ring,
+            ids: spec
+                .recover
+                .as_ref()
+                .map_or_else(Vec::new, |r| r.life_ids.clone()),
+            seen: 0,
+            emit_from: spec.recover.as_ref().map_or(0, |r| r.life_from),
+        });
     if life.is_some() {
         engine.enable_trace(LIFE_TRACE_CAP);
     }
@@ -500,12 +496,9 @@ fn worker_main(
                     Some(HandoffEvent::Absorb {
                         slice, home, ids, ..
                     }) => {
-                        #[cfg(feature = "lifecycle")]
                         if let Some(life) = life.as_mut() {
                             life.note_absorb(slice.jobs.len(), &ids);
                         }
-                        #[cfg(not(feature = "lifecycle"))]
-                        let _ = &ids;
                         engine.absorb_station(&slice, home);
                     }
                     None => unreachable!("peeked event vanished"),
@@ -516,7 +509,6 @@ fn worker_main(
             // as the original live injection did.
             while journal.peek().is_some_and(|(s, _)| *s <= slot) {
                 if let Some((_, request)) = journal.next() {
-                    #[cfg(feature = "lifecycle")]
                     if let Some(life) = life.as_mut() {
                         life.note_inject(&request);
                     }
@@ -542,12 +534,9 @@ fn worker_main(
                 HandoffEvent::Absorb {
                     slice, home, ids, ..
                 } => {
-                    #[cfg(feature = "lifecycle")]
                     if let Some(life) = life.as_mut() {
                         life.note_absorb(slice.jobs.len(), &ids);
                     }
-                    #[cfg(not(feature = "lifecycle"))]
-                    let _ = &ids;
                     engine.absorb_station(&slice, home);
                 }
             }
@@ -555,7 +544,6 @@ fn worker_main(
         // Arrivals buffered while the shard was down but not yet due for a
         // replayed tick (admission slot past the catch-up horizon).
         for (_, request) in journal {
-            #[cfg(feature = "lifecycle")]
             if let Some(life) = life.as_mut() {
                 life.note_inject(&request);
             }
@@ -571,7 +559,6 @@ fn worker_main(
         // Records for slots the dead worker already emitted are skipped
         // (`life_from`); the rest — slots missed during the outage — enter
         // the ring now and drain at the next barrier.
-        #[cfg(feature = "lifecycle")]
         if let Some(life) = life.as_mut() {
             life.drain(&engine, shard, &spec.plan);
         }
@@ -612,7 +599,6 @@ fn worker_main(
         match cmd {
             ShardCommand::Inject(request) => {
                 let handling = std::time::Instant::now();
-                #[cfg(feature = "lifecycle")]
                 if let Some(life) = life.as_mut() {
                     life.note_inject(&request);
                 }
@@ -627,12 +613,9 @@ fn worker_main(
                 let slice = engine.extract_station(station);
                 // Report the departing jobs' global ids so the receiving
                 // shard can keep attributing lifecycle records to them.
-                #[cfg(feature = "lifecycle")]
                 let ids = life.as_ref().map_or_else(Vec::new, |l| {
                     slice.jobs.iter().map(|j| l.global(j.id())).collect()
                 });
-                #[cfg(not(feature = "lifecycle"))]
-                let ids = Vec::new();
                 if reply_tx
                     .send(ShardReply::Extracted(Box::new(slice), ids))
                     .is_err()
@@ -646,12 +629,9 @@ fn worker_main(
             }
             ShardCommand::AbsorbStation(slice, home, ids) => {
                 let handling = std::time::Instant::now();
-                #[cfg(feature = "lifecycle")]
                 if let Some(life) = life.as_mut() {
                     life.note_absorb(slice.jobs.len(), &ids);
                 }
-                #[cfg(not(feature = "lifecycle"))]
-                let _ = &ids;
                 engine.absorb_station(&slice, home);
                 if let Some(probe) = &spec.stall {
                     mailbox_ms += handling.elapsed().as_secs_f64() * 1e3;
@@ -739,11 +719,8 @@ fn worker_main(
                     let latencies = metrics.latencies_ms();
                     let new_latencies = latencies[seen_latencies..].to_vec();
                     seen_latencies = latencies.len();
-                    #[cfg(feature = "lifecycle")]
-                    {
-                        let completed_ids = life
-                            .as_mut()
-                            .map_or_else(Vec::new, |l| l.drain(&engine, shard, &spec.plan));
+                    if let Some(life) = life.as_mut() {
+                        let completed_ids = life.drain(&engine, shard, &spec.plan);
                         // Latencies append in completion order, so this
                         // slot's tail zips 1:1 with this slot's completed
                         // ids — attach them as histogram exemplars.
@@ -753,15 +730,14 @@ fn worker_main(
                             }
                         }
                     }
-                    let (learner_events, probe_dropped, decision, solve_times_ms) = if spec.probe {
+                    let (learner_events, probe_dropped, decision) = if spec.probe {
                         (
                             policy.drain_learner_events(),
                             policy.probe_dropped(),
                             policy.last_decision(),
-                            policy.drain_solve_times_ms(),
                         )
                     } else {
-                        (Vec::new(), 0, None, Vec::new())
+                        (Vec::new(), 0, None)
                     };
                     let tick = ShardTick {
                         shard,
@@ -777,7 +753,6 @@ fn worker_main(
                         learner_events,
                         probe_dropped,
                         decision,
-                        solve_times_ms,
                     };
                     let progressed = spec.progress.send(ShardProgress {
                         shard,
@@ -878,7 +853,6 @@ impl ShardHandle {
                 ring: None,
                 step_hist: None,
                 telemetry_every: 0,
-                life_ring: None,
                 stall: None,
                 fine_hist: None,
                 probe: false,
@@ -966,7 +940,7 @@ mod tests {
         let topo = TopologyBuilder::new(8).seed(3).build();
         let plan = partition(&topo, 1).remove(0);
         let requests = WorkloadBuilder::new(&topo).seed(3).count(20).build();
-        let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
+        let policy = policy_from_name("Greedy", 100).unwrap();
         let (handle, events) =
             ShardHandle::spawn_fresh(plan, SlotConfig::default(), policy, 64).unwrap();
         for r in requests {
@@ -1032,7 +1006,7 @@ mod tests {
     fn stale_grants_are_idempotent() {
         let topo = TopologyBuilder::new(6).seed(9).build();
         let plan = partition(&topo, 1).remove(0);
-        let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
+        let policy = policy_from_name("Greedy", 100).unwrap();
         let (handle, events) =
             ShardHandle::spawn_fresh(plan, SlotConfig::default(), policy, 16).unwrap();
         let ticks = drive(&handle, &events, 0, 5);
@@ -1049,7 +1023,7 @@ mod tests {
     fn periodic_checkpoints_attach_to_interval_ticks() {
         let topo = TopologyBuilder::new(6).seed(7).build();
         let plan = partition(&topo, 1).remove(0);
-        let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
+        let policy = policy_from_name("Greedy", 100).unwrap();
         let (progress, events) = std::sync::mpsc::channel();
         let spec = SpawnSpec {
             plan,
@@ -1063,7 +1037,6 @@ mod tests {
             ring: None,
             step_hist: None,
             telemetry_every: 0,
-            life_ring: None,
             stall: None,
             fine_hist: None,
             probe: false,
@@ -1090,7 +1063,7 @@ mod tests {
 
         // Reference: one worker runs 40 slots straight through.
         let reference = {
-            let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
+            let policy = policy_from_name("Greedy", 100).unwrap();
             let (handle, events) =
                 ShardHandle::spawn_fresh(plan.clone(), config, policy, 64).unwrap();
             for r in requests.clone() {
@@ -1106,7 +1079,7 @@ mod tests {
         // Recovery path: replay the same injections from genesis through
         // slot 29, then tick the last 10 live.
         let journal: Vec<(u64, Request)> = requests.iter().map(|r| (0u64, r.clone())).collect();
-        let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
+        let policy = policy_from_name("Greedy", 100).unwrap();
         let (progress, events) = std::sync::mpsc::channel();
         let spec = SpawnSpec {
             plan: plan.clone(),
@@ -1127,7 +1100,6 @@ mod tests {
             ring: None,
             step_hist: None,
             telemetry_every: 0,
-            life_ring: None,
             stall: None,
             fine_hist: None,
             probe: false,
@@ -1153,7 +1125,7 @@ mod tests {
         let topo = TopologyBuilder::new(8).seed(5).build();
         let plan = partition(&topo, 1).remove(0);
         let requests = WorkloadBuilder::new(&topo).seed(5).count(30).build();
-        let policy = policy_from_name("DynamicRR", 100, mec_core::SolverKind::default()).unwrap();
+        let policy = policy_from_name("DynamicRR", 100).unwrap();
         let (progress, events) = std::sync::mpsc::channel();
         let spec = SpawnSpec {
             plan,
@@ -1167,7 +1139,6 @@ mod tests {
             ring: None,
             step_hist: None,
             telemetry_every: 0,
-            life_ring: None,
             stall: None,
             fine_hist: None,
             probe: true,
@@ -1199,14 +1170,13 @@ mod tests {
     fn unprobed_worker_keeps_learner_fields_empty() {
         let topo = TopologyBuilder::new(8).seed(5).build();
         let plan = partition(&topo, 1).remove(0);
-        let policy = policy_from_name("DynamicRR", 100, mec_core::SolverKind::default()).unwrap();
+        let policy = policy_from_name("DynamicRR", 100).unwrap();
         let (handle, events) =
             ShardHandle::spawn_fresh(plan, SlotConfig::default(), policy, 64).unwrap();
         for tick in drive(&handle, &events, 0, 5) {
             assert!(tick.learner_events.is_empty());
             assert_eq!(tick.probe_dropped, 0);
             assert!(tick.decision.is_none());
-            assert!(tick.solve_times_ms.is_empty());
         }
         handle.send(ShardCommand::Finish).unwrap();
         handle.join();
@@ -1216,7 +1186,7 @@ mod tests {
     fn stalled_worker_times_out_and_abandons_cleanly() {
         let topo = TopologyBuilder::new(4).seed(1).build();
         let plan = partition(&topo, 1).remove(0);
-        let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
+        let policy = policy_from_name("Greedy", 100).unwrap();
         let (progress, events) = std::sync::mpsc::channel();
         let spec = SpawnSpec {
             plan,
@@ -1233,7 +1203,6 @@ mod tests {
             ring: None,
             step_hist: None,
             telemetry_every: 0,
-            life_ring: None,
             stall: None,
             fine_hist: None,
             probe: false,
@@ -1258,7 +1227,7 @@ mod tests {
     fn crashed_worker_sends_a_death_notice_after_its_ticks() {
         let topo = TopologyBuilder::new(4).seed(2).build();
         let plan = partition(&topo, 1).remove(0);
-        let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
+        let policy = policy_from_name("Greedy", 100).unwrap();
         let (progress, events) = std::sync::mpsc::channel();
         let spec = SpawnSpec {
             plan,
@@ -1275,7 +1244,6 @@ mod tests {
             ring: None,
             step_hist: None,
             telemetry_every: 0,
-            life_ring: None,
             stall: None,
             fine_hist: None,
             probe: false,

@@ -1,7 +1,7 @@
 //! Request-lifecycle tracing integration tests (compiled only with the
-//! `lifecycle` feature): id continuity across crash+restart and drain
-//! handoffs, stream determinism, and the no-perturbation guarantee —
-//! attaching (or detaching) lifecycle tracing never changes a run's
+//! `obs` feature): `lifecycle` records in the trace keep id continuity
+//! across crash+restart and drain handoffs, the stream is deterministic,
+//! and attaching (or detaching) the trace never changes a run's
 //! deterministic snapshot.
 
 use mec_serve::{serve, ChaosSpec, LoadGen, ObsHub, ServeConfig};
@@ -61,22 +61,26 @@ impl Write for SharedBuf {
     }
 }
 
-/// One run with lifecycle tracing attached; returns (lifecycle JSONL,
-/// final snapshot).
+/// One run with the trace attached; returns (its `lifecycle` records as
+/// JSONL, final snapshot).
 fn lifecycle_run(seed: u64, chaos: &str, checkpoint_every: u64) -> (String, mec_serve::Snapshot) {
     let (topo, population) = world(20, 2_500, seed);
     let load = LoadGen::poisson(population, 1_500.0, 50.0, seed);
     let buf = SharedBuf::default();
-    let hub = Arc::new(
-        ObsHub::new().with_lifecycle(mec_obs::LifecycleWriter::new(Box::new(buf.clone()))),
-    );
+    let hub = Arc::new(ObsHub::new().with_trace(mec_obs::TraceWriter::new(Box::new(buf.clone()))));
     let mut cfg = ServeConfig {
         obs: Some(hub),
         ..base_cfg(seed, chaos)
     };
     cfg.faults.checkpoint_every = checkpoint_every;
     let snap = serve(&topo, load, &cfg, |_| {}).unwrap().final_snapshot;
-    (buf.contents(), snap)
+    let records = buf
+        .contents()
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"lifecycle\""))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    (records, snap)
 }
 
 /// Pulls `"key":value` out of one JSON line (values here are bare

@@ -149,32 +149,6 @@ fn same_seed_runs_are_byte_identical() {
 }
 
 #[test]
-fn solver_kind_does_not_change_snapshots() {
-    let run = |solver| {
-        let (topo, population) = world(20, 2_000, 77);
-        let load = LoadGen::poisson(population, 3_000.0, 50.0, 77);
-        let cfg = ServeConfig {
-            shards: 4,
-            queue_capacity: 64,
-            snapshot_every: 0,
-            policy: "DynamicRR".to_string(),
-            solver,
-            sim: SlotConfig {
-                seed: 77,
-                ..SlotConfig::default()
-            },
-            ..ServeConfig::default()
-        };
-        let outcome = serve(&topo, load, &cfg, |_| {}).unwrap();
-        (outcome.final_snapshot.to_json(), outcome.slots_run)
-    };
-    let (dense, slots_dense) = run(mec_core::SolverKind::Dense);
-    let (revised, slots_revised) = run(mec_core::SolverKind::Revised);
-    assert_eq!(slots_dense, slots_revised);
-    assert_eq!(dense, revised, "solver choice leaked into the serve run");
-}
-
-#[test]
 fn shard_count_changes_results_but_not_conservation() {
     let totals: Vec<_> = [1usize, 2, 4]
         .into_iter()
