@@ -128,3 +128,33 @@ fn truncated_profile_salvages_and_fails() {
         stderr(&out)
     );
 }
+
+#[test]
+fn one_stream_renders_lifecycle_and_flight_sections() {
+    // A serve trace carries lifecycle records and flight dumps alongside
+    // the structured events; the torn final line is salvaged as usual.
+    let stream = format!(
+        "{TRACE}{}\n{}\n{}\n{}\n{}",
+        r#"{"slot":3,"kind":"lifecycle","id":4,"stage":"admit","shard":1,"bs":-1}"#,
+        r#"{"slot":5,"kind":"lifecycle","id":4,"stage":"complete","shard":1,"bs":-1}"#,
+        r#"{"slot":6,"kind":"flight_dump","trigger":"crash","snapshots":1,"evicted":0}"#,
+        r#"{"slot":6,"kind":"flight","shard":1,"arm":2,"value":300.0,"active_arms":4,"best_arm":2,"best_mean":0.5,"granted":3,"granted_mhz":900.0,"assign_digest":7,"lp_solves":0,"lp_warm_hits":0,"lp_pivots":0}"#,
+        r#"{"slot":7,"kind":"lifecy"#,
+    );
+    let out = run_on(&stream, "one-stream.jsonl");
+    assert!(!out.status.success(), "truncation must exit nonzero");
+    let text = stdout(&out);
+    for section in ["== run ==", "== lifecycle ==", "== flight recorder =="] {
+        assert!(text.contains(section), "missing {section}: {text}");
+    }
+    assert!(text.contains("2 record(s), 1 request(s)"), "{text}");
+    assert!(
+        text.contains("dumped 1 snapshot(s) (trigger: crash) over 1 shard(s)"),
+        "{text}"
+    );
+    assert!(
+        stderr(&out).contains("last line 8 is truncated"),
+        "{}",
+        stderr(&out)
+    );
+}
