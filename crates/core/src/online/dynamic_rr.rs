@@ -412,17 +412,6 @@ impl DynamicRr {
                 }
             }
         }
-        if std::env::var("MEC_DEBUG_LP").is_ok() && ctx.slot % 20 == 10 {
-            let dist: Vec<usize> = per_station.iter().map(Vec::len).collect();
-            let granted: f64 = out.iter().map(|a| a.compute.as_mhz()).sum();
-            eprintln!(
-                "slot {}: admitted {} dist {:?} granted {:.0} MHz",
-                ctx.slot,
-                waiting.len(),
-                dist,
-                granted
-            );
-        }
         out
     }
 }
@@ -438,15 +427,10 @@ impl DynamicRr {
     fn keep_alive(&self, ctx: &SlotContext<'_>, allocations: &mut Vec<Allocation>) {
         let mut used = vec![Compute::ZERO; ctx.topo.station_count()];
         let mut served: Vec<bool> = vec![false; ctx.views.len()];
-        let id_to_idx: std::collections::HashMap<_, _> = ctx
-            .views
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.job.id(), i))
-            .collect();
         for a in allocations.iter() {
             used[a.station.index()] += a.compute;
-            if let Some(&i) = id_to_idx.get(&a.request) {
+            // Views are in request-id order.
+            if let Ok(i) = ctx.views.binary_search_by_key(&a.request, |v| v.job.id()) {
                 served[i] = true;
             }
         }

@@ -360,7 +360,6 @@ fn phase_tag(phase: Phase) -> char {
         Phase::Completed => 'C',
         Phase::Expired => 'E',
         Phase::Aborted => 'A',
-        Phase::Migrated => 'M',
     }
 }
 
@@ -371,7 +370,6 @@ fn phase_of(tag: &str) -> Result<Phase, String> {
         "C" => Phase::Completed,
         "E" => Phase::Expired,
         "A" => Phase::Aborted,
-        "M" => Phase::Migrated,
         other => return Err(format!("bad phase tag '{other}'")),
     })
 }
@@ -455,14 +453,17 @@ fn join_f64s(values: &[f64]) -> String {
         .join(" ")
 }
 
-/// Encodes an engine checkpoint as format v2: header fields, then jobs
-/// grouped per home station so a station's slice can be carved out of the
-/// serialized form without decoding unrelated stations.
+/// Encodes an engine checkpoint as format v3: header fields (v3 adds
+/// `next_id`, the first id not yet issued), then the live jobs grouped
+/// per home station so a station's slice can be carved out of the
+/// serialized form without decoding unrelated stations. Terminal jobs are
+/// not part of an engine state, so the size tracks the jobs in flight.
 pub fn encode_state(state: &EngineState) -> Vec<u8> {
     use std::fmt::Write as _;
     let metrics = &state.metrics;
-    let mut out = String::from("mec-ckpt v2\n");
+    let mut out = String::from("mec-ckpt v3\n");
     let _ = writeln!(out, "next_slot {}", state.next_slot);
+    let _ = writeln!(out, "next_id {}", state.next_id);
     let _ = writeln!(out, "slots_run {}", state.slots_run);
     let _ = writeln!(out, "finished {}", u8::from(state.finished));
     let _ = writeln!(out, "rng_word_pos {}", state.rng_word_pos);
@@ -487,7 +488,7 @@ pub fn encode_state(state: &EngineState) -> Vec<u8> {
         metrics.latencies_ms().len(),
         join_f64s(metrics.latencies_ms())
     );
-    // The per-station partition: jobs grouped by home, dense ids restored
+    // The per-station partition: jobs grouped by home, id order restored
     // on decode by sorting (each request row carries its id).
     let stations = state.busy_mhz_slots.len();
     let _ = writeln!(out, "stations {stations}");
@@ -560,12 +561,13 @@ pub fn decode_state(payload: &[u8]) -> Result<EngineState, JournalError> {
     let text = std::str::from_utf8(payload).map_err(|e| corrupt(format!("not utf-8: {e}")))?;
     let mut lines = text.lines();
     let version = next_tagged(&mut lines, "mec-ckpt")?;
-    if version != ["v2"] {
+    if version != ["v3"] {
         return Err(corrupt(format!(
             "unsupported checkpoint version {version:?}"
         )));
     }
     let next_slot = u64_field(&next_tagged(&mut lines, "next_slot")?, "next_slot")?;
+    let next_id = u64_field(&next_tagged(&mut lines, "next_id")?, "next_id")? as usize;
     let slots_run = u64_field(&next_tagged(&mut lines, "slots_run")?, "slots_run")?;
     let finished = u64_field(&next_tagged(&mut lines, "finished")?, "finished")? != 0;
     let rng_word_pos = u64_field(&next_tagged(&mut lines, "rng_word_pos")?, "rng_word_pos")?;
@@ -620,21 +622,32 @@ pub fn decode_state(payload: &[u8]) -> Result<EngineState, JournalError> {
         Some("end") => {}
         other => return Err(corrupt(format!("missing 'end' trailer, got {other:?}"))),
     }
-    // Dense request-id order is the engine invariant the per-station
-    // grouping deliberately gave up on disk; restore it here.
+    // Increasing request-id order is the engine invariant the per-station
+    // grouping deliberately gave up on disk; restore it here. Ids must be
+    // distinct and issued (below `next_id`), and only live jobs belong in
+    // an engine state.
     jobs.sort_by_key(|j| j.id().index());
-    for (i, job) in jobs.iter().enumerate() {
-        if job.id().index() != i {
-            return Err(corrupt(format!(
-                "job ids not dense: position {i} holds id {}",
-                job.id().index()
-            )));
-        }
+    if let Some(w) = jobs.windows(2).find(|w| w[0].id() == w[1].id()) {
+        return Err(corrupt(format!("job id {} appears twice", w[0].id())));
+    }
+    if let Some(job) = jobs.iter().find(|j| j.id().index() >= next_id) {
+        return Err(corrupt(format!(
+            "job id {} not below next_id {next_id}",
+            job.id()
+        )));
+    }
+    if let Some(job) = jobs.iter().find(|j| !j.is_live()) {
+        return Err(corrupt(format!(
+            "job {} is {:?}, not live",
+            job.id(),
+            job.phase()
+        )));
     }
     Ok(EngineState {
         next_slot,
         slots_run,
         jobs,
+        next_id,
         busy_mhz_slots,
         metrics,
         finished,
@@ -1151,21 +1164,60 @@ mod tests {
         }
     }
 
-    #[test]
-    fn engine_state_roundtrips_through_v2_codec() {
+    /// A checkpoint taken at the first slot where some jobs have retired
+    /// and some are still running.
+    fn stepped_state() -> EngineState {
         let topo = TopologyBuilder::new(6).seed(5).build();
         let paths = topo.shortest_paths();
         let requests = sample_requests(12);
-        let policy = crate::policy::policy_from_name("Greedy", 100).unwrap();
+        let mut policy = crate::policy::policy_from_name("Greedy", 100).unwrap();
         let mut engine = Engine::new(&topo, &paths, requests, SlotConfig::default());
-        let mut policy = policy;
-        for _ in 0..7 {
+        loop {
             engine.step(policy.as_mut()).unwrap();
+            let running = engine.jobs().iter().any(|j| j.phase() == Phase::Running);
+            if engine.metrics().completed() > 0 && running {
+                return engine.checkpoint();
+            }
         }
-        let state = engine.checkpoint();
+    }
+
+    #[test]
+    fn engine_state_roundtrips_through_v3_codec() {
+        let state = stepped_state();
+        assert_eq!(state.next_id, 12);
+        assert!(state.jobs.len() < 12, "completed jobs retired");
         let payload = encode_state(&state);
+        let header = format!("mec-ckpt v3\nnext_slot {}\nnext_id 12\n", state.next_slot);
+        assert!(payload.starts_with(header.as_bytes()));
         let back = decode_state(&payload).unwrap();
         assert_eq!(back, state);
+    }
+
+    #[test]
+    fn v2_checkpoint_is_a_typed_error() {
+        // The v2 layout: no `next_id` line, every job ever injected.
+        let v3 = String::from_utf8(encode_state(&stepped_state())).unwrap();
+        let v2 = v3
+            .replacen("mec-ckpt v3", "mec-ckpt v2", 1)
+            .replacen("next_id 12\n", "", 1);
+        let err = decode_state(v2.as_bytes()).unwrap_err();
+        assert!(matches!(err, JournalError::Corrupt { .. }));
+        assert!(err.to_string().contains("unsupported checkpoint version"));
+    }
+
+    #[test]
+    fn v3_decode_rejects_ids_outside_the_live_contract() {
+        let state = stepped_state();
+        let text = String::from_utf8(encode_state(&state)).unwrap();
+        // Every live id must be below `next_id`.
+        let lowered = text.replacen("next_id 12\n", "next_id 1\n", 1);
+        let err = decode_state(lowered.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("not below next_id"), "{err}");
+        // Only waiting and running jobs belong in an engine state.
+        let retired = text.replacen("\njob R ", "\njob C ", 1);
+        assert_ne!(retired, text, "the sample holds a running job");
+        let err = decode_state(retired.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("not live"), "{err}");
     }
 
     #[test]

@@ -384,14 +384,14 @@ struct Supervised {
     /// Every latency sample this shard has reported (replaced wholesale on
     /// recovery; per-tick deltas from before a crash are unreliable).
     latencies: Vec<f64>,
-    /// Global ids of the requests inside `base`, in engine-local (dense
-    /// inject) order — the supervisor-side mirror of the worker's
-    /// lifecycle id map. The engine re-identifies requests on inject, so
-    /// a checkpoint alone cannot recover global ids; this mirror is
-    /// extended at each adoption (from the journal and handoff events the
-    /// checkpoint absorbs) and seeds the tracker of a replacement worker.
-    /// Maintained only while lifecycle records are emitted; empty
-    /// otherwise.
+    /// Global ids of every request `base` issued a local id to (retired
+    /// ones included), indexed by engine-local id — the supervisor-side
+    /// mirror of the worker's lifecycle id map. The engine re-identifies
+    /// requests on inject, so a checkpoint alone cannot recover global
+    /// ids; this mirror is extended at each adoption (from the journal
+    /// and handoff events the checkpoint absorbs) and seeds the tracker
+    /// of a replacement worker. Maintained only while lifecycle records
+    /// are emitted; empty otherwise.
     life_ids: Vec<u64>,
 }
 

@@ -268,11 +268,11 @@ pub struct RecoverPlan {
     /// them would duplicate the stream. The supervisor sets this to the
     /// first slot the dead worker missed; 0 replays everything.
     pub life_from: u64,
-    /// Global ids of the requests already inside `base`, in engine-local
-    /// (dense inject) order. The engine re-identifies requests on inject,
-    /// so a checkpoint alone cannot recover global ids — the supervisor
-    /// mirrors the map and seeds the replacement worker's tracker with
-    /// it. Empty for a genesis base (replay rebuilds the map from the
+    /// Global ids of every request `base` issued a local id to (retired
+    /// ones included), indexed by engine-local id. The engine
+    /// re-identifies requests on inject, so a checkpoint alone cannot
+    /// recover global ids — the supervisor mirrors the map and seeds the
+    /// replacement worker's tracker with it. Empty for a genesis base (replay rebuilds the map from the
     /// journal, which still carries global ids).
     pub life_ids: Vec<u64>,
 }
@@ -340,27 +340,23 @@ pub struct ShardHandle {
     abandoned: Arc<AtomicBool>,
 }
 
-/// Engine-trace capacity for lifecycle tracking — several events per
-/// request, so this covers runs of a few hundred thousand requests.
-const LIFE_TRACE_CAP: usize = 1 << 20;
-
 /// Worker-side lifecycle tracking: maps engine-local request ids back to
 /// global ones (the engine re-identifies on inject and absorb) and turns
 /// engine-trace events into `lifecycle` trace events on the shard's ring.
+/// The engine trace is drained after every step, so it never holds more
+/// than one slot's events.
 struct LifeTracker {
     ring: TraceRing,
-    /// Engine-local request id (dense inject order) -> global id.
+    /// Engine-local request id (issue order) -> global id.
     ids: Vec<u64>,
-    /// Engine-trace events already consumed.
-    seen: usize,
     /// Suppress records below this slot during catch-up replay: the dead
     /// worker already recorded them and its ring outlives it.
     emit_from: u64,
 }
 
 impl LifeTracker {
-    /// Called immediately before each `engine.inject`: the engine assigns
-    /// local ids densely in inject order.
+    /// Called immediately before each `engine.inject`: the engine issues
+    /// local ids in increasing order, one per inject or absorbed job.
     fn note_inject(&mut self, request: &Request) {
         self.ids.push(request.id().index() as u64);
     }
@@ -379,18 +375,14 @@ impl LifeTracker {
         self.ids.get(local.index()).copied().unwrap_or(u64::MAX)
     }
 
-    /// Emits records for engine-trace events appended since the last
-    /// call, returning the global ids of requests that completed (in
-    /// completion order, for latency-exemplar pairing). `Arrived` is
-    /// skipped — the driver records the `admit` stage with the routing
-    /// context the worker no longer has.
-    fn drain(&mut self, engine: &Engine, shard: usize, plan: &ShardPlan) -> Vec<u64> {
+    /// Drains the engine trace, emitting a record per event, and returns
+    /// the global ids of requests that completed (in completion order, for
+    /// latency-exemplar pairing). `Arrived` is skipped — the driver
+    /// records the `admit` stage with the routing context the worker no
+    /// longer has.
+    fn drain(&mut self, engine: &mut Engine, shard: usize, plan: &ShardPlan) -> Vec<u64> {
         let mut completed = Vec::new();
-        let Some(trace) = engine.trace() else {
-            return completed;
-        };
-        let events = trace.events();
-        for traced in &events[self.seen..] {
+        for traced in engine.drain_trace() {
             if traced.slot < self.emit_from {
                 continue;
             }
@@ -423,7 +415,6 @@ impl LifeTracker {
                 bs = bs,
             );
         }
-        self.seen = events.len();
         completed
     }
 }
@@ -455,11 +446,11 @@ fn worker_main(
                 .recover
                 .as_ref()
                 .map_or_else(Vec::new, |r| r.life_ids.clone()),
-            seen: 0,
             emit_from: spec.recover.as_ref().map_or(0, |r| r.life_from),
         });
     if life.is_some() {
-        engine.enable_trace(LIFE_TRACE_CAP);
+        // Drained every step, so the cap never binds.
+        engine.enable_trace(usize::MAX);
     }
     // Stall accounting is always on (it feeds live gauges only). The
     // gauges are cumulative across restarts: a replacement worker picks
@@ -522,6 +513,12 @@ fn worker_main(
                 )));
                 return;
             }
+            // Records for slots the dead worker already emitted are
+            // skipped (`life_from`); the rest — slots missed during the
+            // outage — enter the ring now and drain at the next barrier.
+            if let Some(life) = life.as_mut() {
+                life.drain(&mut engine, shard, &spec.plan);
+            }
         }
         // Leftovers past the catch-up horizon (defensive — the supervisor
         // records handoff events only at slots it has already replayed or
@@ -555,12 +552,6 @@ fn worker_main(
         if let Some(probe) = &spec.stall {
             work_ms += replay_start.elapsed().as_secs_f64() * 1e3;
             probe.work_ms.set(work_ms);
-        }
-        // Records for slots the dead worker already emitted are skipped
-        // (`life_from`); the rest — slots missed during the outage — enter
-        // the ring now and drain at the next barrier.
-        if let Some(life) = life.as_mut() {
-            life.drain(&engine, shard, &spec.plan);
         }
         next_live_slot = if recover.through >= start {
             recover.through + 1
@@ -715,12 +706,10 @@ fn worker_main(
                     .then(|| policy.telemetry())
                     .flatten()
                     .map(Box::new);
-                    let metrics = engine.metrics();
-                    let latencies = metrics.latencies_ms();
-                    let new_latencies = latencies[seen_latencies..].to_vec();
-                    seen_latencies = latencies.len();
+                    let new_latencies = engine.metrics().latencies_ms()[seen_latencies..].to_vec();
+                    seen_latencies += new_latencies.len();
                     if let Some(life) = life.as_mut() {
-                        let completed_ids = life.drain(&engine, shard, &spec.plan);
+                        let completed_ids = life.drain(&mut engine, shard, &spec.plan);
                         // Latencies append in completion order, so this
                         // slot's tail zips 1:1 with this slot's completed
                         // ids — attach them as histogram exemplars.
@@ -739,6 +728,7 @@ fn worker_main(
                     } else {
                         (Vec::new(), 0, None)
                     };
+                    let metrics = engine.metrics();
                     let tick = ShardTick {
                         shard,
                         report,
@@ -934,6 +924,55 @@ mod tests {
     use crate::policy::policy_from_name;
     use mec_topology::TopologyBuilder;
     use mec_workload::WorkloadBuilder;
+
+    #[test]
+    fn life_tracker_empties_the_engine_trace_every_tick() {
+        let topo = TopologyBuilder::new(8).seed(3).build();
+        let plan = partition(&topo, 1).remove(0);
+        let paths = plan.topo.shortest_paths();
+        let mut engine = Engine::new(&plan.topo, &paths, Vec::new(), SlotConfig::default());
+        engine.enable_trace(usize::MAX);
+        let ring = TraceRing::with_capacity(1 << 12);
+        let mut life = LifeTracker {
+            ring: ring.clone(),
+            ids: Vec::new(),
+            emit_from: 0,
+        };
+        for r in WorkloadBuilder::new(&topo).seed(3).count(20).build() {
+            life.note_inject(&r);
+            engine.inject(r);
+        }
+        let mut policy = policy_from_name("Greedy", 100).unwrap();
+        let mut completed = Vec::new();
+        for _ in 0..100 {
+            engine.step(policy.as_mut()).unwrap();
+            completed.extend(life.drain(&mut engine, 0, &plan));
+            assert!(engine.trace().unwrap().events().is_empty());
+        }
+        assert_eq!(engine.backlog(), 0);
+        assert_eq!(completed.len(), engine.metrics().completed());
+        // With records compiled in, every injected request has exactly
+        // one terminal record on the ring.
+        if cfg!(feature = "obs") {
+            let mut terminal: Vec<u64> = ring
+                .drain()
+                .into_iter()
+                .filter(|e| {
+                    e.fields.iter().any(|(key, value)| {
+                        *key == "stage"
+                            && matches!(value, mec_obs::Value::Str(s)
+                                if matches!(s.as_str(), "complete" | "expire" | "abort"))
+                    })
+                })
+                .filter_map(|e| match e.fields.iter().find(|(key, _)| *key == "id") {
+                    Some((_, mec_obs::Value::U64(id))) => Some(*id),
+                    _ => None,
+                })
+                .collect();
+            terminal.sort_unstable();
+            assert_eq!(terminal, (0..20).collect::<Vec<u64>>());
+        }
+    }
 
     #[test]
     fn inject_grant_finish_roundtrip() {

@@ -2,7 +2,7 @@
 
 use crate::lifecycle::{Job, JobView, Phase};
 use crate::metrics::Metrics;
-use crate::trace::{Event, Trace};
+use crate::trace::{Event, Trace, TracedEvent};
 use crate::SlotConfig;
 use mec_topology::station::StationId;
 use mec_topology::units::Compute;
@@ -11,7 +11,6 @@ use mec_workload::request::{Request, RequestId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// One slot's compute grant to one request.
@@ -166,8 +165,11 @@ pub struct SlotReport {
 
 /// A resumable image of an [`Engine`]'s mutable state: everything needed
 /// to rebuild the engine at the same point of the same run — the slot
-/// index, every job's dynamic state (active placements and remaining
-/// work), accumulated metrics, and the demand RNG's stream position.
+/// index, the live jobs' dynamic state (active placements and remaining
+/// work), the next request id, accumulated metrics, and the demand RNG's
+/// stream position. Terminal jobs are not part of it: their outcome is
+/// already folded into `metrics`, so the image grows with the jobs in
+/// flight, not with the jobs ever injected.
 ///
 /// Captured with [`Engine::checkpoint`] and reapplied with
 /// [`Engine::restore`] onto an engine built over the *same* topology,
@@ -180,8 +182,11 @@ pub struct EngineState {
     pub next_slot: u64,
     /// Slots executed so far.
     pub slots_run: u64,
-    /// Every job's dynamic state, in dense request-id order.
+    /// The live (waiting or running) jobs, in increasing request-id order.
     pub jobs: Vec<Job>,
+    /// The id the next injected or absorbed request receives; every id
+    /// below it was issued, including those of retired jobs.
+    pub next_id: usize,
     /// Granted MHz·slots per station.
     pub busy_mhz_slots: Vec<f64>,
     /// Outcome counters accumulated so far.
@@ -201,6 +206,7 @@ impl EngineState {
             next_slot: 0,
             slots_run: 0,
             jobs: Vec::new(),
+            next_id: 0,
             busy_mhz_slots: vec![0.0; stations],
             metrics: Metrics::new(),
             finished: false,
@@ -208,22 +214,12 @@ impl EngineState {
         }
     }
 
-    /// Splits the in-flight jobs homed on `station` out of this
-    /// checkpoint: they are cloned into the returned [`StationSlice`] and
-    /// the originals become [`Phase::Migrated`] in place. This is what
-    /// makes checkpoints *splittable per-station* — a handoff ships only
-    /// the drained station's slice, never the whole image.
+    /// Splits the jobs homed on `station` out of this checkpoint into the
+    /// returned [`StationSlice`]. This is what makes checkpoints
+    /// *splittable per-station* — a handoff ships only the drained
+    /// station's slice, never the whole image.
     pub fn split_station(&mut self, station: StationId) -> StationSlice {
-        let mut jobs = Vec::new();
-        for job in &mut self.jobs {
-            if job.request().home() == station
-                && matches!(job.phase(), Phase::Waiting | Phase::Running)
-            {
-                jobs.push(job.clone());
-                job.mark_migrated();
-            }
-        }
-        StationSlice { station, jobs }
+        StationSlice::take(&mut self.jobs, station)
     }
 }
 
@@ -236,11 +232,20 @@ pub struct StationSlice {
     /// The station the jobs were homed on, in the *source* engine's
     /// station id space.
     pub station: StationId,
-    /// The moved jobs, in dense source-id order.
+    /// The moved jobs, in source-id order.
     pub jobs: Vec<Job>,
 }
 
 impl StationSlice {
+    /// Removes the jobs homed on `station` from an id-ordered live job
+    /// list, keeping both halves in id order.
+    fn take(jobs: &mut Vec<Job>, station: StationId) -> Self {
+        let jobs = jobs
+            .extract_if(.., |j| j.request().home() == station)
+            .collect();
+        Self { station, jobs }
+    }
+
     /// Number of moved jobs.
     pub fn len(&self) -> usize {
         self.jobs.len()
@@ -254,9 +259,12 @@ impl StationSlice {
 
 /// The discrete time-slot engine.
 ///
-/// Owns the job states, realizes demands on first service (seeded RNG, so
-/// runs are reproducible), enforces capacities and deadlines, and
-/// accumulates [`Metrics`].
+/// Owns the live job states, realizes demands on first service (seeded
+/// RNG, so runs are reproducible), enforces capacities and deadlines, and
+/// accumulates [`Metrics`]. A job that completes, expires or aborts
+/// retires at the end of its slot — its outcome is already in the
+/// metrics — so a slot costs time proportional to the jobs in flight, not
+/// to the jobs ever injected.
 ///
 /// Two driving styles are supported:
 ///
@@ -270,7 +278,12 @@ pub struct Engine<'a> {
     topo: &'a Topology,
     paths: &'a PathTable,
     config: SlotConfig,
+    /// The live jobs — waiting (including not yet arrived) and running —
+    /// in increasing id order. Ids are issued in increasing order and
+    /// retirement only removes, so the order holds without sorting.
     jobs: Vec<Job>,
+    /// The id the next injected or absorbed request receives.
+    next_id: usize,
     rng: ChaCha8Rng,
     /// Granted MHz·slots per station, accumulated across the run.
     busy_mhz_slots: Vec<f64>,
@@ -307,6 +320,7 @@ impl<'a> Engine<'a> {
             topo,
             paths,
             config,
+            next_id: requests.len(),
             jobs: requests.into_iter().map(Job::new).collect(),
             rng,
             busy_mhz_slots: vec![0.0; stations],
@@ -318,7 +332,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Turns on event tracing, keeping at most `capacity` events.
+    /// Turns on event tracing, holding at most `capacity` undrained
+    /// events.
     pub fn enable_trace(&mut self, capacity: usize) {
         self.trace = Some(Trace::with_capacity(capacity));
     }
@@ -328,10 +343,11 @@ impl<'a> Engine<'a> {
         self.trace.as_ref()
     }
 
-    fn record(&mut self, slot: u64, event: Event) {
-        if let Some(trace) = &mut self.trace {
-            trace.record(slot, event);
-        }
+    /// Removes and yields the events recorded since the last drain (none
+    /// when tracing is off). A consumer that drains every slot keeps the
+    /// trace's memory bounded by one slot's events.
+    pub fn drain_trace(&mut self) -> impl Iterator<Item = TracedEvent> + '_ {
+        self.trace.iter_mut().flat_map(Trace::drain)
     }
 
     /// Per-station utilization in `[0, 1]` over the slots run so far:
@@ -370,9 +386,28 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Read access to job states (after a run, for assertions/reports).
+    /// The live (waiting or running) jobs in increasing id order. Retired
+    /// jobs are gone: their outcomes are in [`Engine::metrics`] and, with
+    /// tracing on, in the event trace.
     pub fn jobs(&self) -> &[Job] {
         &self.jobs
+    }
+
+    /// The live job with this id, if any.
+    pub fn job(&self, id: RequestId) -> Option<&Job> {
+        self.position(id).ok().map(|i| &self.jobs[i])
+    }
+
+    /// Position of a live job in the id-ordered live vector; a retired id
+    /// is `NotSchedulable`, an id never issued is `UnknownRequest`.
+    fn position(&self, id: RequestId) -> Result<usize, SimError> {
+        self.jobs.binary_search_by_key(&id, Job::id).map_err(|_| {
+            if id.index() < self.next_id {
+                SimError::NotSchedulable(id)
+            } else {
+                SimError::UnknownRequest(id)
+            }
+        })
     }
 
     /// Runs the full horizon under `policy`.
@@ -404,21 +439,18 @@ impl<'a> Engine<'a> {
     /// Jobs not yet in a terminal phase (waiting or running) — the
     /// engine's current queue depth.
     pub fn backlog(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| matches!(j.phase(), Phase::Waiting | Phase::Running))
-            .count()
+        self.jobs.len()
     }
 
-    /// Injects a request mid-run: it is re-identified with the next dense
-    /// id, its arrival is clamped forward to the next slot (an injected
+    /// Injects a request mid-run: it is re-identified with the next id,
+    /// its arrival is clamped forward to the next slot (an injected
     /// request cannot arrive in the past), and the assigned id is
     /// returned.
     ///
     /// This is how a long-running serving loop feeds streamed arrivals
     /// into an engine whose workload was not known up front.
     pub fn inject(&mut self, request: Request) -> RequestId {
-        let id = RequestId(self.jobs.len());
+        let id = self.issue_id();
         let arrival = request.arrival_slot().max(self.next_slot);
         let request = Request::new(
             id,
@@ -433,35 +465,30 @@ impl<'a> Engine<'a> {
         id
     }
 
-    /// Extracts the in-flight jobs homed on `station` for a handoff:
-    /// clones of every waiting/running job whose home is `station` are
-    /// returned as a [`StationSlice`] and the originals become
-    /// [`Phase::Migrated`] — terminal here, finishing elsewhere. Job ids
-    /// stay dense (nothing is removed), so checkpoints and journals remain
-    /// valid. Deterministic: jobs are visited in dense id order.
+    fn issue_id(&mut self) -> RequestId {
+        let id = RequestId(self.next_id);
+        self.next_id += 1;
+        id
+    }
+
+    /// Extracts the in-flight jobs homed on `station` for a handoff: they
+    /// leave this engine (finishing elsewhere) and are returned as a
+    /// [`StationSlice`] in id order. Ids are never reused, so checkpoints
+    /// and journals stay valid.
     pub fn extract_station(&mut self, station: StationId) -> StationSlice {
-        let mut jobs = Vec::new();
-        for job in &mut self.jobs {
-            if job.request().home() == station
-                && matches!(job.phase(), Phase::Waiting | Phase::Running)
-            {
-                jobs.push(job.clone());
-                job.mark_migrated();
-            }
-        }
-        StationSlice { station, jobs }
+        StationSlice::take(&mut self.jobs, station)
     }
 
     /// Absorbs a [`StationSlice`] extracted from another engine: each job
-    /// is re-identified with the next dense id and rehomed to `home` (a
-    /// station id in *this* engine's topology), preserving all dynamic
-    /// state — phase, realized demand, remaining work, first-service slot.
+    /// is re-identified with the next id and rehomed to `home` (a station
+    /// id in *this* engine's topology), preserving all dynamic state —
+    /// phase, realized demand, remaining work, first-service slot.
     /// Unlike [`Engine::inject`], arrivals are *not* clamped forward and
     /// demands already realized are not re-drawn. Returns the absorbed
     /// job count.
     pub fn absorb_station(&mut self, slice: &StationSlice, home: StationId) -> usize {
         for job in &slice.jobs {
-            let id = RequestId(self.jobs.len());
+            let id = self.issue_id();
             self.jobs.push(job.rehome(id, home));
         }
         slice.jobs.len()
@@ -476,6 +503,7 @@ impl<'a> Engine<'a> {
             next_slot: self.next_slot,
             slots_run: self.slots_run,
             jobs: self.jobs.clone(),
+            next_id: self.next_id,
             busy_mhz_slots: self.busy_mhz_slots.clone(),
             metrics: self.metrics.clone(),
             finished: self.finished,
@@ -502,6 +530,7 @@ impl<'a> Engine<'a> {
         self.next_slot = state.next_slot;
         self.slots_run = state.slots_run;
         self.jobs = state.jobs;
+        self.next_id = state.next_id;
         self.busy_mhz_slots = state.busy_mhz_slots;
         self.metrics = state.metrics;
         self.finished = state.finished;
@@ -524,199 +553,196 @@ impl<'a> Engine<'a> {
         let slot = self.next_slot;
         mec_obs::prof_slot!(slot);
         mec_obs::prof_scope!("engine.step");
+        let result = self.execute(slot, policy);
+        // Retire what the slot ended — even on a failed slot — so the live
+        // vector never holds a terminal job between steps.
+        self.jobs.retain(Job::is_live);
+        let report = result?;
+        self.next_slot += 1;
+        self.slots_run = self.next_slot;
+        Ok(report)
+    }
+
+    /// The body of [`Engine::step`]: arrivals, expiry, the policy call,
+    /// validation, service and continuity enforcement for one slot.
+    fn execute<P: SlotPolicy + ?Sized>(
+        &mut self,
+        slot: u64,
+        policy: &mut P,
+    ) -> Result<SlotReport, SimError> {
         let mut report = SlotReport {
             slot,
             ..SlotReport::default()
         };
+        // Trace arrivals.
+        if let Some(trace) = &mut self.trace {
+            for job in &self.jobs {
+                if job.request().arrival_slot() == slot {
+                    trace.record(slot, Event::Arrived { request: job.id() });
+                }
+            }
+        }
+        // Expire waiting jobs that can no longer start anywhere in time.
         {
-            // Trace arrivals.
-            if self.trace.is_some() {
-                let arrived: Vec<_> = self
-                    .jobs
-                    .iter()
-                    .filter(|j| j.request().arrival_slot() == slot)
-                    .map(|j| j.id())
-                    .collect();
-                for request in arrived {
-                    self.record(slot, Event::Arrived { request });
+            mec_obs::prof_scope!("engine.expire");
+            let (topo, paths, slot_ms) = (self.topo, self.paths, self.config.slot_ms);
+            for job in &mut self.jobs {
+                if job.phase() != Phase::Waiting || job.request().arrival_slot() > slot {
+                    continue;
                 }
-            }
-            // Expire waiting jobs that can no longer start anywhere in time.
-            {
-                mec_obs::prof_scope!("engine.expire");
-                let mut expired_now: Vec<mec_workload::request::RequestId> = Vec::new();
-                for job in &mut self.jobs {
-                    if job.phase() == Phase::Waiting
-                        && job.request().arrival_slot() <= slot
-                        && !{
-                            let waiting = job.waiting_slots(slot);
-                            let topo = self.topo;
-                            let paths = self.paths;
-                            let slot_ms = self.config.slot_ms;
-                            topo.station_ids().any(|s| {
-                                job.request()
-                                    .meets_deadline_at(topo, paths, s, waiting, slot_ms)
-                            })
-                        }
-                    {
-                        job.expire();
-                        self.metrics.record_expired();
-                        report.expired += 1;
-                        let request = job.id();
-                        expired_now.push(request);
-                    }
-                }
-                for request in expired_now {
-                    self.record(slot, Event::Expired { request });
-                }
-            }
-
-            // Build the policy's view.
-            let views: Vec<JobView<'_>> = mec_obs::prof_span!(
-                "engine.views",
-                self.jobs
-                    .iter()
-                    .filter(|j| {
-                        j.request().arrival_slot() <= slot
-                            && matches!(j.phase(), Phase::Waiting | Phase::Running)
-                    })
-                    .map(|job| JobView { job, now: slot })
-                    .collect()
-            );
-            let ctx = SlotContext {
-                slot,
-                views,
-                topo: self.topo,
-                paths: self.paths,
-                config: &self.config,
-            };
-            let allocations = mec_obs::prof_span!("engine.schedule", policy.schedule(&ctx));
-            drop(ctx);
-
-            // Validate.
-            {
-                mec_obs::prof_scope!("engine.validate");
-                let mut seen: HashMap<RequestId, ()> = HashMap::new();
-                let mut station_load: HashMap<StationId, f64> = HashMap::new();
-                for a in &allocations {
-                    let Some(job) = self.jobs.get(a.request.index()) else {
-                        return Err(SimError::UnknownRequest(a.request));
-                    };
-                    if job.request().arrival_slot() > slot
-                        || !matches!(job.phase(), Phase::Waiting | Phase::Running)
-                    {
-                        return Err(SimError::NotSchedulable(a.request));
-                    }
-                    if seen.insert(a.request, ()).is_some() {
-                        return Err(SimError::DuplicateAllocation(a.request));
-                    }
-                    if self.paths.delay(job.request().home(), a.station).is_none() {
-                        return Err(SimError::Unreachable(a.request, a.station));
-                    }
-                    *station_load.entry(a.station).or_insert(0.0) += a.compute.as_mhz();
-                }
-                for (&station, &used) in &station_load {
-                    let capacity = self.topo.station(station).capacity().as_mhz();
-                    if used > capacity + 1e-6 {
-                        return Err(SimError::CapacityExceeded {
-                            station,
-                            used,
-                            capacity,
-                        });
+                let waiting = job.waiting_slots(slot);
+                let startable = topo.station_ids().any(|s| {
+                    job.request()
+                        .meets_deadline_at(topo, paths, s, waiting, slot_ms)
+                });
+                if !startable {
+                    job.expire();
+                    self.metrics.record_expired();
+                    report.expired += 1;
+                    if let Some(trace) = &mut self.trace {
+                        trace.record(slot, Event::Expired { request: job.id() });
                     }
                 }
             }
+        }
 
-            // Serve.
-            let slot_s = self.config.slot_seconds();
-            let mut slot_reward = 0.0;
-            let mut served_mb: HashMap<RequestId, f64> = HashMap::new();
-            {
-                mec_obs::prof_scope!("engine.serve");
-                for a in &allocations {
-                    self.busy_mhz_slots[a.station.index()] += a.compute.as_mhz();
-                    let job = &mut self.jobs[a.request.index()];
-                    if job.realized().is_none() {
-                        let waiting = job.waiting_slots(slot);
-                        if !job.request().meets_deadline_at(
-                            self.topo,
-                            self.paths,
-                            a.station,
-                            waiting,
-                            self.config.slot_ms,
-                        ) {
-                            return Err(SimError::DeadlineViolated(a.request));
-                        }
-                        let outcome = job.request().demand().sample(&mut self.rng);
-                        job.realize(outcome, slot, a.station, slot_s);
-                        if let Some(trace) = &mut self.trace {
-                            trace.record(
-                                slot,
-                                Event::Started {
-                                    request: a.request,
-                                    station: a.station,
-                                    rate_mbps: outcome.rate.as_mbps(),
-                                },
-                            );
-                        }
+        // Build the policy's view.
+        let views: Vec<JobView<'_>> = mec_obs::prof_span!(
+            "engine.views",
+            self.jobs
+                .iter()
+                .filter(|j| j.request().arrival_slot() <= slot && j.is_live())
+                .map(|job| JobView { job, now: slot })
+                .collect()
+        );
+        let ctx = SlotContext {
+            slot,
+            views,
+            topo: self.topo,
+            paths: self.paths,
+            config: &self.config,
+        };
+        let allocations = mec_obs::prof_span!("engine.schedule", policy.schedule(&ctx));
+        drop(ctx);
+
+        // Validate. `served_mb` is indexed by live position: `Some` marks
+        // a job allocated this slot (and, after service, the data it
+        // processed).
+        let mut served_mb: Vec<Option<f64>> = vec![None; self.jobs.len()];
+        let mut positions = Vec::with_capacity(allocations.len());
+        {
+            mec_obs::prof_scope!("engine.validate");
+            let mut station_load = vec![0.0; self.busy_mhz_slots.len()];
+            for a in &allocations {
+                let pos = self.position(a.request)?;
+                let job = &self.jobs[pos];
+                if job.request().arrival_slot() > slot || !job.is_live() {
+                    return Err(SimError::NotSchedulable(a.request));
+                }
+                if served_mb[pos].replace(0.0).is_some() {
+                    return Err(SimError::DuplicateAllocation(a.request));
+                }
+                if self.paths.delay(job.request().home(), a.station).is_none() {
+                    return Err(SimError::Unreachable(a.request, a.station));
+                }
+                station_load[a.station.index()] += a.compute.as_mhz();
+                positions.push(pos);
+            }
+            for (station, &used) in self.topo.station_ids().zip(&station_load) {
+                let capacity = self.topo.station(station).capacity().as_mhz();
+                if used > capacity + 1e-6 {
+                    return Err(SimError::CapacityExceeded {
+                        station,
+                        used,
+                        capacity,
+                    });
+                }
+            }
+        }
+
+        // Serve.
+        let slot_s = self.config.slot_seconds();
+        let mut slot_reward = 0.0;
+        {
+            mec_obs::prof_scope!("engine.serve");
+            for (a, &pos) in allocations.iter().zip(&positions) {
+                self.busy_mhz_slots[a.station.index()] += a.compute.as_mhz();
+                let job = &mut self.jobs[pos];
+                if job.realized().is_none() {
+                    let waiting = job.waiting_slots(slot);
+                    if !job.request().meets_deadline_at(
+                        self.topo,
+                        self.paths,
+                        a.station,
+                        waiting,
+                        self.config.slot_ms,
+                    ) {
+                        return Err(SimError::DeadlineViolated(a.request));
                     }
-                    let processed_mb = (a.compute.as_mhz() / self.config.c_unit.as_mhz()) * slot_s;
-                    *served_mb.entry(a.request).or_insert(0.0) += processed_mb;
-                    if job.process(processed_mb, slot) {
-                        let reward = job.realized().expect("realized on service").reward;
-                        let latency = job
-                            .experienced_latency(self.topo, self.paths, self.config.slot_ms)
-                            .expect("served jobs have latency");
-                        self.metrics.record_completion(reward, latency.as_ms());
-                        report.completed += 1;
-                        slot_reward += reward;
-                        if let Some(trace) = &mut self.trace {
-                            trace.record(
-                                slot,
-                                Event::Completed {
-                                    request: a.request,
-                                    reward,
-                                },
-                            );
-                        }
+                    let outcome = job.request().demand().sample(&mut self.rng);
+                    job.realize(outcome, slot, a.station, slot_s);
+                    if let Some(trace) = &mut self.trace {
+                        trace.record(
+                            slot,
+                            Event::Started {
+                                request: a.request,
+                                station: a.station,
+                                rate_mbps: outcome.rate.as_mbps(),
+                            },
+                        );
+                    }
+                }
+                let processed_mb = (a.compute.as_mhz() / self.config.c_unit.as_mhz()) * slot_s;
+                served_mb[pos] = Some(processed_mb);
+                if job.process(processed_mb, slot) {
+                    let reward = job.realized().expect("realized on service").reward;
+                    let latency = job
+                        .experienced_latency(self.topo, self.paths, self.config.slot_ms)
+                        .expect("served jobs have latency");
+                    self.metrics.record_completion(reward, latency.as_ms());
+                    report.completed += 1;
+                    slot_reward += reward;
+                    if let Some(trace) = &mut self.trace {
+                        trace.record(
+                            slot,
+                            Event::Completed {
+                                request: a.request,
+                                reward,
+                            },
+                        );
                     }
                 }
             }
-            mec_obs::prof_span!("engine.observe", policy.observe(slot, slot_reward));
-            report.completed_reward = slot_reward;
+        }
+        mec_obs::prof_span!("engine.observe", policy.observe(slot, slot_reward));
+        report.completed_reward = slot_reward;
 
-            // Sustained-service enforcement: running streams served below
-            // the floor for too many consecutive slots tear down.
-            if let Some(continuity) = self.config.continuity {
-                mec_obs::prof_scope!("engine.continuity");
-                let mut aborted: Vec<RequestId> = Vec::new();
-                for job in &mut self.jobs {
-                    if job.phase() != Phase::Running {
-                        continue;
-                    }
-                    let outcome = job.realized().expect("running jobs are realized");
-                    // Near the stream's end less than the full rate suffices.
-                    let required = (outcome.rate.as_mbps() * slot_s * continuity.min_fraction)
-                        .min(job.remaining_mb());
-                    let got = served_mb.get(&job.id()).copied().unwrap_or(0.0);
-                    job.note_service_level(got + 1e-12 >= required);
-                    if job.stalled_slots() > continuity.grace_slots {
-                        job.abort();
-                        aborted.push(job.id());
-                    }
+        // Sustained-service enforcement: running streams served below
+        // the floor for too many consecutive slots tear down.
+        if let Some(continuity) = self.config.continuity {
+            mec_obs::prof_scope!("engine.continuity");
+            for (job, got) in self.jobs.iter_mut().zip(&served_mb) {
+                if job.phase() != Phase::Running {
+                    continue;
                 }
-                for request in aborted {
-                    let latency = self.jobs[request.index()]
+                let outcome = job.realized().expect("running jobs are realized");
+                // Near the stream's end less than the full rate suffices.
+                let required = (outcome.rate.as_mbps() * slot_s * continuity.min_fraction)
+                    .min(job.remaining_mb());
+                job.note_service_level(got.unwrap_or(0.0) + 1e-12 >= required);
+                if job.stalled_slots() > continuity.grace_slots {
+                    job.abort();
+                    let latency = job
                         .experienced_latency(self.topo, self.paths, self.config.slot_ms)
                         .map(|l| l.as_ms());
                     self.metrics.record_aborted(latency);
                     report.aborted += 1;
-                    self.record(slot, Event::Aborted { request });
+                    if let Some(trace) = &mut self.trace {
+                        trace.record(slot, Event::Aborted { request: job.id() });
+                    }
                 }
             }
         }
-        self.next_slot += 1;
-        self.slots_run = self.next_slot;
         Ok(report)
     }
 
@@ -728,15 +754,13 @@ impl<'a> Engine<'a> {
         if !self.finished {
             self.finished = true;
             for job in &self.jobs {
-                match job.phase() {
-                    Phase::Waiting => self.metrics.record_expired(),
-                    Phase::Running => self.metrics.record_unserved(
+                if job.phase() == Phase::Running {
+                    self.metrics.record_unserved(
                         job.experienced_latency(self.topo, self.paths, self.config.slot_ms)
                             .map(|l| l.as_ms()),
-                    ),
-                    // A migrated job finishes in the engine that absorbed
-                    // it; counting it here would double-book the outcome.
-                    Phase::Completed | Phase::Expired | Phase::Aborted | Phase::Migrated => {}
+                    );
+                } else {
+                    self.metrics.record_expired();
                 }
             }
         }
@@ -809,10 +833,19 @@ mod tests {
         // (800 MHz / 20), each slot processes 2 MB → 10 slots.
         let reqs = vec![request(0, 0, 10, 40.0, 500.0)];
         let mut engine = Engine::new(&topo, &paths, reqs, SlotConfig::default());
+        engine.enable_trace(16);
         let metrics = engine.run(&mut GreedyHome).unwrap();
         assert_eq!(metrics.completed(), 1);
         assert_eq!(metrics.total_reward(), 500.0);
-        assert_eq!(engine.jobs()[0].completed_slot(), Some(9));
+        let completed = engine
+            .trace()
+            .unwrap()
+            .events()
+            .iter()
+            .find(|e| matches!(e.event, Event::Completed { .. }))
+            .unwrap();
+        assert_eq!(completed.slot, 9);
+        assert!(engine.jobs().is_empty(), "the completed job retired");
         // Latency: 0 waiting, 0 transmission (home), 5.5 ms processing.
         assert!((metrics.avg_latency_ms() - 5.5).abs() < 1e-9);
     }
@@ -857,6 +890,117 @@ mod tests {
         let mut engine = Engine::new(&topo, &paths, reqs, SlotConfig::default());
         let err = engine.run(&mut OverCommit).unwrap_err();
         assert!(matches!(err, SimError::CapacityExceeded { .. }));
+    }
+
+    #[test]
+    fn capacity_error_names_lowest_over_committed_station() {
+        // Over-commits stations 2 and 1 (in that allocation order); the
+        // error must name station 1 every time.
+        struct OverCommitTwo;
+        impl SlotPolicy for OverCommitTwo {
+            fn schedule(&mut self, ctx: &SlotContext<'_>) -> Vec<Allocation> {
+                ctx.views
+                    .iter()
+                    .zip([2, 1])
+                    .map(|(v, s)| Allocation {
+                        request: v.job.id(),
+                        station: s.into(),
+                        compute: Compute::mhz(3500.0),
+                    })
+                    .collect()
+            }
+        }
+        let topo = topo();
+        let paths = topo.shortest_paths();
+        for _ in 0..8 {
+            let reqs: Vec<Request> = (0..2).map(|i| request(i, 0, 10, 40.0, 100.0)).collect();
+            let mut engine = Engine::new(&topo, &paths, reqs, SlotConfig::default());
+            assert_eq!(
+                engine.step(&mut OverCommitTwo).unwrap_err(),
+                SimError::CapacityExceeded {
+                    station: 1.into(),
+                    used: 3500.0,
+                    capacity: 3000.0,
+                }
+            );
+        }
+    }
+
+    /// Allocates to a fixed request id from slot `at` on.
+    struct Target {
+        id: RequestId,
+        at: u64,
+    }
+    impl SlotPolicy for Target {
+        fn schedule(&mut self, ctx: &SlotContext<'_>) -> Vec<Allocation> {
+            if ctx.slot < self.at {
+                return GreedyHome.schedule(ctx);
+            }
+            vec![Allocation {
+                request: self.id,
+                station: 0.into(),
+                compute: Compute::mhz(100.0),
+            }]
+        }
+    }
+
+    #[test]
+    fn allocation_to_retired_job_not_schedulable() {
+        let topo = topo();
+        let paths = topo.shortest_paths();
+        // The 10-slot job completes (and retires) at slot 9.
+        let reqs = vec![request(0, 0, 10, 40.0, 500.0)];
+        let mut engine = Engine::new(&topo, &paths, reqs, SlotConfig::default());
+        let mut policy = Target {
+            id: RequestId(0),
+            at: 10,
+        };
+        for _ in 0..10 {
+            engine.step(&mut policy).unwrap();
+        }
+        assert!(engine.job(RequestId(0)).is_none(), "retired");
+        assert_eq!(
+            engine.step(&mut policy).unwrap_err(),
+            SimError::NotSchedulable(RequestId(0))
+        );
+    }
+
+    #[test]
+    fn allocation_to_unissued_id_unknown() {
+        let topo = topo();
+        let paths = topo.shortest_paths();
+        let reqs = vec![request(0, 0, 10, 40.0, 500.0)];
+        let mut engine = Engine::new(&topo, &paths, reqs, SlotConfig::default());
+        assert_eq!(engine.checkpoint().next_id, 1);
+        let mut policy = Target {
+            id: RequestId(1),
+            at: 0,
+        };
+        assert_eq!(
+            engine.step(&mut policy).unwrap_err(),
+            SimError::UnknownRequest(RequestId(1))
+        );
+    }
+
+    #[test]
+    fn drained_trace_is_empty_and_keeps_recording() {
+        let topo = topo();
+        let paths = topo.shortest_paths();
+        let reqs = vec![request(0, 0, 10, 40.0, 500.0)];
+        let mut engine = Engine::new(&topo, &paths, reqs, SlotConfig::default());
+        engine.enable_trace(4);
+        let mut seen = Vec::new();
+        for _ in 0..12 {
+            engine.step(&mut GreedyHome).unwrap();
+            seen.extend(engine.drain_trace().map(|e| (e.slot, e.event)));
+            assert!(engine.trace().unwrap().events().is_empty());
+        }
+        assert_eq!(engine.trace().unwrap().dropped(), 0);
+        let slots: Vec<u64> = seen.iter().map(|(slot, _)| *slot).collect();
+        assert_eq!(slots, [0, 0, 9], "arrive, start, complete");
+        // Without tracing there is nothing to drain.
+        let mut quiet = Engine::new(&topo, &paths, Vec::new(), SlotConfig::default());
+        assert_eq!(quiet.drain_trace().count(), 0);
     }
 
     #[test]
@@ -905,10 +1049,15 @@ mod tests {
             ..Default::default()
         };
         let mut engine = Engine::new(&topo, &paths, reqs, cfg);
+        engine.enable_trace(16);
         let metrics = engine.run(&mut Idle).unwrap();
         assert_eq!(metrics.expired(), 1);
         assert_eq!(metrics.completed(), 0);
-        assert_eq!(engine.jobs()[0].phase(), Phase::Expired);
+        assert!(engine.trace().unwrap().events().iter().any(|e| e.event
+            == Event::Expired {
+                request: RequestId(0)
+            }));
+        assert!(engine.jobs().is_empty(), "the expired job retired");
     }
 
     #[test]
@@ -982,10 +1131,18 @@ mod tests {
             ..Default::default()
         };
         let mut engine = Engine::new(&topo, &paths, reqs, cfg);
+        engine.enable_trace(16);
         let metrics = engine.run(&mut GreedyHome).unwrap();
         assert_eq!(metrics.completed(), 1);
         // First service at slot 5 (arrival), zero waiting.
-        assert_eq!(engine.jobs()[0].first_service(), Some(5));
+        let started = engine
+            .trace()
+            .unwrap()
+            .events()
+            .iter()
+            .find(|e| matches!(e.event, Event::Started { .. }))
+            .unwrap();
+        assert_eq!(started.slot, 5);
         assert!((metrics.avg_latency_ms() - 5.5).abs() < 1e-9);
     }
 
@@ -1026,14 +1183,13 @@ mod tests {
         assert_eq!(metrics.aborted(), 1);
         assert_eq!(metrics.completed(), 0);
         assert_eq!(metrics.total_reward(), 0.0);
-        assert_eq!(engine.jobs()[0].phase(), Phase::Aborted);
+        assert!(engine.jobs().is_empty(), "the aborted job retired");
         // Stall starts at slot 3; grace 2 → abort after slot 5.
-        assert!(engine
-            .trace()
-            .unwrap()
-            .events()
-            .iter()
-            .any(|e| matches!(e.event, crate::trace::Event::Aborted { .. }) && e.slot == 5));
+        assert!(engine.trace().unwrap().events().iter().any(|e| e.event
+            == Event::Aborted {
+                request: RequestId(0)
+            }
+            && e.slot == 5));
 
         // Without the requirement, the same policy merely leaves the job
         // unserved.
@@ -1071,7 +1227,6 @@ mod tests {
 
     #[test]
     fn trace_records_lifecycle() {
-        use crate::trace::Event;
         let topo = topo();
         let paths = topo.shortest_paths();
         let reqs = vec![request(0, 2, 10, 40.0, 500.0)];
@@ -1162,14 +1317,16 @@ mod tests {
         // Start with an empty workload; requests arrive while stepping.
         let mut engine = Engine::new(&topo, &paths, Vec::new(), SlotConfig::default());
         assert_eq!(engine.backlog(), 0);
+        let mut injected = 0;
         for slot in 0..40u64 {
             if slot == 3 || slot == 7 {
                 // Template carries a stale id and a past arrival; inject
                 // re-identifies and clamps.
                 let id = engine.inject(request(0, 0, 10, 40.0, 250.0));
-                assert_eq!(id.index() + 1, engine.jobs().len());
+                assert_eq!(id.index(), injected, "ids issue in inject order");
+                injected += 1;
                 assert_eq!(
-                    engine.jobs()[id.index()].request().arrival_slot(),
+                    engine.job(id).unwrap().request().arrival_slot(),
                     slot,
                     "arrival clamps to the injection slot"
                 );
@@ -1330,17 +1487,14 @@ mod tests {
         let slice = engine.extract_station(0.into());
         assert_eq!(slice.len(), 2);
         assert_eq!(slice.station, StationId::from(0));
-        assert!(
-            engine.jobs().iter().all(|j| j.phase() == Phase::Migrated),
-            "originals marked migrated"
-        );
+        assert!(engine.jobs().is_empty(), "extracted jobs leave the engine");
         assert_eq!(engine.backlog(), 0);
         // The clone keeps realized demand and remaining work.
         assert_eq!(slice.jobs[0].remaining_mb(), before_remaining);
         assert_eq!(slice.jobs[0].phase(), Phase::Running);
         // A second extract finds nothing left.
         assert!(engine.extract_station(0.into()).is_empty());
-        // finish() books nothing for migrated jobs.
+        // finish() books nothing for extracted jobs.
         let m = engine.finish();
         assert_eq!(m.completed() + m.expired() + m.unserved() + m.aborted(), 0);
     }
@@ -1372,7 +1526,7 @@ mod tests {
         let jobs = take.jobs();
         assert_eq!(jobs.len(), 3);
         for (i, j) in jobs.iter().enumerate() {
-            assert_eq!(j.id().index(), i, "ids stay dense");
+            assert_eq!(j.id().index(), i, "absorbed ids continue the sequence");
         }
         let moved = &jobs[1];
         assert_eq!(moved.phase(), Phase::Running);
@@ -1399,7 +1553,8 @@ mod tests {
         let mut state = engine.checkpoint();
         let slice = state.split_station(0.into());
         assert_eq!(slice.len(), 3);
-        assert!(state.jobs.iter().all(|j| j.phase() == Phase::Migrated));
+        assert!(state.jobs.is_empty(), "split jobs leave the checkpoint");
+        assert_eq!(state.next_id, 3, "ids are never reissued");
         // Splitting the live engine at the same point yields the same
         // slice and the same residual state.
         let live = engine.extract_station(0.into());

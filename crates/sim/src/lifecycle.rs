@@ -21,10 +21,6 @@ pub enum Phase {
     /// Started, but was served below the sustained-service floor for too
     /// long (see [`crate::Continuity`]); the stream tore down mid-flight.
     Aborted,
-    /// Handed off to another engine mid-flight (a station drain/leave
-    /// migration): a clone continues elsewhere and finishes there, so this
-    /// copy is terminal and counts toward no outcome bucket.
-    Migrated,
 }
 
 /// One request's dynamic state inside the engine.
@@ -79,6 +75,12 @@ impl Job {
     /// Current phase.
     pub const fn phase(&self) -> Phase {
         self.phase
+    }
+
+    /// Whether the job is still in flight (waiting or running), as opposed
+    /// to completed, expired or aborted.
+    pub const fn is_live(&self) -> bool {
+        matches!(self.phase, Phase::Waiting | Phase::Running)
     }
 
     /// The realized demand, if the job has been served at least once.
@@ -212,14 +214,7 @@ impl Job {
         self.phase = Phase::Aborted;
     }
 
-    /// Marks the job as handed off to another engine: terminal here, a
-    /// clone continues (and finishes) elsewhere.
-    pub(crate) fn mark_migrated(&mut self) {
-        debug_assert!(matches!(self.phase, Phase::Waiting | Phase::Running));
-        self.phase = Phase::Migrated;
-    }
-
-    /// Rebuilds the job for absorption into another engine: new dense id,
+    /// Rebuilds the job for absorption into another engine: new id,
     /// new home station, and — when already served — the first-service
     /// station rewritten to the new home, because the original station id
     /// is local to the *source* engine's topology and would corrupt
@@ -284,7 +279,7 @@ pub struct JobView<'a> {
 impl JobView<'_> {
     /// Whether the job can still be (re)scheduled this slot.
     pub fn schedulable(&self) -> bool {
-        matches!(self.job.phase(), Phase::Waiting | Phase::Running)
+        self.job.is_live()
     }
 
     /// Expected rate before realization, realized rate after — the best

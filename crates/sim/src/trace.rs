@@ -70,8 +70,9 @@ pub struct TracedEvent {
     pub event: Event,
 }
 
-/// An append-only event log with a hard capacity (the engine stops
-/// recording once full rather than growing unboundedly).
+/// An event log with a hard capacity on undrained events (the engine stops
+/// recording once full rather than growing unboundedly). A consumer that
+/// [drains](Trace::drain) it as it goes never hits the cap.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     events: Vec<TracedEvent>,
@@ -80,7 +81,7 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// A trace that keeps at most `capacity` events.
+    /// A trace that holds at most `capacity` undrained events.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             events: Vec::new(),
@@ -98,7 +99,13 @@ impl Trace {
         }
     }
 
-    /// All recorded events in order.
+    /// Removes and yields every undrained event in order, freeing room
+    /// for as many new ones. The drop count is kept.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, TracedEvent> {
+        self.events.drain(..)
+    }
+
+    /// All undrained events in order.
     pub fn events(&self) -> &[TracedEvent] {
         &self.events
     }
@@ -177,5 +184,29 @@ mod tests {
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.dropped(), 3);
         assert!(t.render().contains("3 further events dropped"));
+    }
+
+    #[test]
+    fn drain_empties_and_frees_capacity() {
+        let mut t = Trace::with_capacity(2);
+        for i in 0..3 {
+            t.record(
+                i,
+                Event::Arrived {
+                    request: RequestId(i as usize),
+                },
+            );
+        }
+        let drained: Vec<u64> = t.drain().map(|e| e.slot).collect();
+        assert_eq!(drained, [0, 1]);
+        assert!(t.events().is_empty());
+        t.record(
+            5,
+            Event::Arrived {
+                request: RequestId(5),
+            },
+        );
+        assert_eq!(t.events().len(), 1, "a drain frees room");
+        assert_eq!(t.dropped(), 1, "drops are kept across drains");
     }
 }

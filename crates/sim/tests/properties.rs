@@ -2,7 +2,7 @@
 //! policy must never trip validation, and the accounting invariants must
 //! hold for any workload.
 
-use mec_sim::{Allocation, Engine, Phase, SlotConfig, SlotContext, SlotPolicy};
+use mec_sim::{Allocation, Engine, Event, Phase, SlotConfig, SlotContext, SlotPolicy};
 use mec_topology::units::{Compute, DataRate, Latency};
 use mec_topology::TopologyBuilder;
 use mec_workload::{ArrivalProcess, WorkloadBuilder};
@@ -89,7 +89,8 @@ proptest! {
             .build();
         let paths = topo.shortest_paths();
         let cfg = SlotConfig { horizon, seed, ..Default::default() };
-        let mut engine = Engine::new(&topo, &paths, requests, cfg);
+        let mut engine = Engine::new(&topo, &paths, requests.clone(), cfg);
+        engine.enable_trace(usize::MAX);
         let metrics = engine
             .run(&mut FuzzPolicy { rng: ChaCha8Rng::seed_from_u64(seed) })
             .expect("legal policy must not trip validation");
@@ -101,13 +102,28 @@ proptest! {
         for u in engine.utilization() {
             prop_assert!((0.0..=1.0 + 1e-9).contains(&u));
         }
-        // Reward only comes from completed jobs.
-        let expected: f64 = engine
-            .jobs()
-            .iter()
-            .filter(|j| j.phase() == Phase::Completed)
-            .map(|j| j.realized().unwrap().reward)
-            .sum();
+        // Reward only comes from completed jobs, each crediting the reward
+        // of the demand outcome its first service realized.
+        let mut started_rate = vec![None; n];
+        let mut expected = 0.0;
+        for traced in engine.trace().unwrap().events() {
+            match traced.event {
+                Event::Started { request, rate_mbps, .. } => {
+                    started_rate[request.index()] = Some(rate_mbps);
+                }
+                Event::Completed { request, reward } => {
+                    let rate = started_rate[request.index()];
+                    prop_assert!(rate.is_some(), "{} completed unstarted", request);
+                    prop_assert!(requests[request.index()]
+                        .demand()
+                        .outcomes()
+                        .iter()
+                        .any(|o| Some(o.rate.as_mbps()) == rate && o.reward == reward));
+                    expected += reward;
+                }
+                _ => {}
+            }
+        }
         prop_assert!((metrics.total_reward() - expected).abs() < 1e-6);
     }
 
@@ -123,14 +139,21 @@ proptest! {
             .build();
         let paths = topo.shortest_paths();
         let cfg = SlotConfig { horizon: 100, seed, ..Default::default() };
-        let mut engine = Engine::new(&topo, &paths, requests, cfg);
+        let mut engine = Engine::new(&topo, &paths, requests.clone(), cfg);
+        engine.enable_trace(usize::MAX);
         engine
             .run(&mut FuzzPolicy { rng: ChaCha8Rng::seed_from_u64(seed ^ 7) })
             .expect("legal policy");
-        for job in engine.jobs() {
-            if job.first_service().is_some() {
-                let lat = job.experienced_latency(&topo, &paths, cfg.slot_ms).unwrap();
-                prop_assert!(lat.as_ms() <= job.request().deadline().as_ms() + 1e-6);
+        // Every first service, read off the trace: Eq. 2's latency at the
+        // traced station and slot is within the request's deadline.
+        for traced in engine.trace().unwrap().events() {
+            if let Event::Started { request, station, .. } = traced.event {
+                let r = &requests[request.index()];
+                let waiting = traced.slot - r.arrival_slot();
+                let lat = r
+                    .experienced_latency(&topo, &paths, station, waiting, cfg.slot_ms)
+                    .unwrap();
+                prop_assert!(lat.as_ms() <= r.deadline().as_ms() + 1e-6);
             }
         }
     }
@@ -172,6 +195,41 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The engine holds only live jobs: after every step the checkpoint
+    /// carries exactly the backlog, every job in it is waiting or running,
+    /// and ids ascend below the next id to issue.
+    #[test]
+    fn checkpoint_holds_only_live_jobs(
+        seed in 0u64..1000,
+        n in 1usize..40,
+        stations in 1usize..6,
+        slots in 1u64..120,
+    ) {
+        let topo = TopologyBuilder::new(stations).seed(seed).build();
+        let requests = WorkloadBuilder::new(&topo)
+            .seed(seed)
+            .count(n)
+            .duration_range(5, 20)
+            .arrivals(ArrivalProcess::UniformOver { horizon: slots / 2 + 1 })
+            .build();
+        let paths = topo.shortest_paths();
+        let cfg = SlotConfig { horizon: slots, seed, ..Default::default() };
+        let mut engine = Engine::new(&topo, &paths, requests, cfg);
+        let mut policy = FuzzPolicy { rng: ChaCha8Rng::seed_from_u64(seed ^ 3) };
+        for _ in 0..slots {
+            engine.step(&mut policy).expect("legal policy");
+            let state = engine.checkpoint();
+            prop_assert_eq!(state.jobs.len(), engine.backlog());
+            for job in &state.jobs {
+                prop_assert!(matches!(job.phase(), Phase::Waiting | Phase::Running));
+                prop_assert!(job.id().index() < state.next_id);
+            }
+            prop_assert!(state.jobs.windows(2).all(|w| w[0].id() < w[1].id()));
+        }
+        let m = engine.finish();
+        prop_assert_eq!(m.completed() + m.expired() + m.unserved(), n);
     }
 
     /// Checkpoint/restore round-trips the engine state after an arbitrary

@@ -2,6 +2,7 @@
 //! under every policy, with conservation and ordering invariants.
 
 use mec_ar::prelude::*;
+use mec_ar::sim::Event;
 
 fn world(n: usize, stations: usize, seed: u64) -> (Topology, Vec<Request>, SlotConfig) {
     let topo = TopologyBuilder::new(stations).seed(seed).build();
@@ -40,6 +41,7 @@ fn conservation_under_every_policy() {
     let paths = topo.shortest_paths();
     for mut policy in policies(cfg.horizon) {
         let mut engine = Engine::new(&topo, &paths, requests.clone(), cfg);
+        engine.enable_trace(usize::MAX);
         let metrics = engine.run(policy.as_mut()).unwrap();
         assert_eq!(
             metrics.completed() + metrics.expired() + metrics.unserved(),
@@ -47,13 +49,31 @@ fn conservation_under_every_policy() {
             "{} lost requests",
             policy.name()
         );
-        // Completed jobs earned exactly their realized rewards.
-        let credited: f64 = engine
-            .jobs()
-            .iter()
-            .filter(|j| j.completed_slot().is_some())
-            .map(|j| j.realized().unwrap().reward)
-            .sum();
+        // Completed jobs earned exactly their realized rewards: the reward
+        // of the demand outcome whose rate their first service traced.
+        let mut started_rate = vec![None; requests.len()];
+        let mut credited = 0.0;
+        for traced in engine.trace().unwrap().events() {
+            match traced.event {
+                Event::Started {
+                    request, rate_mbps, ..
+                } => started_rate[request.index()] = Some(rate_mbps),
+                Event::Completed { request, reward } => {
+                    let rate = started_rate[request.index()].expect("completed after start");
+                    assert!(
+                        requests[request.index()]
+                            .demand()
+                            .outcomes()
+                            .iter()
+                            .any(|o| o.rate.as_mbps() == rate && o.reward == reward),
+                        "{}: {request} credited a reward it did not realize",
+                        policy.name()
+                    );
+                    credited += reward;
+                }
+                _ => {}
+            }
+        }
         assert!(
             (credited - metrics.total_reward()).abs() < 1e-6,
             "{} reward mismatch",
@@ -68,15 +88,23 @@ fn every_served_job_met_its_deadline() {
     let paths = topo.shortest_paths();
     for mut policy in policies(cfg.horizon) {
         let mut engine = Engine::new(&topo, &paths, requests.clone(), cfg);
+        engine.enable_trace(usize::MAX);
         let _ = engine.run(policy.as_mut()).unwrap();
-        for job in engine.jobs() {
-            if job.first_service().is_some() {
-                let latency = job.experienced_latency(&topo, &paths, cfg.slot_ms).unwrap();
+        // Eq. 2's latency at each traced first service (station and slot).
+        for traced in engine.trace().unwrap().events() {
+            if let Event::Started {
+                request, station, ..
+            } = traced.event
+            {
+                let r = &requests[request.index()];
+                let waiting = traced.slot - r.arrival_slot();
+                let latency = r
+                    .experienced_latency(&topo, &paths, station, waiting, cfg.slot_ms)
+                    .unwrap();
                 assert!(
-                    latency.as_ms() <= job.request().deadline().as_ms() + 1e-6,
-                    "{}: job {} served late ({latency})",
+                    latency.as_ms() <= r.deadline().as_ms() + 1e-6,
+                    "{}: job {request} served late ({latency})",
                     policy.name(),
-                    job.id()
                 );
             }
         }
@@ -150,7 +178,6 @@ fn utilization_and_trace_are_consistent() {
     // Completed per completion, one Expired per expiry.
     let trace = engine.trace().unwrap();
     assert_eq!(trace.dropped(), 0, "trace capacity too small for the test");
-    use mec_ar::sim::Event;
     let count = |f: &dyn Fn(&Event) -> bool| trace.events().iter().filter(|e| f(&e.event)).count();
     assert_eq!(
         count(&|e| matches!(e, Event::Arrived { .. })),
@@ -164,13 +191,22 @@ fn utilization_and_trace_are_consistent() {
         count(&|e| matches!(e, Event::Expired { .. })),
         metrics.expired()
     );
-    // Started events equal the number of jobs that ever realized.
-    let started = engine
-        .jobs()
+    // Started events equal the number of jobs that ever realized: each
+    // request starts at most once, and each started job books exactly one
+    // latency sample (on completion, abort, or as unserved at the end).
+    let mut started: Vec<usize> = trace
+        .events()
         .iter()
-        .filter(|j| j.realized().is_some())
-        .count();
-    assert_eq!(count(&|e| matches!(e, Event::Started { .. })), started);
+        .filter_map(|e| match e.event {
+            Event::Started { request, .. } => Some(request.index()),
+            _ => None,
+        })
+        .collect();
+    let starts = started.len();
+    started.sort_unstable();
+    started.dedup();
+    assert_eq!(started.len(), starts, "a request started twice");
+    assert_eq!(starts, metrics.latencies_ms().len());
 }
 
 #[test]
