@@ -23,7 +23,7 @@ use mec_lp::{
 use mec_topology::station::StationId;
 use mec_topology::units::DataRate;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Which truncation Constraint (10)/(23) applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -85,6 +85,19 @@ pub struct SlotLp {
     vars: Vec<(SlotVar, VarId)>,
     var_keys: Vec<VarKey>,
     row_keys: Vec<RowKey>,
+    /// Global request → its variables and Constraint (9) row; `None` for
+    /// requests outside the subset or without a feasible station.
+    start_rows: Vec<Option<StartRow>>,
+    /// `prefix_rows[i][l - 1]` is the Constraint (10)/(23) row of station
+    /// `i`'s prefix `l`, if that row has any entry.
+    prefix_rows: Vec<Vec<Option<usize>>>,
+}
+
+/// One request's contiguous variable range and its start-once row.
+#[derive(Debug, Clone)]
+struct StartRow {
+    vars: Range<usize>,
+    row: usize,
 }
 
 /// The fractional solution `y`, grouped per request.
@@ -125,8 +138,8 @@ impl FractionalAssignment {
 impl SlotLp {
     /// Builds the LP over a subset of the instance's requests.
     ///
-    /// `subset` holds request indices (use `0..n` for the full offline
-    /// problem). The LP has one variable per deadline-feasible
+    /// `subset` holds distinct request indices (use `0..n` for the full
+    /// offline problem). The LP has one variable per deadline-feasible
     /// `(request, station, slot)` triple.
     pub fn build(instance: &Instance, subset: &[usize], truncation: Truncation) -> Self {
         mec_obs::prof_scope!("slotlp.build");
@@ -136,13 +149,21 @@ impl SlotLp {
         let mut row_keys: Vec<RowKey> = Vec::new();
         let c_unit = instance.params().c_unit;
         let slot_cap = instance.params().slot_capacity;
+        let topo = instance.topo();
 
-        // Variables + objective.
+        // Variables + objective, bucketed as they are created: each
+        // request's variables form one contiguous range, and each station
+        // lists `(request, first variable)` for the runs it hosts — a run
+        // covers slots `1..=L` in order.
+        let mut spans: Vec<Range<usize>> = Vec::with_capacity(subset.len());
+        let mut runs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); topo.station_count()];
         for (local_j, &j) in subset.iter().enumerate() {
-            for station in instance.topo().station_ids() {
+            let first = vars.len();
+            for station in topo.station_ids() {
                 if !instance.offline_feasible(j, station) {
                     continue;
                 }
+                runs[station.index()].push((local_j, vars.len()));
                 let layout = instance.slot_layout(station);
                 for l in layout.indices() {
                     let er = instance.expected_reward_at(j, station, l.get());
@@ -162,23 +183,27 @@ impl SlotLp {
                     });
                 }
             }
+            spans.push(first..vars.len());
         }
 
         // Constraint (9): each request starts at most once.
-        for (local_j, &j) in subset.iter().enumerate() {
-            let coeffs: Vec<(VarId, f64)> = vars
-                .iter()
-                .filter(|(sv, _)| sv.request == local_j)
-                .map(|&(_, v)| (v, 1.0))
-                .collect();
-            if !coeffs.is_empty() {
+        let mut start_rows = vec![None; subset.iter().max().map_or(0, |&j| j + 1)];
+        for (&j, span) in subset.iter().zip(spans) {
+            if !span.is_empty() {
+                let coeffs: Vec<(VarId, f64)> =
+                    vars[span.clone()].iter().map(|&(_, v)| (v, 1.0)).collect();
                 problem.add_constraint(coeffs, Cmp::Le, 1.0);
+                start_rows[j] = Some(StartRow {
+                    vars: span,
+                    row: row_keys.len(),
+                });
                 row_keys.push(RowKey::Start(j));
             }
         }
 
         // Constraint (10)/(23): truncated expected demand per slot prefix.
-        for station in instance.topo().station_ids() {
+        let mut prefix_rows: Vec<Vec<Option<usize>>> = Vec::with_capacity(runs.len());
+        for station in topo.station_ids() {
             let layout = instance.slot_layout(station);
             let share_rate: Option<DataRate> = match truncation {
                 Truncation::Standard => None,
@@ -187,36 +212,42 @@ impl SlotLp {
                         None
                     } else {
                         Some(
-                            (instance.topo().station(station).capacity() / active as f64)
+                            (topo.station(station).capacity() / active as f64)
                                 .sustainable_rate(c_unit),
                         )
                     }
                 }
             };
+            let station_runs = &runs[station.index()];
+            let mut rows = Vec::with_capacity(layout.count());
             for l in layout.indices() {
                 let prefix_rate = l.prefix_capacity(slot_cap).sustainable_rate(c_unit);
                 let cap_rate = match share_rate {
                     Some(s) => s.min(prefix_rate),
                     None => prefix_rate,
                 };
+                // A run's first `l` variables start inside the prefix, and
+                // `E[min(ρ_j, cap)]` is the same for all of them.
                 let mut coeffs: Vec<(VarId, f64)> = Vec::new();
-                for &(sv, v) in &vars {
-                    if sv.station == station && sv.slot <= l.get() {
-                        let j = subset[sv.request];
-                        let trunc = instance.requests()[j]
-                            .demand()
-                            .expected_truncated_rate(cap_rate)
-                            .as_mbps();
-                        if trunc > 0.0 {
-                            coeffs.push((v, trunc));
-                        }
+                for &(local_j, first) in station_runs {
+                    let trunc = instance.requests()[subset[local_j]]
+                        .demand()
+                        .expected_truncated_rate(cap_rate)
+                        .as_mbps();
+                    if trunc > 0.0 {
+                        let inside = &vars[first..first + l.get()];
+                        coeffs.extend(inside.iter().map(|&(_, v)| (v, trunc)));
                     }
                 }
-                if !coeffs.is_empty() {
+                if coeffs.is_empty() {
+                    rows.push(None);
+                } else {
                     problem.add_constraint(coeffs, Cmp::Le, 2.0 * prefix_rate.as_mbps());
+                    rows.push(Some(row_keys.len()));
                     row_keys.push(RowKey::Prefix(station, l.get()));
                 }
             }
+            prefix_rows.push(rows);
         }
 
         Self {
@@ -224,7 +255,30 @@ impl SlotLp {
             vars,
             var_keys,
             row_keys,
+            start_rows,
+            prefix_rows,
         }
+    }
+
+    /// The current row carrying `key`, if this LP has it.
+    fn row_of(&self, key: RowKey) -> Option<usize> {
+        match key {
+            RowKey::Start(j) => self.start_rows.get(j)?.as_ref().map(|s| s.row),
+            RowKey::Prefix(station, l) => *self
+                .prefix_rows
+                .get(station.index())?
+                .get(l.checked_sub(1)?)?,
+        }
+    }
+
+    /// The current variable carrying `key`, if this LP has it. A
+    /// request's range is ordered by `(station, slot)`.
+    fn var_of(&self, key: VarKey) -> Option<usize> {
+        let span = self.start_rows.get(key.request)?.as_ref()?.vars.clone();
+        self.var_keys[span.clone()]
+            .binary_search_by(|k| (k.station, k.slot).cmp(&(key.station, key.slot)))
+            .ok()
+            .map(|i| span.start + i)
     }
 
     /// Number of `y` variables.
@@ -419,29 +473,37 @@ impl SlotLpSolver {
         } else {
             None
         };
-        match revised::solve_with_basis(&lp.problem, &config, snapshot.as_ref()) {
+        let mut attempt = revised::solve_with_basis(&lp.problem, &config, snapshot.as_ref());
+        // Belt and suspenders: a warm solve that drifted off the feasible
+        // region restarts cold. The retry is the same solve, so it is
+        // counted once, as a fallback.
+        let mut retried = false;
+        if let Ok((sol, _, WarmOutcome::Warm)) = &attempt {
+            if !lp.problem.is_feasible(sol.values(), 1e-6) {
+                self.warm = None;
+                retried = true;
+                attempt = revised::solve_with_basis(&lp.problem, &config, None);
+            }
+        }
+        match attempt {
             Ok((sol, basis, outcome)) => {
-                match outcome {
-                    WarmOutcome::Warm => {
-                        // Belt and suspenders: a warm solve that drifted
-                        // off the feasible region restarts cold.
-                        if !lp.problem.is_feasible(sol.values(), 1e-6) {
-                            self.warm = None;
-                            self.stats.warm_fallbacks += 1;
-                            return self.solve_inner(lp, subset_len);
-                        }
-                        self.stats.warm_hits += 1;
-                    }
-                    WarmOutcome::FellBack => self.stats.warm_fallbacks += 1,
-                    WarmOutcome::Cold => self.stats.cold_starts += 1,
-                }
+                let counter = match (retried, outcome) {
+                    (true, _) | (false, WarmOutcome::FellBack) => &mut self.stats.warm_fallbacks,
+                    (false, WarmOutcome::Warm) => &mut self.stats.warm_hits,
+                    (false, WarmOutcome::Cold) => &mut self.stats.cold_starts,
+                };
+                *counter += 1;
                 self.remember(lp, &basis);
                 Ok(lp.extract(&sol, subset_len))
             }
             // Numerical breakdown: drop the cache and use the dense oracle.
             Err(LpError::IterationLimit) => {
                 self.warm = None;
-                self.stats.cold_starts += 1;
+                if retried {
+                    self.stats.warm_fallbacks += 1;
+                } else {
+                    self.stats.cold_starts += 1;
+                }
                 let sol = lp.problem.solve()?;
                 Ok(lp.extract(&sol, subset_len))
             }
@@ -452,44 +514,44 @@ impl SlotLpSolver {
     /// Re-aims the cached basis at `lp`'s row/column layout.
     fn translate(&self, lp: &SlotLp) -> Option<BasisSnapshot> {
         let cache = self.warm.as_ref()?;
-        if lp.row_keys.is_empty() {
+        let m = lp.row_keys.len();
+        if m == 0 {
             return None;
         }
-        let cached: HashMap<RowKey, KeyCol> = cache.iter().copied().collect();
-        let var_index: HashMap<VarKey, usize> = lp
-            .var_keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k, i))
-            .collect();
-        let row_index: HashMap<RowKey, usize> = lp
-            .row_keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k, i))
-            .collect();
-        let mut cols: Vec<BasisCol> = Vec::with_capacity(lp.row_keys.len());
-        for (r, rk) in lp.row_keys.iter().enumerate() {
-            let carried = match cached.get(rk) {
-                Some(KeyCol::Var(vk)) => var_index.get(vk).map(|&v| BasisCol::Structural(v)),
-                Some(KeyCol::Slack(srk)) => row_index.get(srk).map(|&i| BasisCol::Slack(i)),
-                None => None,
+        // A row with no surviving basis member starts on its own slack —
+        // exactly what a cold basis would assign it.
+        let mut cols: Vec<BasisCol> = (0..m).map(BasisCol::Slack).collect();
+        for &(rk, kc) in cache {
+            let Some(r) = lp.row_of(rk) else {
+                continue;
             };
-            // A row with no surviving basis member starts on its own slack
-            // — exactly what a cold basis would assign it.
-            cols.push(carried.unwrap_or(BasisCol::Slack(r)));
+            let carried = match kc {
+                KeyCol::Var(vk) => lp.var_of(vk).map(BasisCol::Structural),
+                KeyCol::Slack(srk) => lp.row_of(srk).map(BasisCol::Slack),
+            };
+            cols[r] = carried.unwrap_or(BasisCol::Slack(r));
         }
         // Column deltas can collapse two rows onto one column (e.g. both
         // inherit the same survivor). Later claimants degrade to their own
         // slack; if even that is taken the duplicate stays — the installer
         // dedups and unit-fills, so a clash only weakens the hint.
-        let mut used: HashSet<BasisCol> = HashSet::with_capacity(cols.len());
+        let n = lp.var_keys.len();
+        let index = |c: BasisCol| match c {
+            BasisCol::Structural(v) => v,
+            BasisCol::Slack(r) => n + r,
+            BasisCol::Surplus(_) | BasisCol::Artificial(_) => {
+                unreachable!("the slot LP is all-≤")
+            }
+        };
+        let mut claimed = vec![false; n + m];
         for (r, c) in cols.iter_mut().enumerate() {
-            if !used.insert(*c) {
-                let own = BasisCol::Slack(r);
-                if used.insert(own) {
-                    *c = own;
+            if claimed[index(*c)] {
+                if !claimed[n + r] {
+                    claimed[n + r] = true;
+                    *c = BasisCol::Slack(r);
                 }
+            } else {
+                claimed[index(*c)] = true;
             }
         }
         Some(BasisSnapshot { cols })
@@ -518,11 +580,164 @@ mod tests {
     use crate::model::InstanceParams;
     use mec_topology::TopologyBuilder;
     use mec_workload::WorkloadBuilder;
+    use proptest::prelude::*;
 
     fn instance(n: usize, stations: usize) -> Instance {
-        let topo = TopologyBuilder::new(stations).seed(3).build();
-        let requests = WorkloadBuilder::new(&topo).seed(3).count(n).build();
+        instance_seeded(n, stations, 3)
+    }
+
+    fn instance_seeded(n: usize, stations: usize, seed: u64) -> Instance {
+        let topo = TopologyBuilder::new(stations).seed(seed).build();
+        let requests = WorkloadBuilder::new(&topo).seed(seed).count(n).build();
         Instance::new(topo, requests, InstanceParams::default())
+    }
+
+    /// The quadratic reference builder `SlotLp::build` replaced: every
+    /// row filters all variables, and the truncated rate is recomputed per
+    /// variable. Returns the problem and the stable row/column identities.
+    fn build_naive(
+        instance: &Instance,
+        subset: &[usize],
+        truncation: Truncation,
+    ) -> (Problem, Vec<VarKey>, Vec<RowKey>) {
+        let mut problem = Problem::new(Sense::Maximize);
+        let mut vars: Vec<(SlotVar, VarId)> = Vec::new();
+        let mut var_keys = Vec::new();
+        let mut row_keys = Vec::new();
+        let c_unit = instance.params().c_unit;
+        let slot_cap = instance.params().slot_capacity;
+        for (local_j, &j) in subset.iter().enumerate() {
+            for station in instance.topo().station_ids() {
+                if !instance.offline_feasible(j, station) {
+                    continue;
+                }
+                for l in instance.slot_layout(station).indices() {
+                    let er = instance.expected_reward_at(j, station, l.get());
+                    let var = problem.add_var(er);
+                    let slot = l.get();
+                    vars.push((
+                        SlotVar {
+                            request: local_j,
+                            station,
+                            slot,
+                        },
+                        var,
+                    ));
+                    var_keys.push(VarKey {
+                        request: j,
+                        station,
+                        slot,
+                    });
+                }
+            }
+        }
+        for (local_j, &j) in subset.iter().enumerate() {
+            let coeffs: Vec<(VarId, f64)> = vars
+                .iter()
+                .filter(|(sv, _)| sv.request == local_j)
+                .map(|&(_, v)| (v, 1.0))
+                .collect();
+            if !coeffs.is_empty() {
+                problem.add_constraint(coeffs, Cmp::Le, 1.0);
+                row_keys.push(RowKey::Start(j));
+            }
+        }
+        for station in instance.topo().station_ids() {
+            let share_rate = match truncation {
+                Truncation::PerRequestShare { active } if active > 0 => Some(
+                    (instance.topo().station(station).capacity() / active as f64)
+                        .sustainable_rate(c_unit),
+                ),
+                _ => None,
+            };
+            for l in instance.slot_layout(station).indices() {
+                let prefix_rate = l.prefix_capacity(slot_cap).sustainable_rate(c_unit);
+                let cap_rate = share_rate.map_or(prefix_rate, |s| s.min(prefix_rate));
+                let mut coeffs: Vec<(VarId, f64)> = Vec::new();
+                for &(sv, v) in &vars {
+                    if sv.station == station && sv.slot <= l.get() {
+                        let trunc = instance.requests()[subset[sv.request]]
+                            .demand()
+                            .expected_truncated_rate(cap_rate)
+                            .as_mbps();
+                        if trunc > 0.0 {
+                            coeffs.push((v, trunc));
+                        }
+                    }
+                }
+                if !coeffs.is_empty() {
+                    problem.add_constraint(coeffs, Cmp::Le, 2.0 * prefix_rate.as_mbps());
+                    row_keys.push(RowKey::Prefix(station, l.get()));
+                }
+            }
+        }
+        (problem, var_keys, row_keys)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The bucketed builder emits exactly the reference LP: same
+        /// problem (variables, rows, coefficient order and bits), same
+        /// identities, and lookup tables that invert those identities.
+        #[test]
+        fn bucketed_build_matches_naive_builder(
+            world in (0u64..200, 1usize..30, 1usize..7),
+            picks in prop::collection::vec(0usize..1000, 0..40),
+            active in 0usize..40,
+        ) {
+            let (seed, n, stations) = world;
+            let inst = instance_seeded(n, stations, seed);
+            // A random subset in admission order: first appearance wins.
+            let mut subset: Vec<usize> = Vec::new();
+            for p in picks {
+                if !subset.contains(&(p % n)) {
+                    subset.push(p % n);
+                }
+            }
+            for trunc in [
+                Truncation::Standard,
+                Truncation::PerRequestShare { active: 0 },
+                Truncation::PerRequestShare { active: subset.len() },
+                Truncation::PerRequestShare { active },
+            ] {
+                let lp = SlotLp::build(&inst, &subset, trunc);
+                let (problem, var_keys, row_keys) = build_naive(&inst, &subset, trunc);
+                prop_assert_eq!(&lp.problem, &problem);
+                prop_assert_eq!(&lp.var_keys, &var_keys);
+                prop_assert_eq!(&lp.row_keys, &row_keys);
+                for (v, &key) in lp.var_keys.iter().enumerate() {
+                    prop_assert_eq!(lp.var_of(key), Some(v));
+                }
+                for (r, &key) in lp.row_keys.iter().enumerate() {
+                    prop_assert_eq!(lp.row_of(key), Some(r));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lookups_miss_outside_the_lp() {
+        let inst = instance(10, 3);
+        let lp = SlotLp::build(&inst, &[7, 2], Truncation::Standard);
+        let absent = VarKey {
+            request: 5,
+            station: StationId(0),
+            slot: 1,
+        };
+        assert_eq!(lp.var_of(absent), None);
+        assert_eq!(
+            lp.var_of(VarKey {
+                request: 99,
+                ..absent
+            }),
+            None
+        );
+        assert_eq!(lp.row_of(RowKey::Start(5)), None);
+        assert_eq!(lp.row_of(RowKey::Start(99)), None);
+        assert_eq!(lp.row_of(RowKey::Prefix(StationId(0), 0)), None);
+        assert_eq!(lp.row_of(RowKey::Prefix(StationId(3), 1)), None);
+        assert_eq!(lp.row_of(RowKey::Prefix(StationId(0), 99)), None);
     }
 
     #[test]

@@ -107,7 +107,9 @@ impl Problem {
 
     /// Adds a constraint `Σ coeffs · x  cmp  rhs`.
     ///
-    /// Duplicate variable entries are summed.
+    /// Duplicate variable entries are summed. Entries whose ids strictly
+    /// increase, as every generated row supplies them, are stored as given
+    /// in `O(k)`; any other order takes the `O(k²)` merge.
     ///
     /// # Panics
     ///
@@ -115,16 +117,23 @@ impl Problem {
     /// unknown.
     pub fn add_constraint(&mut self, coeffs: Vec<(VarId, f64)>, cmp: Cmp, rhs: f64) {
         assert!(rhs.is_finite(), "constraint rhs must be finite");
-        let mut dense: Vec<(usize, f64)> = Vec::with_capacity(coeffs.len());
-        for (v, c) in coeffs {
+        for &(v, c) in &coeffs {
             assert!(c.is_finite(), "constraint coefficient must be finite");
             assert!(v.0 < self.objective.len(), "unknown variable {v}");
-            if let Some(slot) = dense.iter_mut().find(|(idx, _)| *idx == v.0) {
-                slot.1 += c;
-            } else {
-                dense.push((v.0, c));
-            }
         }
+        let dense: Vec<(usize, f64)> = if strictly_increasing(&coeffs) {
+            coeffs.into_iter().map(|(v, c)| (v.0, c)).collect()
+        } else {
+            let mut merged: Vec<(usize, f64)> = Vec::with_capacity(coeffs.len());
+            for (v, c) in coeffs {
+                if let Some(slot) = merged.iter_mut().find(|(idx, _)| *idx == v.0) {
+                    slot.1 += c;
+                } else {
+                    merged.push((v.0, c));
+                }
+            }
+            merged
+        };
         self.rows.push(Row {
             coeffs: dense,
             cmp,
@@ -227,6 +236,11 @@ impl Problem {
     }
 }
 
+/// Whether the variable ids strictly increase, so no entry repeats.
+fn strictly_increasing(coeffs: &[(VarId, f64)]) -> bool {
+    coeffs.windows(2).all(|w| w[0].0 < w[1].0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,6 +256,41 @@ mod tests {
         // duplicate x entries merged: 1 + 2 = 3
         assert_eq!(p.rows_vec()[0].coeffs, vec![(0, 3.0), (1, 1.0)]);
         assert_eq!(p.objective_coeff(y), 2.0);
+    }
+
+    #[test]
+    fn increasing_ids_are_stored_as_given() {
+        let mut p = Problem::new(Sense::Maximize);
+        let v: Vec<VarId> = (0..4).map(|_| p.add_var(1.0)).collect();
+        let coeffs = vec![(v[0], 0.5), (v[2], -1.0), (v[3], 0.0)];
+        assert!(strictly_increasing(&coeffs));
+        p.add_constraint(coeffs, Cmp::Le, 1.0);
+        assert_eq!(p.rows_vec()[0].coeffs, vec![(0, 0.5), (2, -1.0), (3, 0.0)]);
+        // Empty and single-entry rows are trivially increasing.
+        assert!(strictly_increasing(&[]));
+        assert!(strictly_increasing(&[(v[1], 2.0)]));
+    }
+
+    #[test]
+    fn repeated_or_decreasing_ids_still_merge() {
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var(1.0);
+        let y = p.add_var(2.0);
+        // Adjacent duplicates: not strictly increasing, summed in place.
+        let adjacent = vec![(x, 1.0), (x, 2.0), (y, 1.0)];
+        assert!(!strictly_increasing(&adjacent));
+        p.add_constraint(adjacent, Cmp::Le, 5.0);
+        assert_eq!(p.rows_vec()[0].coeffs, vec![(0, 3.0), (1, 1.0)]);
+        // Decreasing ids keep first-appearance order, exactly as
+        // `builder_accumulates` expects of a scattered duplicate.
+        let decreasing = vec![(y, 1.0), (x, 1.0), (y, 4.0)];
+        assert!(!strictly_increasing(&decreasing));
+        p.add_constraint(decreasing, Cmp::Le, 5.0);
+        assert_eq!(p.rows_vec()[1].coeffs, vec![(1, 5.0), (0, 1.0)]);
+        let descending = vec![(y, 1.0), (x, 2.0)];
+        assert!(!strictly_increasing(&descending));
+        p.add_constraint(descending, Cmp::Le, 5.0);
+        assert_eq!(p.rows_vec()[2].coeffs, vec![(1, 1.0), (0, 2.0)]);
     }
 
     #[test]

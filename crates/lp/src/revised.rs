@@ -148,98 +148,109 @@ struct StdForm {
     slack_of_row: Vec<Option<usize>>,
     surplus_of_row: Vec<Option<usize>>,
     art_of_row: Vec<Option<usize>>,
+    /// `unit_cols[c - n]` names unit column `c`: the inverse of the three
+    /// `*_of_row` tables.
+    unit_cols: Vec<BasisCol>,
 }
 
 impl StdForm {
     fn build(problem: &Problem) -> Self {
         let n = problem.var_count();
-
-        struct NormRow {
-            coeffs: Vec<(usize, f64)>,
-            cmp: Cmp,
-            rhs: f64,
-        }
-        let mut rows: Vec<NormRow> = problem
-            .rows_vec()
+        let explicit = problem.rows_vec();
+        // Upper bounds become `x_i ≤ u` rows after the explicit ones.
+        let bound_rows: Vec<((usize, f64), f64)> = problem
+            .upper_bounds_vec()
             .iter()
-            .map(|r| NormRow {
-                coeffs: r.coeffs.clone(),
-                cmp: r.cmp,
-                rhs: r.rhs,
-            })
+            .enumerate()
+            .filter_map(|(i, ub)| ub.map(|u| ((i, 1.0), u)))
             .collect();
-        for (i, ub) in problem.upper_bounds_vec().iter().enumerate() {
-            if let Some(u) = ub {
-                rows.push(NormRow {
-                    coeffs: vec![(i, 1.0)],
-                    cmp: Cmp::Le,
-                    rhs: *u,
-                });
+        let row_coeffs = |r: usize| -> &[(usize, f64)] {
+            match explicit.get(r) {
+                Some(row) => &row.coeffs,
+                None => std::slice::from_ref(&bound_rows[r - explicit.len()].0),
             }
-        }
-        let mut negated = vec![false; rows.len()];
-        for (r, row) in rows.iter_mut().enumerate() {
-            if row.rhs < 0.0 {
-                negated[r] = true;
-                row.rhs = -row.rhs;
-                for c in &mut row.coeffs {
-                    c.1 = -c.1;
-                }
-                row.cmp = match row.cmp {
-                    Cmp::Le => Cmp::Ge,
-                    Cmp::Ge => Cmp::Le,
-                    Cmp::Eq => Cmp::Eq,
-                };
-            }
+        };
+
+        // Normalize every rhs non-negative; a negated row flips its sense
+        // and, below, the sign of its coefficients.
+        let m = explicit.len() + bound_rows.len();
+        let mut cmps = Vec::with_capacity(m);
+        let mut rhs = Vec::with_capacity(m);
+        let mut negated = Vec::with_capacity(m);
+        let senses = explicit.iter().map(|r| (r.cmp, r.rhs));
+        for (cmp, b) in senses.chain(bound_rows.iter().map(|&(_, u)| (Cmp::Le, u))) {
+            let neg = b < 0.0;
+            negated.push(neg);
+            rhs.push(if neg { -b } else { b });
+            cmps.push(match (neg, cmp) {
+                (true, Cmp::Le) => Cmp::Ge,
+                (true, Cmp::Ge) => Cmp::Le,
+                _ => cmp,
+            });
         }
 
-        let m = rows.len();
-        let n_slack = rows.iter().filter(|r| r.cmp == Cmp::Le).count();
-        let n_surplus = rows.iter().filter(|r| r.cmp == Cmp::Ge).count();
-        let n_art = rows.iter().filter(|r| r.cmp != Cmp::Le).count();
+        let n_slack = cmps.iter().filter(|&&c| c == Cmp::Le).count();
+        let n_surplus = cmps.iter().filter(|&&c| c == Cmp::Ge).count();
+        let n_art = m - n_slack;
         let art_start = n + n_slack + n_surplus;
         let n_total = art_start + n_art;
 
-        // Transpose the row-major coefficients into per-column entry lists.
-        let mut col_entries: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for (r, row) in rows.iter().enumerate() {
-            for &(v, c) in &row.coeffs {
-                col_entries[v].push((r, c));
+        // Transpose the row-major coefficients by a counting sort: count
+        // each column's entries, prefix-sum them into column starts, then
+        // scatter the rows in order so every column lists its rows
+        // ascending.
+        let mut col_ptr = vec![0usize; n + 1];
+        for r in 0..m {
+            for &(v, _) in row_coeffs(r) {
+                col_ptr[v + 1] += 1;
             }
         }
-        let nnz_hint = rows.iter().map(|r| r.coeffs.len()).sum::<usize>() + (n_total - n);
-        let mut csc = CscBuilder::new(m, nnz_hint);
-        for entries in &col_entries {
-            csc.push_column(entries);
+        for j in 0..n {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut fill = col_ptr.clone();
+        let mut entries = vec![(0usize, 0.0f64); col_ptr[n]];
+        for (r, &neg) in negated.iter().enumerate() {
+            for &(v, c) in row_coeffs(r) {
+                entries[fill[v]] = (r, if neg { -c } else { c });
+                fill[v] += 1;
+            }
+        }
+        let mut csc = CscBuilder::new(m, entries.len() + (n_total - n));
+        for j in 0..n {
+            csc.push_column(&entries[col_ptr[j]..col_ptr[j + 1]]);
         }
 
-        let mut rhs = vec![0.0; m];
         let mut init_basis = vec![0; m];
         let mut slack_of_row = vec![None; m];
         let mut surplus_of_row = vec![None; m];
         let mut art_of_row = vec![None; m];
+        let mut unit_cols = vec![BasisCol::Slack(0); n_total - n];
         // Unit columns come after the structural block, grouped slack /
         // surplus / artificial exactly like the dense solver.
         let mut next_slack = n;
         let mut next_surplus = n + n_slack;
         let mut next_art = art_start;
-        for (r, row) in rows.iter().enumerate() {
-            rhs[r] = row.rhs;
-            match row.cmp {
+        for (r, &cmp) in cmps.iter().enumerate() {
+            match cmp {
                 Cmp::Le => {
                     slack_of_row[r] = Some(next_slack);
+                    unit_cols[next_slack - n] = BasisCol::Slack(r);
                     init_basis[r] = next_slack;
                     next_slack += 1;
                 }
                 Cmp::Ge => {
                     surplus_of_row[r] = Some(next_surplus);
                     art_of_row[r] = Some(next_art);
+                    unit_cols[next_surplus - n] = BasisCol::Surplus(r);
+                    unit_cols[next_art - n] = BasisCol::Artificial(r);
                     init_basis[r] = next_art;
                     next_surplus += 1;
                     next_art += 1;
                 }
                 Cmp::Eq => {
                     art_of_row[r] = Some(next_art);
+                    unit_cols[next_art - n] = BasisCol::Artificial(r);
                     init_basis[r] = next_art;
                     next_art += 1;
                 }
@@ -275,6 +286,7 @@ impl StdForm {
             slack_of_row,
             surplus_of_row,
             art_of_row,
+            unit_cols,
         }
     }
 
@@ -290,21 +302,10 @@ impl StdForm {
 
     /// Inverse of [`StdForm::resolve`] for snapshot extraction.
     fn unresolve(&self, col: usize) -> BasisCol {
-        if col < self.n {
-            return BasisCol::Structural(col);
+        match col.checked_sub(self.n) {
+            None => BasisCol::Structural(col),
+            Some(unit) => self.unit_cols[unit],
         }
-        for r in 0..self.m {
-            if self.slack_of_row[r] == Some(col) {
-                return BasisCol::Slack(r);
-            }
-            if self.surplus_of_row[r] == Some(col) {
-                return BasisCol::Surplus(r);
-            }
-            if self.art_of_row[r] == Some(col) {
-                return BasisCol::Artificial(r);
-            }
-        }
-        unreachable!("column {col} outside every block");
     }
 }
 
@@ -949,7 +950,9 @@ pub fn solve_with_basis(
                 {
                     (warm_rsx, WarmOutcome::Warm)
                 } else {
-                    (Rsx::cold(StdForm::build(problem)), WarmOutcome::FellBack)
+                    // Pivoting never touches the standard form, so the
+                    // failed attempt's copy seeds the cold start.
+                    (Rsx::cold(warm_rsx.std), WarmOutcome::FellBack)
                 }
             }
             Err(std_form) => (Rsx::cold(std_form), WarmOutcome::FellBack),
@@ -1270,6 +1273,32 @@ mod tests {
             let revised = solve(&p, &cfg()).unwrap();
             assert_close(dense.objective(), revised.objective());
             assert!(p.is_feasible(revised.values(), 1e-6));
+        }
+    }
+
+    #[test]
+    fn std_form_transposes_rows_and_inverts_unit_columns() {
+        // One row of every sense, a negated rhs and an upper bound.
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_var(1.0);
+        let y = p.add_var(2.0);
+        let z = p.add_var(0.5);
+        p.set_upper_bound(y, 3.0);
+        p.add_constraint(vec![(x, 1.0), (z, 2.0)], Cmp::Ge, 1.0);
+        p.add_constraint(vec![(x, 1.0), (y, -3.0)], Cmp::Le, -2.0);
+        p.add_constraint(vec![(y, 1.0), (z, 0.0)], Cmp::Eq, 1.0);
+        p.add_constraint(vec![(z, 4.0), (x, 2.0)], Cmp::Le, 4.0);
+        let std = StdForm::build(&p);
+        assert_eq!(std.m, 5);
+        assert_eq!(std.negated, vec![false, true, false, false, false]);
+        // Each structural column lists its rows ascending, negated rows
+        // flipped and exact zeros dropped; the bound row comes last.
+        let column = |j| std.csc.column(j).collect::<Vec<_>>();
+        assert_eq!(column(0), vec![(0, 1.0), (1, -1.0), (3, 2.0)]);
+        assert_eq!(column(1), vec![(1, 3.0), (2, 1.0), (4, 1.0)]);
+        assert_eq!(column(2), vec![(0, 2.0), (3, 4.0)]);
+        for c in 0..std.n_total {
+            assert_eq!(std.resolve(std.unresolve(c)), Some(c), "column {c}");
         }
     }
 
