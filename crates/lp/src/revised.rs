@@ -4,22 +4,30 @@
 //! Where [`crate::simplex`] rebuilds and eliminates a dense `m × n` tableau
 //! on every pivot, this solver keeps the constraint matrix in CSC form
 //! ([`crate::sparse::CscMatrix`]) and represents the basis inverse as a
-//! refactorized dense seed `B₀⁻¹` composed with an *eta file* of rank-one
-//! pivot updates. Per iteration it runs one BTRAN (`O(m² + k·m)`), prices
-//! every nonbasic column against the sparse matrix (`O(nnz)`), and one
-//! FTRAN of the entering column — instead of the tableau's `O(m · n)` row
-//! elimination. On the slot-indexed LP (`m ≈ hundreds`, `n ≈ tens of
-//! thousands`, a handful of nonzeros per column) that is a
-//! couple-orders-of-magnitude cheaper pivot.
+//! refactorized dense seed `B₀⁻¹` composed with an *eta file* of `k`
+//! rank-one pivot updates. It carries the reduced costs `d` from pivot to
+//! pivot instead of repricing every column. Per iteration it scans `d` for
+//! the entering column (`O(n)`, no arithmetic on the matrix), runs one FTRAN
+//! of that column (`O(m·nnz(a_q) + k·m)`) and the ratio test, then one BTRAN
+//! for the leaving row `ρ = e_rᵀB⁻¹` (`O(k·m + m²)`). It forms the pivot
+//! row `α_r = ρᵀA` from the problem's own row-major rows over the nonzeros
+//! of `ρ`, and updates `d` on just the columns that row touches. A full
+//! `O(nnz)` pricing sweep runs only at phase start, after each
+//! refactorization, and when the carried `d` offers no entering column. So
+//! optimality is always decided on fresh prices. On the slot-indexed LP
+//! (`m ≈ hundreds`, `n ≈ tens of thousands`, a handful of nonzeros per
+//! column, `ρ` a few dozen nonzeros) a pivot costs orders of magnitude less
+//! than the tableau's `O(m · n)` row elimination.
 //!
 //! The standard-form construction, phase structure, pricing rule, and
-//! tie-breaks deliberately mirror the dense solver so the two pivot
-//! identically and stay byte-comparable oracles for each other:
-//! `≤` rows get slacks, `≥` rows a surplus plus an artificial, `=` rows an
-//! artificial; rhs is normalized non-negative; Dantzig pricing picks the
-//! most negative reduced cost with the **lowest column index** on ties
-//! within `eps`, degrading to Bland's rule after `bland_after` pivots; the
-//! ratio test breaks ties toward the smallest basis index.
+//! tie-breaks deliberately mirror the dense solver: `≤` rows get slacks,
+//! `≥` rows a surplus plus an artificial, `=` rows an artificial; rhs is
+//! normalized non-negative; Dantzig pricing picks the most negative
+//! reduced cost with the **lowest column index** on ties within `eps`,
+//! degrading to Bland's rule after `bland_after` pivots; the ratio test
+//! breaks ties toward the smallest basis index. The two therefore almost
+//! always pivot identically; a near-tie within `eps` can still break apart
+//! under their different rounding, and the objectives agree either way.
 //!
 //! Warm starts: [`solve_with_basis`] accepts a [`BasisSnapshot`] from a
 //! previous, structurally-similar problem. The snapshot is re-resolved
@@ -28,7 +36,7 @@
 //! failure falls back to a cold start, so a stale basis costs one
 //! factorization, never correctness.
 
-use crate::problem::{Cmp, Problem, Sense};
+use crate::problem::{Cmp, Problem, Row, Sense};
 use crate::simplex::{note_pivot, note_refactor};
 use crate::solution::{LpError, Solution};
 use crate::sparse::{CscBuilder, CscMatrix};
@@ -136,12 +144,17 @@ pub enum WarmOutcome {
 
 /// Standard form shared by both phases: normalized rows and the full CSC
 /// matrix over structural + slack + surplus + artificial columns.
-struct StdForm {
+struct StdForm<'a> {
     n: usize,
     m: usize,
     art_start: usize,
     n_total: usize,
     csc: CscMatrix,
+    /// The problem's explicit rows, read row-wise to form a pivot row.
+    rows: &'a [Row],
+    /// One `((variable, 1.0), bound)` per upper-bound row, in row order
+    /// after the explicit rows.
+    bound_rows: Vec<((usize, f64), f64)>,
     rhs: Vec<f64>,
     negated: Vec<bool>,
     init_basis: Vec<usize>,
@@ -153,8 +166,22 @@ struct StdForm {
     unit_cols: Vec<BasisCol>,
 }
 
-impl StdForm {
-    fn build(problem: &Problem) -> Self {
+/// The coefficients of internal row `r` as the problem states them, before
+/// the rhs normalization: an explicit row's, else its upper-bound row's
+/// single `(variable, 1.0)`.
+fn row_coeffs<'b>(
+    explicit: &'b [Row],
+    bound_rows: &'b [((usize, f64), f64)],
+    r: usize,
+) -> &'b [(usize, f64)] {
+    match explicit.get(r) {
+        Some(row) => &row.coeffs,
+        None => std::slice::from_ref(&bound_rows[r - explicit.len()].0),
+    }
+}
+
+impl<'a> StdForm<'a> {
+    fn build(problem: &'a Problem) -> Self {
         let n = problem.var_count();
         let explicit = problem.rows_vec();
         // Upper bounds become `x_i ≤ u` rows after the explicit ones.
@@ -164,12 +191,7 @@ impl StdForm {
             .enumerate()
             .filter_map(|(i, ub)| ub.map(|u| ((i, 1.0), u)))
             .collect();
-        let row_coeffs = |r: usize| -> &[(usize, f64)] {
-            match explicit.get(r) {
-                Some(row) => &row.coeffs,
-                None => std::slice::from_ref(&bound_rows[r - explicit.len()].0),
-            }
-        };
+        let row_coeffs = |r: usize| row_coeffs(explicit, &bound_rows, r);
 
         // Normalize every rhs non-negative; a negated row flips its sense
         // and, below, the sign of its coefficients.
@@ -280,6 +302,8 @@ impl StdForm {
             art_start,
             n_total,
             csc: csc.finish(),
+            rows: explicit,
+            bound_rows,
             rhs,
             negated,
             init_basis,
@@ -317,8 +341,8 @@ struct Eta {
 }
 
 /// Revised simplex working state.
-struct Rsx {
-    std: StdForm,
+struct Rsx<'a> {
+    std: StdForm<'a>,
     basis: Vec<usize>,
     in_basis: Vec<bool>,
     /// Dense seed inverse `B₀⁻¹`, row-major `m × m`.
@@ -326,6 +350,15 @@ struct Rsx {
     etas: Vec<Eta>,
     /// Current basic values `x_B = B⁻¹ b`, updated incrementally.
     xb: Vec<f64>,
+    /// Reduced costs of the columns below `art_start` under the phase
+    /// cost, carried across pivots; basic columns hold an exact 0.
+    d: Vec<f64>,
+    /// The last pivot row `α_r` over the columns below `art_start`, dense;
+    /// `touched` lists its nonzero positions once each (`in_row` marks
+    /// them), so clearing and updating cost the row's size, not `n`.
+    alpha: Vec<f64>,
+    in_row: Vec<bool>,
+    touched: Vec<usize>,
 }
 
 /// Inverts a dense row-major `m × m` matrix by Gauss-Jordan with partial
@@ -377,20 +410,15 @@ fn invert(mut a: Vec<f64>, m: usize, eps: f64) -> Result<Vec<f64>, usize> {
     Ok(inv)
 }
 
-impl Rsx {
-    /// Cold state: the all-slack/artificial basis is `B = I`.
-    fn cold(std: StdForm) -> Self {
-        let m = std.m;
-        let basis = std.init_basis.clone();
+impl<'a> Rsx<'a> {
+    /// Working state for `basis` with seed inverse `binv0` and basic
+    /// values `xb`, an empty eta file and unpriced reduced costs.
+    fn new(std: StdForm<'a>, basis: Vec<usize>, binv0: Vec<f64>, xb: Vec<f64>) -> Self {
         let mut in_basis = vec![false; std.n_total];
         for &c in &basis {
             in_basis[c] = true;
         }
-        let mut binv0 = vec![0.0; m * m];
-        for i in 0..m {
-            binv0[i * m + i] = 1.0;
-        }
-        let xb = std.rhs.clone();
+        let priced = std.art_start;
         Self {
             std,
             basis,
@@ -398,7 +426,23 @@ impl Rsx {
             binv0,
             etas: Vec::new(),
             xb,
+            d: vec![0.0; priced],
+            alpha: vec![0.0; priced],
+            in_row: vec![false; priced],
+            touched: Vec::new(),
         }
+    }
+
+    /// Cold state: the all-slack/artificial basis is `B = I`.
+    fn cold(std: StdForm<'a>) -> Self {
+        let m = std.m;
+        let basis = std.init_basis.clone();
+        let mut binv0 = vec![0.0; m * m];
+        for i in 0..m {
+            binv0[i * m + i] = 1.0;
+        }
+        let xb = std.rhs.clone();
+        Self::new(std, basis, binv0, xb)
     }
 
     /// Tries to install `cols` as a *rank-valid* starting basis of `std`;
@@ -422,7 +466,11 @@ impl Rsx {
     // Err moves the StdForm back out so a fallback cold start reuses it
     // instead of rebuilding — a move, never a copy.
     #[allow(clippy::result_large_err)]
-    fn try_warm(std: StdForm, cols: &[BasisCol], config: &RevisedConfig) -> Result<Self, StdForm> {
+    fn try_warm(
+        std: StdForm<'a>,
+        cols: &[BasisCol],
+        config: &RevisedConfig,
+    ) -> Result<Self, StdForm<'a>> {
         let m = std.m;
         if cols.len() != m || m == 0 {
             return Err(std);
@@ -469,18 +517,7 @@ impl Rsx {
                 }
                 xb[i] = acc;
             }
-            let mut in_basis = vec![false; std.n_total];
-            for &c in &basis {
-                in_basis[c] = true;
-            }
-            return Ok(Self {
-                std,
-                basis,
-                in_basis,
-                binv0,
-                etas: Vec::new(),
-                xb,
-            });
+            return Ok(Self::new(std, basis, binv0, xb));
         }
         Self::crash_install(std, &candidates, config)
     }
@@ -497,10 +534,10 @@ impl Rsx {
     /// is the caller's dual-repair problem, not this installer's.
     #[allow(clippy::result_large_err)] // same Err-returns-ownership contract as try_warm
     fn crash_install(
-        std: StdForm,
+        std: StdForm<'a>,
         candidates: &[(usize, usize)],
         config: &RevisedConfig,
-    ) -> Result<Self, StdForm> {
+    ) -> Result<Self, StdForm<'a>> {
         let m = std.m;
         let validated = (|| {
             let mut excluded = vec![false; std.n_total];
@@ -601,19 +638,12 @@ impl Rsx {
                     }
                     xb[i] = acc;
                 }
-                return Some((basis, in_basis, binv0, xb));
+                return Some((basis, binv0, xb));
             }
             None
         })();
         match validated {
-            Some((basis, in_basis, binv0, xb)) => Ok(Self {
-                std,
-                basis,
-                in_basis,
-                binv0,
-                etas: Vec::new(),
-                xb,
-            }),
+            Some((basis, binv0, xb)) => Ok(Self::new(std, basis, binv0, xb)),
             None => Err(std),
         }
     }
@@ -705,13 +735,14 @@ impl Rsx {
     }
 
     /// One pivot: `col` enters at `row`; `d = B⁻¹ a_col` from the caller.
+    /// Returns whether the eta file filled up and `B₀⁻¹` was refactorized.
     fn pivot(
         &mut self,
         row: usize,
         col: usize,
         d: &[f64],
         config: &RevisedConfig,
-    ) -> Result<(), LpError> {
+    ) -> Result<bool, LpError> {
         let m = self.std.m;
         let dr = d[row];
         debug_assert!(dr.abs() > 0.0, "zero pivot");
@@ -734,44 +765,131 @@ impl Rsx {
         self.etas.push(Eta { row, col: col_vec });
         if self.etas.len() >= config.refactor_every {
             self.refactor(config)?;
+            return Ok(true);
         }
-        Ok(())
+        Ok(false)
+    }
+
+    /// Prices every column below `art_start` afresh, `d_j = c_j − yᵀa_j`
+    /// with `yᵀ = c_Bᵀ B⁻¹`, writing an exact 0 on basic columns. With
+    /// `carried`, `d` already holds this cost's pivot-updated values, and
+    /// debug builds check them against the fresh ones.
+    fn reprice(&mut self, cost: &[f64], carried: bool) {
+        let y = self.multipliers(cost);
+        let before = (cfg!(debug_assertions) && carried).then(|| self.d.clone());
+        self.std
+            .csc
+            .price_into(&y, cost, &self.in_basis, &mut self.d);
+        for (j, (old, new)) in before.iter().flatten().zip(&self.d).enumerate() {
+            debug_assert!(
+                (old - new).abs() <= 1e-9 * new.abs().max(1.0),
+                "carried reduced cost of column {j} drifted: {old} vs fresh {new}"
+            );
+        }
+    }
+
+    /// Forms row `r` of the tableau, `α_r = ρᵀA` with `ρ = e_rᵀB⁻¹`, over
+    /// the columns below `art_start`: one BTRAN, then the problem's rows
+    /// read row-wise over the nonzeros of `ρ`, each with the sign of its
+    /// rhs normalization, plus each row's slack or surplus unit. Leaves it
+    /// in `alpha`/`touched`. Call before the basis changes.
+    fn pivot_row(&mut self, r: usize) {
+        for &j in &self.touched {
+            self.alpha[j] = 0.0;
+            self.in_row[j] = false;
+        }
+        self.touched.clear();
+        let mut e = vec![0.0; self.std.m];
+        e[r] = 1.0;
+        let rho = self.btran_vec(e);
+        let std = &self.std;
+        let (alpha, in_row, touched) = (&mut self.alpha, &mut self.in_row, &mut self.touched);
+        let mut add = |j: usize, v: f64| {
+            if !in_row[j] {
+                in_row[j] = true;
+                touched.push(j);
+            }
+            alpha[j] += v;
+        };
+        for (i, &p) in rho.iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            let w = if std.negated[i] { -p } else { p };
+            for &(v, c) in row_coeffs(std.rows, &std.bound_rows, i) {
+                add(v, w * c);
+            }
+            if let Some(s) = std.slack_of_row[i] {
+                add(s, p);
+            } else if let Some(s) = std.surplus_of_row[i] {
+                add(s, -p);
+            }
+        }
+    }
+
+    /// Carries `d` across the pivot that brings `q` in at row `r`, from the
+    /// row [`Self::pivot_row`] formed for it: `d_j −= θ·α_rj` on the
+    /// nonbasic columns the row touches, `θ = d_q / α_rq`, then `d_q = 0`
+    /// and the leaving column takes `−θ` (an artificial carries no reduced
+    /// cost). Call before [`Self::pivot`].
+    fn update_duals(&mut self, q: usize, r: usize) {
+        let theta = self.d[q] / self.alpha[q];
+        for &j in &self.touched {
+            if !self.in_basis[j] {
+                self.d[j] -= theta * self.alpha[j];
+            }
+        }
+        self.d[q] = 0.0;
+        if let Some(leaving) = self.d.get_mut(self.basis[r]) {
+            *leaving = -theta;
+        }
+    }
+
+    /// The entering column by the carried `d` (artificials never
+    /// re-enter): Dantzig picks the most negative reduced cost, lowest
+    /// index on ties within eps — the same deterministic rule as the dense
+    /// tableau — and Bland the lowest index pricing below `-eps`. Basic
+    /// columns hold an exact 0, so neither needs the basis.
+    fn entering(&self, bland: bool, eps: f64) -> Option<usize> {
+        if bland {
+            return self.d.iter().position(|&dj| dj < -eps);
+        }
+        // The minimum is exact in any order, so eight independent lanes
+        // let the pass vectorize instead of chaining one compare per column.
+        let lower = |best: f64, dj: f64| if dj < best { dj } else { best };
+        let mut lanes = [0.0f64; 8];
+        let chunks = self.d.chunks_exact(8);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for (lane, &dj) in lanes.iter_mut().zip(chunk) {
+                *lane = lower(*lane, dj);
+            }
+        }
+        let best = lanes
+            .iter()
+            .chain(tail)
+            .fold(0.0f64, |best, &dj| lower(best, dj));
+        if best < -eps {
+            self.d.iter().position(|&dj| dj <= best + eps)
+        } else {
+            None
+        }
     }
 
     /// Runs pivots on a phase cost until optimal / unbounded / cap.
+    ///
+    /// The reduced costs are priced fresh at the start, after every
+    /// refactorization, and whenever the carried ones offer no entering
+    /// column, so optimality is always decided on fresh values; between
+    /// those, each pivot updates them from its pivot row.
     fn optimize(&mut self, cost: &[f64], config: &RevisedConfig) -> Result<(), LpError> {
-        let art_start = self.std.art_start;
-        let mut red = vec![0.0; art_start];
+        self.reprice(cost, false);
         for iter in 0..config.max_iterations {
             let bland = iter >= config.bland_after;
-            let y = self.multipliers(cost);
-            // Entering column: artificials never re-enter. Dantzig picks
-            // the most negative reduced cost, lowest index on ties within
-            // eps — the same deterministic rule as the dense tableau.
-            let mut entering: Option<usize> = None;
-            if bland {
-                for (j, &cj) in cost.iter().enumerate().take(art_start) {
-                    if self.in_basis[j] {
-                        continue;
-                    }
-                    if cj - self.std.csc.dot_column(&y, j) < -config.eps {
-                        entering = Some(j);
-                        break;
-                    }
-                }
-            } else {
-                self.std.csc.price_into(&y, cost, &self.in_basis, &mut red);
-                let mut best = 0.0f64;
-                for &dj in &red {
-                    if dj < best {
-                        best = dj;
-                    }
-                }
-                if best < -config.eps {
-                    entering =
-                        (0..art_start).find(|&j| !self.in_basis[j] && red[j] <= best + config.eps);
-                }
-            }
+            let entering = self.entering(bland, config.eps).or_else(|| {
+                self.reprice(cost, true);
+                self.entering(bland, config.eps)
+            });
             let Some(col) = entering else {
                 return Ok(()); // optimal
             };
@@ -794,7 +912,11 @@ impl Rsx {
             let Some(row) = leave else {
                 return Err(LpError::Unbounded);
             };
-            self.pivot(row, col, &d, config)?;
+            self.pivot_row(row);
+            self.update_duals(col, row);
+            if self.pivot(row, col, &d, config)? {
+                self.reprice(cost, true);
+            }
             note_pivot();
         }
         Err(LpError::IterationLimit)
@@ -822,14 +944,12 @@ impl Rsx {
     /// (arriving columns can price negative), reduced costs are clamped
     /// at zero in the ratio and termination is not guaranteed; the pivot
     /// budget bounds the attempt and `false` tells the caller to start
-    /// cold instead. Artificials never enter; they may leave.
+    /// cold instead. Artificials never enter; they may leave. Each dual
+    /// pivot costs one BTRAN for its row, whose `α_r` both runs the ratio
+    /// test and carries the reduced costs over, as in [`Self::optimize`].
     fn dual_repair(&mut self, cost: &[f64], config: &RevisedConfig) -> bool {
-        let m = self.std.m;
-        let art_start = self.std.art_start;
-        let zeros = vec![0.0; art_start];
-        let mut red = vec![0.0; art_start];
-        let mut neg_alpha = vec![0.0; art_start];
-        let budget = (2 * m).max(64);
+        let budget = (2 * self.std.m).max(64);
+        self.reprice(cost, false);
         for _ in 0..budget {
             // Leaving row: the most negative basic value.
             let mut pos = None;
@@ -843,18 +963,10 @@ impl Rsx {
             let Some(pos) = pos else {
                 return true; // primal feasible
             };
-            let y = self.multipliers(cost);
-            self.std.csc.price_into(&y, cost, &self.in_basis, &mut red);
-            // Row `pos` of the tableau via one BTRAN; pricing the zero
-            // objective against it yields −α_j per nonbasic column.
-            let mut e = vec![0.0; m];
-            e[pos] = 1.0;
-            let beta = self.btran_vec(e);
-            self.std
-                .csc
-                .price_into(&beta, &zeros, &self.in_basis, &mut neg_alpha);
+            self.pivot_row(pos);
             let mut best: Option<(usize, f64)> = None;
-            for (j, (&na, &dj)) in neg_alpha.iter().zip(&red).enumerate().take(art_start) {
+            for (j, (&a, &dj)) in self.alpha.iter().zip(&self.d).enumerate() {
+                let na = -a;
                 if self.in_basis[j] || na <= config.eps {
                     continue;
                 }
@@ -867,8 +979,14 @@ impl Rsx {
                 return false; // no dual step exists — give up, start cold
             };
             let d = self.ftran_col(col);
-            if d[pos] >= -config.eps || self.pivot(pos, col, &d, config).is_err() {
+            if d[pos] >= -config.eps {
                 return false;
+            }
+            self.update_duals(col, pos);
+            match self.pivot(pos, col, &d, config) {
+                Ok(true) => self.reprice(cost, true),
+                Ok(false) => {}
+                Err(_) => return false,
             }
             note_pivot();
         }
@@ -882,13 +1000,16 @@ impl Rsx {
             if self.basis[r] < self.std.art_start {
                 continue;
             }
-            // Row r of B⁻¹, then ρ_j = β · a_j is the tableau entry the
-            // dense solver scans; basic columns give exactly 0.
-            let mut e = vec![0.0; self.std.m];
-            e[r] = 1.0;
-            let beta = self.btran_vec(e);
-            let col = (0..self.std.art_start)
-                .find(|&j| self.std.csc.dot_column(&beta, j).abs() > config.eps);
+            // Row r of the tableau is the one the dense solver scans; the
+            // lowest-index usable entry enters. Basic columns are 0 there
+            // up to rounding and must not enter a second time.
+            self.pivot_row(r);
+            let col = self
+                .touched
+                .iter()
+                .copied()
+                .filter(|&j| !self.in_basis[j] && self.alpha[j].abs() > config.eps)
+                .min();
             if let Some(col) = col {
                 let d = self.ftran_col(col);
                 self.pivot(r, col, &d, config)?;
@@ -1007,7 +1128,8 @@ pub fn solve_with_basis(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{Cmp, Problem, Sense};
+    use crate::problem::{Cmp, Problem, Sense, VarId};
+    use proptest::prelude::*;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} vs {b}");
@@ -1119,6 +1241,42 @@ mod tests {
         let s = solve(&p, &cfg()).unwrap();
         assert_close(s.objective(), 4.0);
         assert_close(s.value(y), 2.0);
+    }
+
+    #[test]
+    fn drive_out_never_enters_a_basic_column() {
+        // x + y = 2 twice and x ≥ 1: phase 1 ends at x = y = 1 with one
+        // equality row's artificial basic at zero, the row redundant.
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var(1.0);
+        let y = p.add_var(1.0);
+        p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 2.0);
+        p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 2.0);
+        p.add_constraint(vec![(x, 1.0)], Cmp::Ge, 1.0);
+        let mut rsx = Rsx::cold(StdForm::build(&p));
+        let mut c1 = vec![0.0; rsx.std.n_total];
+        c1[rsx.std.art_start..].fill(1.0);
+        rsx.optimize(&c1, &cfg()).unwrap();
+        assert!(rsx.in_basis[x.index()] && rsx.in_basis[y.index()]);
+        let art_row = (0..rsx.std.m)
+            .find(|&r| rsx.basis[r] >= rsx.std.art_start)
+            .expect("a redundant artificial stays basic");
+        let artificial = rsx.basis[art_row];
+        // Rounding in B⁻¹ leaves that row a stray 1e-6 on row 0 of A,
+        // where only the basic x and y have entries.
+        rsx.refactor(&cfg()).unwrap();
+        rsx.binv0[art_row * rsx.std.m] += 1e-6;
+        rsx.drive_out_artificials(&cfg()).unwrap();
+        assert_eq!(rsx.basis[art_row], artificial);
+        let mut seen = vec![false; rsx.std.n_total];
+        for &c in &rsx.basis {
+            assert!(
+                !std::mem::replace(&mut seen[c], true),
+                "column {c} basic twice"
+            );
+        }
+        // Solved end to end, the redundant rows change nothing.
+        assert_close(solve(&p, &cfg()).unwrap().objective(), 2.0);
     }
 
     #[test]
@@ -1312,5 +1470,278 @@ mod tests {
         assert!("simplex".parse::<SolverKind>().is_err());
         assert_eq!(SolverKind::default(), SolverKind::Revised);
         assert_eq!(SolverKind::Dense.to_string(), "dense");
+    }
+
+    /// The full-pricing loops that carrying `d` replaced, kept as the
+    /// reference it must reproduce pivot for pivot: every primal iteration
+    /// recomputes the multipliers and prices every column, and every dual
+    /// pivot prices twice, the phase cost and then the zero cost against
+    /// row `pos` of `B⁻¹` for `−α`.
+    mod full_pricing {
+        use super::super::*;
+
+        fn optimize(rsx: &mut Rsx, cost: &[f64], config: &RevisedConfig) -> Result<(), LpError> {
+            let art_start = rsx.std.art_start;
+            let mut red = vec![0.0; art_start];
+            for iter in 0..config.max_iterations {
+                let bland = iter >= config.bland_after;
+                let y = rsx.multipliers(cost);
+                let mut entering: Option<usize> = None;
+                if bland {
+                    for (j, &cj) in cost.iter().enumerate().take(art_start) {
+                        if !rsx.in_basis[j] && cj - rsx.std.csc.dot_column(&y, j) < -config.eps {
+                            entering = Some(j);
+                            break;
+                        }
+                    }
+                } else {
+                    rsx.std.csc.price_into(&y, cost, &rsx.in_basis, &mut red);
+                    let mut best = 0.0f64;
+                    for &dj in &red {
+                        if dj < best {
+                            best = dj;
+                        }
+                    }
+                    if best < -config.eps {
+                        entering = (0..art_start)
+                            .find(|&j| !rsx.in_basis[j] && red[j] <= best + config.eps);
+                    }
+                }
+                let Some(col) = entering else {
+                    return Ok(());
+                };
+                let d = rsx.ftran_col(col);
+                let mut leave: Option<usize> = None;
+                let mut best_ratio = f64::INFINITY;
+                for (r, &dr) in d.iter().enumerate() {
+                    if dr > config.eps {
+                        let ratio = rsx.xb[r] / dr;
+                        let better = ratio < best_ratio - config.eps
+                            || (ratio < best_ratio + config.eps
+                                && leave.is_some_and(|l| rsx.basis[r] < rsx.basis[l]));
+                        if better {
+                            best_ratio = ratio;
+                            leave = Some(r);
+                        }
+                    }
+                }
+                let Some(row) = leave else {
+                    return Err(LpError::Unbounded);
+                };
+                rsx.pivot(row, col, &d, config)?;
+                note_pivot();
+            }
+            Err(LpError::IterationLimit)
+        }
+
+        fn dual_repair(rsx: &mut Rsx, cost: &[f64], config: &RevisedConfig) -> bool {
+            let m = rsx.std.m;
+            let art_start = rsx.std.art_start;
+            let zeros = vec![0.0; art_start];
+            let mut red = vec![0.0; art_start];
+            let mut neg_alpha = vec![0.0; art_start];
+            for _ in 0..(2 * m).max(64) {
+                let mut pos = None;
+                let mut most = -config.feas_tol;
+                for (r, &v) in rsx.xb.iter().enumerate() {
+                    if v < most {
+                        most = v;
+                        pos = Some(r);
+                    }
+                }
+                let Some(pos) = pos else {
+                    return true;
+                };
+                let y = rsx.multipliers(cost);
+                rsx.std.csc.price_into(&y, cost, &rsx.in_basis, &mut red);
+                let mut e = vec![0.0; m];
+                e[pos] = 1.0;
+                let beta = rsx.btran_vec(e);
+                rsx.std
+                    .csc
+                    .price_into(&beta, &zeros, &rsx.in_basis, &mut neg_alpha);
+                let mut best: Option<(usize, f64)> = None;
+                for (j, (&na, &dj)) in neg_alpha.iter().zip(&red).enumerate() {
+                    if rsx.in_basis[j] || na <= config.eps {
+                        continue;
+                    }
+                    let ratio = dj.max(0.0) / na;
+                    if best.is_none_or(|(_, b)| ratio < b - config.eps) {
+                        best = Some((j, ratio));
+                    }
+                }
+                let Some((col, _)) = best else {
+                    return false;
+                };
+                let d = rsx.ftran_col(col);
+                if d[pos] >= -config.eps || rsx.pivot(pos, col, &d, config).is_err() {
+                    return false;
+                }
+                note_pivot();
+            }
+            false
+        }
+
+        /// [`solve_with_basis`] driven by the loops above: the values,
+        /// objective, final basis and how the solve started.
+        pub(super) fn solve(
+            problem: &Problem,
+            config: &RevisedConfig,
+            warm: Option<&BasisSnapshot>,
+        ) -> Result<(Vec<f64>, f64, BasisSnapshot, WarmOutcome), LpError> {
+            let std_form = StdForm::build(problem);
+            let sign = match problem.sense() {
+                Sense::Maximize => -1.0,
+                Sense::Minimize => 1.0,
+            };
+            let mut c2 = vec![0.0; std_form.n_total];
+            for (j, &c) in problem.objective_vec().iter().enumerate() {
+                c2[j] = sign * c;
+            }
+            let (mut rsx, outcome) = match warm {
+                Some(snap) => match Rsx::try_warm(std_form, &snap.cols, config) {
+                    Ok(mut w) => {
+                        if dual_repair(&mut w, &c2, config)
+                            && w.artificial_mass() <= config.feas_tol
+                        {
+                            (w, WarmOutcome::Warm)
+                        } else {
+                            (Rsx::cold(w.std), WarmOutcome::FellBack)
+                        }
+                    }
+                    Err(std_form) => (Rsx::cold(std_form), WarmOutcome::FellBack),
+                },
+                None => (Rsx::cold(std_form), WarmOutcome::Cold),
+            };
+            if outcome != WarmOutcome::Warm && rsx.std.n_total > rsx.std.art_start {
+                let mut c1 = vec![0.0; rsx.std.n_total];
+                for c in c1.iter_mut().skip(rsx.std.art_start) {
+                    *c = 1.0;
+                }
+                optimize(&mut rsx, &c1, config)?;
+                if rsx.artificial_mass() > config.feas_tol {
+                    return Err(LpError::Infeasible);
+                }
+                rsx.drive_out_artificials(config)?;
+            }
+            optimize(&mut rsx, &c2, config)?;
+            let mut x = vec![0.0; rsx.std.n];
+            for (r, &c) in rsx.basis.iter().enumerate() {
+                if c < rsx.std.n {
+                    x[c] = rsx.xb[r].max(0.0);
+                }
+            }
+            let snapshot = BasisSnapshot {
+                cols: rsx.basis.iter().map(|&c| rsx.std.unresolve(c)).collect(),
+            };
+            Ok((x.clone(), problem.objective_at(&x), snapshot, outcome))
+        }
+    }
+
+    /// A random program shaped like the slot LP: one start-once row
+    /// `Σ y ≤ 1` per request, then per station the nested prefix rows
+    /// `Σ_{l' ≤ l} w·y ≤ cap·l`, all `≤`. The structure and base values
+    /// depend on `seed` alone; `shift` scales a second random stream into
+    /// the rewards and capacities, so `shift = 0` is the base program and
+    /// any other value a neighbour a warm start must repair into.
+    fn slot_shaped(
+        seed: u64,
+        requests: usize,
+        stations: usize,
+        slots: usize,
+        shift: f64,
+    ) -> Problem {
+        let mut base = seed;
+        let mut moved = !seed;
+        let next = |s: &mut u64| {
+            *s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((*s >> 11) as f64) / ((1u64 << 53) as f64)
+        };
+        let mut p = Problem::new(Sense::Maximize);
+        // (request, station, weight, first column) per feasible pair.
+        let mut runs = Vec::new();
+        for j in 0..requests {
+            let reward = 1.0 + 9.0 * next(&mut base);
+            for s in 0..stations {
+                let feasible = next(&mut base) < 0.7;
+                let weight = 0.5 + 2.5 * next(&mut base);
+                if !feasible {
+                    continue;
+                }
+                let first = p.var_count();
+                for l in 0..slots {
+                    let wobble = 1.0 + shift * (2.0 * next(&mut moved) - 1.0);
+                    p.add_var(reward * (1.0 - 0.15 * l as f64) * wobble);
+                }
+                runs.push((j, s, weight, first));
+            }
+        }
+        for j in 0..requests {
+            let coeffs: Vec<_> = runs
+                .iter()
+                .filter(|run| run.0 == j)
+                .flat_map(|&(_, _, _, first)| (first..first + slots).map(|v| (VarId(v), 1.0)))
+                .collect();
+            if !coeffs.is_empty() {
+                p.add_constraint(coeffs, Cmp::Le, 1.0);
+            }
+        }
+        for s in 0..stations {
+            let cap = (1.0 + 3.0 * next(&mut base)) * (1.0 - shift * next(&mut moved));
+            for l in 0..slots {
+                let coeffs: Vec<_> = runs
+                    .iter()
+                    .filter(|run| run.1 == s)
+                    .flat_map(|&(_, _, w, first)| (first..=first + l).map(move |v| (VarId(v), w)))
+                    .collect();
+                if !coeffs.is_empty() {
+                    p.add_constraint(coeffs, Cmp::Le, cap * (l + 1) as f64);
+                }
+            }
+        }
+        p
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Carrying the reduced costs by the pivot row walks exactly the
+        /// full-pricing reference's path, cold and warm from a neighbour,
+        /// with the default eta file and with one refactorized every three
+        /// pivots: same start, final basis, pivot count, and bitwise the
+        /// same point and objective.
+        #[test]
+        fn carried_pricing_pivots_like_full_pricing(
+            seed in 0u64..u64::MAX,
+            requests in 1usize..20,
+            stations in 1usize..5,
+            slots in 1usize..6,
+            shift in 0.05f64..0.6,
+        ) {
+            let base = slot_shaped(seed, requests, stations, slots, 0.0);
+            let moved = slot_shaped(seed, requests, stations, slots, shift);
+            for config in [cfg(), RevisedConfig { refactor_every: 3, ..cfg() }] {
+                let (_, snap, _) = solve_with_basis(&base, &config, None).unwrap();
+                for (problem, warm) in [(&base, None), (&moved, None), (&moved, Some(&snap))] {
+                    let start = crate::pivots_performed();
+                    let (sol, basis, how) = solve_with_basis(problem, &config, warm).unwrap();
+                    let mid = crate::pivots_performed();
+                    let (x, objective, want_basis, want_how) =
+                        full_pricing::solve(problem, &config, warm).unwrap();
+                    let end = crate::pivots_performed();
+                    prop_assert_eq!(how, want_how);
+                    prop_assert_eq!(&basis, &want_basis);
+                    prop_assert_eq!(mid - start, end - mid);
+                    prop_assert_eq!(bits(sol.values()), bits(&x));
+                    prop_assert_eq!(sol.objective().to_bits(), objective.to_bits());
+                }
+            }
+        }
     }
 }
