@@ -30,7 +30,7 @@ pub struct BenchEntry {
 /// One parsed `BENCH_<bench>.json` file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// The bench target name (`lp_solver`, `fig3_runtime`, ...).
+    /// The bench target name (`online_slot`, `fig3_runtime`, ...).
     pub bench: String,
     /// Per-benchmark timings.
     pub entries: Vec<BenchEntry>,

@@ -62,60 +62,6 @@ where
         .collect()
 }
 
-/// Runs `f` over `items` in parallel and returns the results in item
-/// order — the work-list twin of [`parallel_seeds`].
-///
-/// Used to fan independent per-slot LP solves (or any other shared-nothing
-/// batch) across cores: at most `available_parallelism` scoped workers run
-/// at once, each owning a contiguous chunk of the items, so the output
-/// order is deterministic and nothing is sent between workers mid-flight.
-/// On a single-core host the batch runs serially in place.
-///
-/// # Panics
-///
-/// Propagates any panic from `f`.
-pub fn parallel_map<I, T, F>(items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    if items.len() <= 1 || cores <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let workers = cores.min(items.len());
-    let chunk = items.len().div_ceil(workers);
-    let mut results: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut rest: &mut [Option<T>] = &mut results;
-        let mut remaining: &[I] = items;
-        let mut handles = Vec::with_capacity(workers);
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (out_slice, out_tail) = rest.split_at_mut(take);
-            let (in_slice, in_tail) = remaining.split_at(take);
-            rest = out_tail;
-            remaining = in_tail;
-            handles.push(scope.spawn(move || {
-                for (slot, item) in out_slice.iter_mut().zip(in_slice) {
-                    *slot = Some(f(item));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("map worker panicked");
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every item filled"))
-        .collect()
-}
-
 /// Element-wise mean of per-seed metric vectors (each inner vector is one
 /// seed's row of per-algorithm values).
 ///
@@ -149,19 +95,6 @@ mod tests {
     fn single_run_stays_inline() {
         assert_eq!(parallel_seeds(1, |s| s + 1), vec![1]);
         assert!(parallel_seeds(0, |s| s).is_empty());
-    }
-
-    #[test]
-    fn parallel_map_preserves_item_order() {
-        let items: Vec<u64> = (0..9).collect();
-        let out = parallel_map(&items, |&i| i * 3);
-        assert_eq!(out, vec![0, 3, 6, 9, 12, 15, 18, 21, 24]);
-    }
-
-    #[test]
-    fn parallel_map_handles_tiny_batches() {
-        assert_eq!(parallel_map(&[7u64], |&i| i + 1), vec![8]);
-        assert!(parallel_map::<u64, u64, _>(&[], |&i| i).is_empty());
     }
 
     #[test]

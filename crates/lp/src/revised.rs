@@ -4,12 +4,18 @@
 //! Where [`crate::simplex`] rebuilds and eliminates a dense `m × n` tableau
 //! on every pivot, this solver keeps the constraint matrix in CSC form
 //! ([`crate::sparse::CscMatrix`]) and represents the basis inverse as a
-//! refactorized dense seed `B₀⁻¹` composed with an *eta file* of `k`
-//! rank-one pivot updates. It carries the reduced costs `d` from pivot to
-//! pivot instead of repricing every column. Per iteration it scans `d` for
-//! the entering column (`O(n)`, no arithmetic on the matrix), runs one FTRAN
-//! of that column (`O(m·nnz(a_q) + k·m)`) and the ratio test, then one BTRAN
-//! for the leaving row `ρ = e_rᵀB⁻¹` (`O(k·m + m²)`). It forms the pivot
+//! refactorized basis `B₀` composed with an *eta file* of rank-one pivot
+//! updates, each eta column stored as its nonzeros. `B₀` is factored
+//! around its unit columns: every basic slack, surplus or artificial
+//! covers its own row, so only the kernel of the `k` other basic columns
+//! on the `k` uncovered rows is inverted densely (`O(k³)` per
+//! refactorization, where `k` is a fraction of `m`). A solve with `B₀`
+//! costs `O(k² + nnz(B₀))`, and each eta its own nonzeros. It carries the
+//! reduced costs `d` from pivot to pivot instead of repricing every
+//! column. Per iteration it scans `d` for the entering column (`O(n)`, no
+//! arithmetic on the matrix), runs one FTRAN of that column and the ratio
+//! test, then one BTRAN for the leaving row `ρ = e_rᵀB⁻¹`, each
+//! `O(k² + nnz(B₀))` plus the eta nonzeros. It forms the pivot
 //! row `α_r = ρᵀA` from the problem's own row-major rows over the nonzeros
 //! of `ρ`, and updates `d` on just the columns that row touches. A full
 //! `O(nnz)` pricing sweep runs only at phase start, after each
@@ -86,7 +92,7 @@ pub struct RevisedConfig {
     /// After this many pivots in a phase, switch from Dantzig to Bland's
     /// anti-cycling rule.
     pub bland_after: usize,
-    /// Refactorize `B₀⁻¹` (and drop the eta file) after this many etas.
+    /// Refactorize `B₀` (and drop the eta file) after this many etas.
     /// Bounds both per-FTRAN work and accumulated drift.
     pub refactor_every: usize,
     /// Primal feasibility tolerance for accepting a warm basis.
@@ -334,10 +340,176 @@ impl<'a> StdForm<'a> {
 }
 
 /// One product-form update: the basis inverse gains a left factor `E`
-/// equal to the identity with column `row` replaced by `col`.
+/// equal to the identity with column `row` replaced by the eta column.
 struct Eta {
     row: usize,
-    col: Vec<f64>,
+    /// The eta column's nonzeros as `(row, value)`, rows ascending; the
+    /// entry at `row` holds `1/pivot`.
+    col: Vec<(usize, f64)>,
+}
+
+/// Applies the eta file to `x` in pivot order (the FTRAN half that follows
+/// the factor).
+fn ftran_etas(etas: &[Eta], x: &mut [f64]) {
+    for eta in etas {
+        let t = x[eta.row];
+        if t != 0.0 {
+            for &(i, ei) in &eta.col {
+                x[i] += ei * t;
+            }
+            // eta.col holds 1/pivot at row, and the loop above added
+            // t·(1/pivot) on top of t itself; correct the pivot row.
+            x[eta.row] -= t;
+        }
+    }
+}
+
+/// Applies the eta file to the row vector `y` in reverse pivot order (the
+/// BTRAN half that precedes the factor).
+fn btran_etas(etas: &[Eta], y: &mut [f64]) {
+    for eta in etas.iter().rev() {
+        let mut acc = 0.0;
+        for &(i, ei) in &eta.col {
+            acc += y[i] * ei;
+        }
+        y[eta.row] = acc;
+    }
+}
+
+/// The basis factored around its unit columns.
+///
+/// Every basic slack (`+1`), surplus (`−1`) or artificial (`+1`) covers its
+/// own row, so only the kernel `K = A[N, S]` needs an inverse: `S` lists the
+/// `k` basis positions holding other (structural) columns and `N` the `k`
+/// rows no unit covers. Solving `B x = a` takes `x_S = K⁻¹ a_N`, then each
+/// unit at position `p` covering row `u` with sign `s` takes
+/// `x_p = s·(a_u − Σ_q A[u, S_q]·x_{S_q})`; `yᵀB = cᵀ` runs the same steps
+/// backwards. On the slot LP most basic columns are units, so `k` is a
+/// fraction of `m` and a refactorization costs `O(k³)`, not `O(m³)`.
+struct Factor {
+    /// `(position, row, sign)` of each basic unit column.
+    units: Vec<(usize, usize, f64)>,
+    /// `S`: the basis position of each kernel column.
+    kernel_pos: Vec<usize>,
+    /// The matrix column at each position of `S`.
+    kernel_cols: Vec<usize>,
+    /// `N`: the uncovered rows, ascending.
+    kernel_rows: Vec<usize>,
+    /// `K⁻¹`, row-major `k × k`: row `q` is position `S_q`.
+    kinv: Vec<f64>,
+    /// `K⁻ᵀ`, row-major, so FTRAN reads `K⁻¹`'s columns contiguously.
+    kinv_t: Vec<f64>,
+}
+
+impl Factor {
+    /// Factors the basis of `std` whose position `p` holds column
+    /// `basis[p]`. `Err` names a dependent position: the second of two
+    /// units covering one row, or the kernel column with no pivot above
+    /// `eps`.
+    fn new(std: &StdForm, basis: &[usize], eps: f64) -> Result<Self, usize> {
+        let (csc, m) = (&std.csc, std.m);
+        let mut covered = vec![false; m];
+        let mut units = Vec::new();
+        let mut kernel_pos = Vec::new();
+        let mut kernel_cols = Vec::new();
+        for (p, &c) in basis.iter().enumerate() {
+            if c < std.n {
+                kernel_pos.push(p);
+                kernel_cols.push(c);
+                continue;
+            }
+            let (u, s) = csc.column(c).next().expect("unit columns hold one entry");
+            if std::mem::replace(&mut covered[u], true) {
+                return Err(p);
+            }
+            units.push((p, u, s));
+        }
+        let kernel_rows: Vec<usize> = (0..m).filter(|&r| !covered[r]).collect();
+        let k = kernel_pos.len();
+        debug_assert_eq!(kernel_rows.len(), k, "one kernel row per kernel column");
+        let mut kernel_index = vec![usize::MAX; m];
+        for (i, &r) in kernel_rows.iter().enumerate() {
+            kernel_index[r] = i;
+        }
+        let mut kmat = vec![0.0; k * k];
+        for (q, &c) in kernel_cols.iter().enumerate() {
+            for (r, v) in csc.column(c) {
+                let i = kernel_index[r];
+                if i != usize::MAX {
+                    kmat[i * k + q] = v;
+                }
+            }
+        }
+        let kinv = invert(kmat, k, eps).map_err(|q| kernel_pos[q])?;
+        let mut kinv_t = vec![0.0; k * k];
+        for q in 0..k {
+            for i in 0..k {
+                kinv_t[i * k + q] = kinv[q * k + i];
+            }
+        }
+        Ok(Self {
+            units,
+            kernel_pos,
+            kernel_cols,
+            kernel_rows,
+            kinv,
+            kinv_t,
+        })
+    }
+
+    /// Solves `B x = a`, returning `x` by basis position; `a` is by row
+    /// and is overwritten.
+    fn ftran(&self, csc: &CscMatrix, a: &mut [f64]) -> Vec<f64> {
+        let k = self.kernel_pos.len();
+        let mut xs = vec![0.0; k];
+        for (i, &r) in self.kernel_rows.iter().enumerate() {
+            let ar = a[r];
+            if ar != 0.0 {
+                for (xq, &kq) in xs.iter_mut().zip(&self.kinv_t[i * k..(i + 1) * k]) {
+                    *xq += ar * kq;
+                }
+            }
+        }
+        let mut x = vec![0.0; a.len()];
+        for ((&p, &c), &xq) in self.kernel_pos.iter().zip(&self.kernel_cols).zip(&xs) {
+            x[p] = xq;
+            if xq != 0.0 {
+                // Take the kernel columns' share out of the covered rows;
+                // what they leave in the kernel rows is never read again.
+                for (r, v) in csc.column(c) {
+                    a[r] -= v * xq;
+                }
+            }
+        }
+        for &(p, u, s) in &self.units {
+            x[p] = s * a[u];
+        }
+        x
+    }
+
+    /// Solves `yᵀB = cᵀ`, returning `y` by row; `c` is by basis position.
+    fn btran(&self, csc: &CscMatrix, c: &[f64]) -> Vec<f64> {
+        let k = self.kernel_pos.len();
+        let mut y = vec![0.0; c.len()];
+        for &(p, u, s) in &self.units {
+            y[u] = s * c[p];
+        }
+        // Kernel rows of y are still zero here, so a whole-column dot
+        // subtracts the covered rows' share alone.
+        let mut yn = vec![0.0; k];
+        for (q, (&p, &col)) in self.kernel_pos.iter().zip(&self.kernel_cols).enumerate() {
+            let w = c[p] - csc.dot_column(&y, col);
+            if w != 0.0 {
+                for (yi, &kq) in yn.iter_mut().zip(&self.kinv[q * k..(q + 1) * k]) {
+                    *yi += w * kq;
+                }
+            }
+        }
+        for (&r, &yi) in self.kernel_rows.iter().zip(&yn) {
+            y[r] = yi;
+        }
+        y
+    }
 }
 
 /// Revised simplex working state.
@@ -345,8 +517,9 @@ struct Rsx<'a> {
     std: StdForm<'a>,
     basis: Vec<usize>,
     in_basis: Vec<bool>,
-    /// Dense seed inverse `B₀⁻¹`, row-major `m × m`.
-    binv0: Vec<f64>,
+    /// The basis as last refactorized, `B₀`; the eta file carries it to
+    /// the current basis.
+    factor: Factor,
     etas: Vec<Eta>,
     /// Current basic values `x_B = B⁻¹ b`, updated incrementally.
     xb: Vec<f64>,
@@ -411,38 +584,59 @@ fn invert(mut a: Vec<f64>, m: usize, eps: f64) -> Result<Vec<f64>, usize> {
 }
 
 impl<'a> Rsx<'a> {
-    /// Working state for `basis` with seed inverse `binv0` and basic
-    /// values `xb`, an empty eta file and unpriced reduced costs.
-    fn new(std: StdForm<'a>, basis: Vec<usize>, binv0: Vec<f64>, xb: Vec<f64>) -> Self {
+    /// Working state for `basis` with its `factor`, basic values solved
+    /// from the rhs, an empty eta file and unpriced reduced costs.
+    fn new(std: StdForm<'a>, basis: Vec<usize>, factor: Factor) -> Self {
         let mut in_basis = vec![false; std.n_total];
         for &c in &basis {
             in_basis[c] = true;
         }
         let priced = std.art_start;
-        Self {
+        let mut rsx = Self {
             std,
             basis,
             in_basis,
-            binv0,
+            factor,
             etas: Vec::new(),
-            xb,
+            xb: Vec::new(),
             d: vec![0.0; priced],
             alpha: vec![0.0; priced],
             in_row: vec![false; priced],
             touched: Vec::new(),
+        };
+        rsx.solve_xb();
+        rsx
+    }
+
+    /// Solves `x_B = B₀⁻¹ b` from the factor alone (the eta file must be
+    /// empty), checking in debug builds that `B x_B` reproduces `b`.
+    fn solve_xb(&mut self) {
+        debug_assert!(self.etas.is_empty(), "x_B solved through a stale factor");
+        let mut b = self.std.rhs.clone();
+        self.xb = self.factor.ftran(&self.std.csc, &mut b);
+        if cfg!(debug_assertions) {
+            let mut residual: Vec<f64> = self.std.rhs.iter().map(|&b| -b).collect();
+            for (&c, &x) in self.basis.iter().zip(&self.xb) {
+                for (r, v) in self.std.csc.column(c) {
+                    residual[r] += v * x;
+                }
+            }
+            let worst = residual.iter().fold(0.0f64, |w, r| w.max(r.abs()));
+            let scale = self.std.rhs.iter().fold(1.0f64, |w, b| w.max(b.abs()));
+            debug_assert!(
+                worst <= 1e-9 * scale,
+                "basis solve residual {worst} exceeds 1e-9 of rhs scale {scale}"
+            );
         }
     }
 
-    /// Cold state: the all-slack/artificial basis is `B = I`.
+    /// Cold state: the all-slack/artificial basis, whose factor has an
+    /// empty kernel.
     fn cold(std: StdForm<'a>) -> Self {
-        let m = std.m;
         let basis = std.init_basis.clone();
-        let mut binv0 = vec![0.0; m * m];
-        for i in 0..m {
-            binv0[i * m + i] = 1.0;
-        }
-        let xb = std.rhs.clone();
-        Self::new(std, basis, binv0, xb)
+        let factor =
+            Factor::new(&std, &basis, 0.0).expect("one unit column per row is nonsingular");
+        Self::new(std, basis, factor)
     }
 
     /// Tries to install `cols` as a *rank-valid* starting basis of `std`;
@@ -502,22 +696,8 @@ impl<'a> Rsx<'a> {
                 *slot = unit;
             }
         }
-        let mut b_mat = vec![0.0; m * m];
-        for (r, &c) in basis.iter().enumerate() {
-            for (i, v) in std.csc.column(c) {
-                b_mat[i * m + r] = v;
-            }
-        }
-        if let Ok(binv0) = invert(b_mat, m, config.eps) {
-            let mut xb = vec![0.0; m];
-            for i in 0..m {
-                let mut acc = 0.0;
-                for j in 0..m {
-                    acc += binv0[i * m + j] * std.rhs[j];
-                }
-                xb[i] = acc;
-            }
-            return Ok(Self::new(std, basis, binv0, xb));
+        if let Ok(factor) = Factor::new(&std, &basis, config.eps) {
+            return Ok(Self::new(std, basis, factor));
         }
         Self::crash_install(std, &candidates, config)
     }
@@ -611,14 +791,8 @@ impl<'a> Rsx<'a> {
                     in_basis[*slot] = true;
                 }
 
-                let mut b_mat = vec![0.0; m * m];
-                for (r, &c) in basis.iter().enumerate() {
-                    for (i, v) in std.csc.column(c) {
-                        b_mat[i * m + r] = v;
-                    }
-                }
-                let binv0 = match invert(b_mat, m, config.eps) {
-                    Ok(b) => b,
+                match Factor::new(&std, &basis, config.eps) {
+                    Ok(factor) => return Some((basis, factor)),
                     Err(pos) => {
                         // Near-dependence the crash's eps missed: ban the
                         // offender and retry, unless it is already banned
@@ -629,21 +803,12 @@ impl<'a> Rsx<'a> {
                         excluded[basis[pos]] = true;
                         continue 'round;
                     }
-                };
-                let mut xb = vec![0.0; m];
-                for i in 0..m {
-                    let mut acc = 0.0;
-                    for j in 0..m {
-                        acc += binv0[i * m + j] * std.rhs[j];
-                    }
-                    xb[i] = acc;
                 }
-                return Some((basis, binv0, xb));
             }
             None
         })();
         match validated {
-            Some((basis, binv0, xb)) => Ok(Self::new(std, basis, binv0, xb)),
+            Some((basis, factor)) => Ok(Self::new(std, basis, factor)),
             None => Err(std),
         }
     }
@@ -659,47 +824,17 @@ impl<'a> Rsx<'a> {
 
     /// FTRAN: `B⁻¹ a_col` for a matrix column.
     fn ftran_col(&self, col: usize) -> Vec<f64> {
-        let m = self.std.m;
-        let mut x = vec![0.0; m];
-        for (r, v) in self.std.csc.column(col) {
-            for (i, xi) in x.iter_mut().enumerate() {
-                *xi += self.binv0[i * m + r] * v;
-            }
-        }
-        for eta in &self.etas {
-            let t = x[eta.row];
-            if t != 0.0 {
-                for (xi, &ei) in x.iter_mut().zip(&eta.col) {
-                    *xi += ei * t;
-                }
-                // eta.col[row] holds 1/pivot, and the loop above added
-                // t·(1/pivot) on top of t itself; correct the pivot row.
-                x[eta.row] -= t;
-            }
-        }
+        let mut a = vec![0.0; self.std.m];
+        self.std.csc.scatter_column(col, &mut a);
+        let mut x = self.factor.ftran(&self.std.csc, &mut a);
+        ftran_etas(&self.etas, &mut x);
         x
     }
 
     /// BTRAN: `yᵀ = y₀ᵀ B⁻¹` for a dense row vector.
     fn btran_vec(&self, mut y: Vec<f64>) -> Vec<f64> {
-        let m = self.std.m;
-        for eta in self.etas.iter().rev() {
-            let mut acc = 0.0;
-            for (&yi, &ei) in y.iter().zip(&eta.col) {
-                acc += yi * ei;
-            }
-            y[eta.row] = acc;
-        }
-        let mut z = vec![0.0; m];
-        for (i, &yi) in y.iter().enumerate() {
-            if yi != 0.0 {
-                let row = &self.binv0[i * m..(i + 1) * m];
-                for (zj, bij) in z.iter_mut().zip(row) {
-                    *zj += yi * bij;
-                }
-            }
-        }
-        z
+        btran_etas(&self.etas, &mut y);
+        self.factor.btran(&self.std.csc, &y)
     }
 
     /// The simplex multipliers `yᵀ = c_Bᵀ B⁻¹` for a phase cost vector.
@@ -708,34 +843,22 @@ impl<'a> Rsx<'a> {
         self.btran_vec(y0)
     }
 
-    /// Rebuilds `B₀⁻¹` from the current basis and clears the eta file.
+    /// Refactors the current basis, clears the eta file and re-solves
+    /// `x_B`.
     fn refactor(&mut self, config: &RevisedConfig) -> Result<(), LpError> {
         note_refactor();
-        let m = self.std.m;
-        let mut b_mat = vec![0.0; m * m];
-        for (r, &c) in self.basis.iter().enumerate() {
-            for (i, v) in self.std.csc.column(c) {
-                b_mat[i * m + r] = v;
-            }
-        }
         // A basis reached by valid pivots is nonsingular in exact
         // arithmetic; a singular factorization here means the eta file
         // drifted beyond repair.
-        let binv0 = invert(b_mat, m, config.eps).map_err(|_| LpError::IterationLimit)?;
-        self.binv0 = binv0;
+        self.factor =
+            Factor::new(&self.std, &self.basis, config.eps).map_err(|_| LpError::IterationLimit)?;
         self.etas.clear();
-        for i in 0..m {
-            let mut acc = 0.0;
-            for j in 0..m {
-                acc += self.binv0[i * m + j] * self.std.rhs[j];
-            }
-            self.xb[i] = acc;
-        }
+        self.solve_xb();
         Ok(())
     }
 
     /// One pivot: `col` enters at `row`; `d = B⁻¹ a_col` from the caller.
-    /// Returns whether the eta file filled up and `B₀⁻¹` was refactorized.
+    /// Returns whether the eta file filled up and the basis was refactorized.
     fn pivot(
         &mut self,
         row: usize,
@@ -743,7 +866,6 @@ impl<'a> Rsx<'a> {
         d: &[f64],
         config: &RevisedConfig,
     ) -> Result<bool, LpError> {
-        let m = self.std.m;
         let dr = d[row];
         debug_assert!(dr.abs() > 0.0, "zero pivot");
         let t = self.xb[row] / dr;
@@ -753,12 +875,13 @@ impl<'a> Rsx<'a> {
             }
         }
         self.xb[row] = t;
-        let mut col_vec = vec![0.0; m];
         let inv = 1.0 / dr;
-        for (ci, &di) in col_vec.iter_mut().zip(d) {
-            *ci = -di * inv;
-        }
-        col_vec[row] = inv;
+        let col_vec = d
+            .iter()
+            .enumerate()
+            .map(|(i, &di)| (i, if i == row { inv } else { -di * inv }))
+            .filter(|&(_, v)| v != 0.0)
+            .collect();
         self.in_basis[self.basis[row]] = false;
         self.in_basis[col] = true;
         self.basis[row] = col;
@@ -1262,10 +1385,21 @@ mod tests {
             .find(|&r| rsx.basis[r] >= rsx.std.art_start)
             .expect("a redundant artificial stays basic");
         let artificial = rsx.basis[art_row];
-        // Rounding in B⁻¹ leaves that row a stray 1e-6 on row 0 of A,
-        // where only the basic x and y have entries.
+        // Rounding in B⁻¹ leaves that row a stray 1e-6 on the other
+        // equality row of A, where only the basic x and y have entries: the
+        // artificial's row of B⁻¹ reaches the kernel rows through
+        // `w = −A[u, S] = (−1, −1)`, so one entry of K⁻¹ (and its
+        // transpose) carries the error.
         rsx.refactor(&cfg()).unwrap();
-        rsx.binv0[art_row * rsx.std.m] += 1e-6;
+        let f = &mut rsx.factor;
+        let k = f.kernel_pos.len();
+        let eq_row = f
+            .kernel_rows
+            .iter()
+            .position(|&r| r < 2)
+            .expect("one equality row stays in the kernel");
+        f.kinv[eq_row] -= 1e-6;
+        f.kinv_t[eq_row * k] -= 1e-6;
         rsx.drive_out_artificials(&cfg()).unwrap();
         assert_eq!(rsx.basis[art_row], artificial);
         let mut seen = vec![false; rsx.std.n_total];
@@ -1741,6 +1875,251 @@ mod tests {
                     prop_assert_eq!(bits(sol.values()), bits(&x));
                     prop_assert_eq!(sol.objective().to_bits(), objective.to_bits());
                 }
+            }
+        }
+    }
+
+    /// A stream of uniforms in `[0, 1)` from `seed`.
+    fn uniforms(seed: u64) -> impl FnMut() -> f64 {
+        let mut s = seed;
+        move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 11) as f64) / ((1u64 << 53) as f64)
+        }
+    }
+
+    /// [`slot_shaped`] plus `extra` rows of the other kinds the standard
+    /// form handles: `≥` rows, `=` rows, and rows with a negative rhs in
+    /// either sense, which the normalization negates. Two extra variables
+    /// appear only in those rows with one column exactly twice the other,
+    /// so a basis holding both is singular.
+    fn mixed_rows(
+        seed: u64,
+        requests: usize,
+        stations: usize,
+        slots: usize,
+        extra: usize,
+    ) -> Problem {
+        let mut p = slot_shaped(seed, requests, stations, slots, 0.0);
+        let mut next = uniforms(!seed);
+        let n = p.var_count();
+        let twin = p.add_var(1.5);
+        let double = p.add_var(2.0);
+        for _ in 0..extra {
+            let mut coeffs = Vec::new();
+            for v in 0..n {
+                if next() < 0.3 {
+                    coeffs.push((VarId(v), 0.5 + 1.5 * next()));
+                }
+            }
+            let a = 0.5 + next();
+            coeffs.push((twin, a));
+            coeffs.push((double, 2.0 * a));
+            let b = 0.1 + next();
+            let (cmp, rhs) = match (4.0 * next()) as usize {
+                0 => (Cmp::Ge, b),
+                1 => (Cmp::Eq, b),
+                2 => (Cmp::Le, -b),
+                _ => (Cmp::Ge, -b),
+            };
+            p.add_constraint(coeffs, cmp, rhs);
+        }
+        p
+    }
+
+    /// The dense Gauss-Jordan inverse of the basis, row-major: row `p` is
+    /// basis position `p`.
+    fn dense_inverse(std: &StdForm, basis: &[usize]) -> Result<Vec<f64>, usize> {
+        let m = std.m;
+        let mut b = vec![0.0; m * m];
+        for (p, &c) in basis.iter().enumerate() {
+            for (i, v) in std.csc.column(c) {
+                b[i * m + p] = v;
+            }
+        }
+        invert(b, m, cfg().eps)
+    }
+
+    fn assert_near(got: &[f64], want: &[f64]) {
+        let scale = want.iter().fold(1.0f64, |w, v| w.max(v.abs()));
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!((g - w).abs() <= 1e-9 * scale, "entry {i}: {g} vs dense {w}");
+        }
+    }
+
+    /// FTRAN/BTRAN over dense eta columns: the loops the sparse eta file
+    /// must reproduce exactly.
+    fn dense_ftran_etas(etas: &[(usize, Vec<f64>)], x: &mut [f64]) {
+        for (row, col) in etas {
+            let t = x[*row];
+            if t != 0.0 {
+                for (xi, &ei) in x.iter_mut().zip(col) {
+                    *xi += ei * t;
+                }
+                x[*row] -= t;
+            }
+        }
+    }
+
+    fn dense_btran_etas(etas: &[(usize, Vec<f64>)], y: &mut [f64]) {
+        for (row, col) in etas.iter().rev() {
+            let mut acc = 0.0;
+            for (&yi, &ei) in y.iter().zip(col) {
+                acc += yi * ei;
+            }
+            y[*row] = acc;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The kernel factor solves `B x = a` and `yᵀB = cᵀ` like the
+        /// dense inverse of the whole basis, and fails exactly when that
+        /// inverse does. Bases mix structural, slack, surplus and
+        /// artificial columns at random; some hold a row's surplus and its
+        /// artificial together, some the two proportional columns.
+        #[test]
+        fn kernel_factor_solves_like_the_dense_inverse(
+            seed in 0u64..u64::MAX,
+            requests in 1usize..10,
+            stations in 1usize..4,
+            slots in 1usize..4,
+            extra in 1usize..6,
+            pair in 0usize..3,
+        ) {
+            let p = mixed_rows(seed, requests, stations, slots, extra);
+            let std = StdForm::build(&p);
+            let (m, n) = (std.m, std.n);
+            let mut next = uniforms(seed ^ 0x5eed);
+            let mut pick = |len: usize| ((next() * len as f64) as usize).min(len.max(1) - 1);
+            // Start from one unit column per row, a random one of the
+            // row's slack, surplus and artificial, then let random
+            // structural columns replace positions where their FTRAN has a
+            // clear pivot, so the basis stays nonsingular.
+            let mut basis: Vec<usize> = (0..m)
+                .map(|r| {
+                    let units: Vec<usize> =
+                        [std.slack_of_row[r], std.surplus_of_row[r], std.art_of_row[r]]
+                            .into_iter()
+                            .flatten()
+                            .collect();
+                    units[pick(units.len())]
+                })
+                .collect();
+            for _ in 0..pick(m + 1) {
+                let j = pick(n);
+                if basis.contains(&j) {
+                    continue;
+                }
+                let binv =
+                    dense_inverse(&std, &basis).expect("exchanges keep the basis nonsingular");
+                let mut a = vec![0.0; m];
+                std.csc.scatter_column(j, &mut a);
+                let clear: Vec<usize> = (0..m)
+                    .filter(|&p| (0..m).map(|i| binv[p * m + i] * a[i]).sum::<f64>().abs() > 0.1)
+                    .collect();
+                if let Some(&p) = clear.get(pick(clear.len())) {
+                    basis[p] = j;
+                }
+            }
+            // Force a known singularity into some bases.
+            match pair {
+                0 => {
+                    // Units sit only at their own row's position, so this
+                    // places each of the pair once.
+                    if let Some(r) = (0..m).find(|&r| std.surplus_of_row[r].is_some()) {
+                        basis[r] = std.surplus_of_row[r].unwrap();
+                        basis[(r + 1 + pick(m - 1)) % m] = std.art_of_row[r].unwrap();
+                    }
+                }
+                1 => {
+                    let (twin, double) = (n - 2, n - 1);
+                    if m >= 2 && !basis.contains(&twin) && !basis.contains(&double) {
+                        basis[0] = twin;
+                        basis[m - 1] = double;
+                    }
+                }
+                _ => {}
+            }
+
+            let dense = dense_inverse(&std, &basis);
+            let factor = Factor::new(&std, &basis, cfg().eps);
+            prop_assert_eq!(factor.is_err(), dense.is_err(), "basis {:?}", basis);
+            if let (Ok(factor), Ok(binv)) = (factor, dense) {
+                // B⁻¹a by position, and cᵀB⁻¹ by row.
+                let solve = |a: &[f64]| -> Vec<f64> {
+                    (0..m).map(|p| (0..m).map(|i| binv[p * m + i] * a[i]).sum()).collect()
+                };
+                let solve_t = |c: &[f64]| -> Vec<f64> {
+                    (0..m).map(|i| (0..m).map(|p| c[p] * binv[p * m + i]).sum()).collect()
+                };
+                let mut inputs: Vec<Vec<f64>> = (0..std.n_total)
+                    .map(|c| {
+                        let mut a = vec![0.0; m];
+                        std.csc.scatter_column(c, &mut a);
+                        a
+                    })
+                    .collect();
+                inputs.push(std.rhs.clone());
+                inputs.push((0..m).map(|_| next() - 0.5).collect());
+                for a in &inputs {
+                    assert_near(&factor.ftran(&std.csc, &mut a.clone()), &solve(a));
+                    assert_near(&factor.btran(&std.csc, a), &solve_t(a));
+                }
+            }
+        }
+
+        /// Sparse eta columns give the dense eta loops' FTRAN and BTRAN
+        /// results exactly, over random pivot sequences.
+        #[test]
+        fn sparse_etas_match_the_dense_loops(
+            seed in 0u64..u64::MAX,
+            requests in 1usize..10,
+            stations in 1usize..4,
+            slots in 1usize..4,
+            extra in 0usize..4,
+            pivots in 1usize..40,
+        ) {
+            let p = mixed_rows(seed, requests, stations, slots, extra);
+            let config = RevisedConfig { refactor_every: usize::MAX, ..cfg() };
+            let mut rsx = Rsx::cold(StdForm::build(&p));
+            let m = rsx.std.m;
+            let mut next = uniforms(seed ^ 0xe7a);
+            let mut dense = Vec::new();
+            for _ in 0..pivots {
+                let priced = rsx.std.art_start;
+                let col = ((next() * priced as f64) as usize).min(priced - 1);
+                if rsx.in_basis[col] {
+                    continue;
+                }
+                let d = rsx.ftran_col(col);
+                let rows: Vec<usize> = (0..m).filter(|&r| d[r].abs() > 1e-3).collect();
+                let Some(&row) = rows.get((next() * rows.len() as f64) as usize) else {
+                    continue;
+                };
+                let inv = 1.0 / d[row];
+                let mut dense_col: Vec<f64> = d.iter().map(|&di| -di * inv).collect();
+                dense_col[row] = inv;
+                dense.push((row, dense_col));
+                rsx.pivot(row, col, &d, &config).unwrap();
+            }
+            prop_assert_eq!(rsx.etas.len(), dense.len());
+            for _ in 0..8 {
+                // Exact zeros in the input exercise FTRAN's skipped etas.
+                let v: Vec<f64> = (0..m)
+                    .map(|_| if next() < 0.4 { 0.0 } else { next() - 0.5 })
+                    .collect();
+                let (mut sparse_x, mut dense_x) = (v.clone(), v.clone());
+                ftran_etas(&rsx.etas, &mut sparse_x);
+                dense_ftran_etas(&dense, &mut dense_x);
+                prop_assert_eq!(&sparse_x, &dense_x);
+                let (mut sparse_y, mut dense_y) = (v.clone(), v);
+                btran_etas(&rsx.etas, &mut sparse_y);
+                dense_btran_etas(&dense, &mut dense_y);
+                prop_assert_eq!(&sparse_y, &dense_y);
             }
         }
     }

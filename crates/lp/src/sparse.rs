@@ -5,8 +5,8 @@
 //! for the prefix rows of its station (Eq. 10/23) — five-ish nonzeros out
 //! of hundreds of rows. The dense tableau pays `O(m · n)` per pivot to
 //! ignore that structure; [`crate::revised`] walks columns through this
-//! matrix instead, so pricing costs `O(nnz)` and an FTRAN costs
-//! `O(m · nnz(col))` against the refactorized inverse.
+//! matrix instead, so pricing costs `O(nnz)`, and an FTRAN against the
+//! refactorized basis reads its structural columns from here too.
 
 /// An `m × n` sparse matrix in compressed-sparse-column form.
 ///
