@@ -26,7 +26,7 @@ OPTIONS:
                               [default: 0.5, i.e. +50%]
     --threshold <NAME=F>      per-benchmark override; NAME matches a full
                               result label (e.g. solve/120) or a bench
-                              file name (e.g. online_slot); repeatable
+                              file name (e.g. handoff_stall); repeatable
     --inject-slowdown <F>     scale current medians by F before comparing
                               (CI negative test: 2.0 must FAIL the gate)
     --update-baselines        after printing the comparison, copy every

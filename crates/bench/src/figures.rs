@@ -7,7 +7,6 @@ use crate::parallel::{mean_rows, parallel_seeds};
 use crate::params::Defaults;
 use crate::table::Table;
 use mec_bandit::{ArmId, BanditPolicy, ConfidenceSchedule, LipschitzDomain, SuccessiveElimination};
-use mec_core::model::Instance;
 use mec_core::model::Realizations;
 use mec_core::{
     Appro, DynamicRr, DynamicRrConfig, Exact, Greedy, Heu, HeuKkt, Ocorp, OfflineAlgorithm,
@@ -419,16 +418,6 @@ pub fn runs_from_env(default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Shared instance accessor for the Criterion benches.
-pub fn bench_instance(n: usize, stations: usize, seed: u64) -> (Instance, Realizations) {
-    let d = Defaults {
-        requests: n,
-        stations,
-        ..Defaults::paper()
-    };
-    d.offline_instance(seed)
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ pub struct BenchEntry {
 /// One parsed `BENCH_<bench>.json` file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// The bench target name (`online_slot`, `fig3_runtime`, ...).
+    /// The bench target name (`handoff_stall`, `obs_registry`, ...).
     pub bench: String,
     /// Per-benchmark timings.
     pub entries: Vec<BenchEntry>,
@@ -436,7 +436,7 @@ mod tests {
 
     #[test]
     fn oversubscribed_scaling_results_warn_but_do_not_fail() {
-        let text = "{\"schema\":1,\"bench\":\"serve_throughput\",\
+        let text = "{\"schema\":1,\"bench\":\"shard_sweep\",\
                     \"machine\":{\"cpus\":2,\"os\":\"linux\",\"arch\":\"x86_64\"},\
                     \"results\":[\
                     {\"name\":\"serve_replay/shards/1\",\"samples\":10,\"mean_ns\":10,\"median_ns\":10,\"p95_ns\":12,\"throughput_iters_per_sec\":1.0},\

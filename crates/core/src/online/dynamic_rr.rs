@@ -203,6 +203,9 @@ pub struct DynamicRr {
     lp_instance: Option<Instance>,
     /// Persistent slot-LP solver carrying the warm-start cache.
     lp_solver: SlotLpSolver,
+    /// The last slot's LP, rebuilt in place each slot so its vectors keep
+    /// their capacity (empty in fast mode).
+    slot_lp: SlotLp,
     /// The last slot's decision digest (recorded only while the learner
     /// probe is attached — the flight recorder's per-slot feed).
     last_decision: Option<mec_sim::DecisionRecord>,
@@ -231,6 +234,7 @@ impl DynamicRr {
             cum_reward: 0.0,
             lp_instance: None,
             lp_solver,
+            slot_lp: SlotLp::empty(),
             last_decision: None,
         }
     }
@@ -347,14 +351,14 @@ impl DynamicRr {
         let frac = if subset.is_empty() {
             None
         } else {
-            let lp = SlotLp::build(
+            self.slot_lp.rebuild(
                 instance,
                 &subset,
                 Truncation::PerRequestShare {
                     active: admitted.len().max(1),
                 },
             );
-            self.lp_solver.solve(&lp, subset.len()).ok()
+            self.lp_solver.solve(&self.slot_lp, subset.len()).ok()
         };
         for (local, &i) in waiting.iter().enumerate() {
             let view = &ctx.views[i];

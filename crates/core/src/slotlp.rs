@@ -94,7 +94,7 @@ pub struct SlotLp {
 }
 
 /// One request's contiguous variable range and its start-once row.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct StartRow {
     vars: Range<usize>,
     row: usize,
@@ -142,33 +142,67 @@ impl SlotLp {
     /// offline problem). The LP has one variable per deadline-feasible
     /// `(request, station, slot)` triple.
     pub fn build(instance: &Instance, subset: &[usize], truncation: Truncation) -> Self {
+        let mut lp = Self::empty();
+        lp.rebuild(instance, subset, truncation);
+        lp
+    }
+
+    /// An LP with no variables or rows, for [`Self::rebuild`] to fill.
+    pub(crate) fn empty() -> Self {
+        Self {
+            problem: Problem::new(Sense::Maximize),
+            vars: Vec::new(),
+            var_keys: Vec::new(),
+            row_keys: Vec::new(),
+            start_rows: Vec::new(),
+            prefix_rows: Vec::new(),
+        }
+    }
+
+    /// Refills this LP exactly as [`Self::build`] builds it, keeping the
+    /// capacity of its vectors: an LP rebuilt every slot reuses its
+    /// variable tables and the problem's objective and row list instead of
+    /// freeing and reallocating them.
+    pub(crate) fn rebuild(
+        &mut self,
+        instance: &Instance,
+        subset: &[usize],
+        truncation: Truncation,
+    ) {
         mec_obs::prof_scope!("slotlp.build");
-        let mut problem = Problem::new(Sense::Maximize);
-        let mut vars: Vec<(SlotVar, VarId)> = Vec::new();
-        let mut var_keys: Vec<VarKey> = Vec::new();
-        let mut row_keys: Vec<RowKey> = Vec::new();
         let c_unit = instance.params().c_unit;
         let slot_cap = instance.params().slot_capacity;
         let topo = instance.topo();
+        let stations = topo.station_count();
+        self.problem.clear();
+        self.vars.clear();
+        self.var_keys.clear();
+        self.row_keys.clear();
+        // The lookup tables are refilled from scratch: an entry left over
+        // from a larger subset would aim the warm basis at the wrong row.
+        self.start_rows.clear();
+        self.start_rows
+            .resize(subset.iter().max().map_or(0, |&j| j + 1), None);
+        self.prefix_rows.resize_with(stations, Vec::new);
 
         // Variables + objective, bucketed as they are created: each
-        // request's variables form one contiguous range, and each station
-        // lists `(request, first variable)` for the runs it hosts — a run
-        // covers slots `1..=L` in order.
-        let mut spans: Vec<Range<usize>> = Vec::with_capacity(subset.len());
-        let mut runs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); topo.station_count()];
+        // request's variables form one contiguous range, closed by its
+        // Constraint (9) row (each request starts at most once), and each
+        // station lists `(request, first variable)` for the runs it hosts —
+        // a run covers slots `1..=L` in order.
+        let mut runs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); stations];
         for (local_j, &j) in subset.iter().enumerate() {
-            let first = vars.len();
+            let first = self.vars.len();
             for station in topo.station_ids() {
                 if !instance.offline_feasible(j, station) {
                     continue;
                 }
-                runs[station.index()].push((local_j, vars.len()));
+                runs[station.index()].push((local_j, self.vars.len()));
                 let layout = instance.slot_layout(station);
                 for l in layout.indices() {
                     let er = instance.expected_reward_at(j, station, l.get());
-                    let var = problem.add_var(er);
-                    vars.push((
+                    let var = self.problem.add_var(er);
+                    self.vars.push((
                         SlotVar {
                             request: local_j,
                             station,
@@ -176,33 +210,29 @@ impl SlotLp {
                         },
                         var,
                     ));
-                    var_keys.push(VarKey {
+                    self.var_keys.push(VarKey {
                         request: j,
                         station,
                         slot: l.get(),
                     });
                 }
             }
-            spans.push(first..vars.len());
-        }
-
-        // Constraint (9): each request starts at most once.
-        let mut start_rows = vec![None; subset.iter().max().map_or(0, |&j| j + 1)];
-        for (&j, span) in subset.iter().zip(spans) {
+            let span = first..self.vars.len();
             if !span.is_empty() {
-                let coeffs: Vec<(VarId, f64)> =
-                    vars[span.clone()].iter().map(|&(_, v)| (v, 1.0)).collect();
-                problem.add_constraint(coeffs, Cmp::Le, 1.0);
-                start_rows[j] = Some(StartRow {
+                let coeffs: Vec<(VarId, f64)> = self.vars[span.clone()]
+                    .iter()
+                    .map(|&(_, v)| (v, 1.0))
+                    .collect();
+                self.problem.add_constraint(coeffs, Cmp::Le, 1.0);
+                self.start_rows[j] = Some(StartRow {
                     vars: span,
-                    row: row_keys.len(),
+                    row: self.row_keys.len(),
                 });
-                row_keys.push(RowKey::Start(j));
+                self.row_keys.push(RowKey::Start(j));
             }
         }
 
         // Constraint (10)/(23): truncated expected demand per slot prefix.
-        let mut prefix_rows: Vec<Vec<Option<usize>>> = Vec::with_capacity(runs.len());
         for station in topo.station_ids() {
             let layout = instance.slot_layout(station);
             let share_rate: Option<DataRate> = match truncation {
@@ -219,7 +249,8 @@ impl SlotLp {
                 }
             };
             let station_runs = &runs[station.index()];
-            let mut rows = Vec::with_capacity(layout.count());
+            let rows = &mut self.prefix_rows[station.index()];
+            rows.clear();
             for l in layout.indices() {
                 let prefix_rate = l.prefix_capacity(slot_cap).sustainable_rate(c_unit);
                 let cap_rate = match share_rate {
@@ -235,28 +266,19 @@ impl SlotLp {
                         .expected_truncated_rate(cap_rate)
                         .as_mbps();
                     if trunc > 0.0 {
-                        let inside = &vars[first..first + l.get()];
+                        let inside = &self.vars[first..first + l.get()];
                         coeffs.extend(inside.iter().map(|&(_, v)| (v, trunc)));
                     }
                 }
                 if coeffs.is_empty() {
                     rows.push(None);
                 } else {
-                    problem.add_constraint(coeffs, Cmp::Le, 2.0 * prefix_rate.as_mbps());
-                    rows.push(Some(row_keys.len()));
-                    row_keys.push(RowKey::Prefix(station, l.get()));
+                    self.problem
+                        .add_constraint(coeffs, Cmp::Le, 2.0 * prefix_rate.as_mbps());
+                    rows.push(Some(self.row_keys.len()));
+                    self.row_keys.push(RowKey::Prefix(station, l.get()));
                 }
             }
-            prefix_rows.push(rows);
-        }
-
-        Self {
-            problem,
-            vars,
-            var_keys,
-            row_keys,
-            start_rows,
-            prefix_rows,
         }
     }
 
@@ -374,6 +396,8 @@ pub struct SlotLpSolver {
     /// observability-only and must stay out of deterministic streams.
     record_times: bool,
     solve_times_ms: Vec<f64>,
+    /// The revised simplex's buffers, reused by every solve.
+    workspace: revised::Workspace,
 }
 
 impl SlotLpSolver {
@@ -386,6 +410,7 @@ impl SlotLpSolver {
             stats: SolverStats::default(),
             record_times: false,
             solve_times_ms: Vec::new(),
+            workspace: revised::Workspace::default(),
         }
     }
 
@@ -473,7 +498,8 @@ impl SlotLpSolver {
         } else {
             None
         };
-        let mut attempt = revised::solve_with_basis(&lp.problem, &config, snapshot.as_ref());
+        let ws = &mut self.workspace;
+        let mut attempt = revised::solve_with_basis(&lp.problem, &config, snapshot.as_ref(), ws);
         // Belt and suspenders: a warm solve that drifted off the feasible
         // region restarts cold. The retry is the same solve, so it is
         // counted once, as a fallback.
@@ -482,7 +508,7 @@ impl SlotLpSolver {
             if !lp.problem.is_feasible(sol.values(), 1e-6) {
                 self.warm = None;
                 retried = true;
-                attempt = revised::solve_with_basis(&lp.problem, &config, None);
+                attempt = revised::solve_with_basis(&lp.problem, &config, None, ws);
             }
         }
         match attempt {
@@ -581,6 +607,7 @@ mod tests {
     use mec_topology::TopologyBuilder;
     use mec_workload::WorkloadBuilder;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn instance(n: usize, stations: usize) -> Instance {
         instance_seeded(n, stations, 3)
@@ -680,37 +707,69 @@ mod tests {
         /// The bucketed builder emits exactly the reference LP: same
         /// problem (variables, rows, coefficient order and bits), same
         /// identities, and lookup tables that invert those identities.
+        /// One LP rebuilt in place through every case, over subsets that
+        /// shrink and grow, matches a fresh build field for field, and
+        /// every key an earlier case produced resolves as it does there.
         #[test]
         fn bucketed_build_matches_naive_builder(
             world in (0u64..200, 1usize..30, 1usize..7),
-            picks in prop::collection::vec(0usize..1000, 0..40),
+            picks in prop::collection::vec(prop::collection::vec(0usize..1000, 0..40), 1..4),
             active in 0usize..40,
         ) {
             let (seed, n, stations) = world;
             let inst = instance_seeded(n, stations, seed);
-            // A random subset in admission order: first appearance wins.
-            let mut subset: Vec<usize> = Vec::new();
-            for p in picks {
-                if !subset.contains(&(p % n)) {
-                    subset.push(p % n);
-                }
-            }
-            for trunc in [
-                Truncation::Standard,
-                Truncation::PerRequestShare { active: 0 },
-                Truncation::PerRequestShare { active: subset.len() },
-                Truncation::PerRequestShare { active },
-            ] {
-                let lp = SlotLp::build(&inst, &subset, trunc);
-                let (problem, var_keys, row_keys) = build_naive(&inst, &subset, trunc);
-                prop_assert_eq!(&lp.problem, &problem);
-                prop_assert_eq!(&lp.var_keys, &var_keys);
-                prop_assert_eq!(&lp.row_keys, &row_keys);
-                for (v, &key) in lp.var_keys.iter().enumerate() {
-                    prop_assert_eq!(lp.var_of(key), Some(v));
-                }
-                for (r, &key) in lp.row_keys.iter().enumerate() {
-                    prop_assert_eq!(lp.row_of(key), Some(r));
+            // Random subsets in admission order (first appearance wins),
+            // walked there and back so the subset both grows and shrinks.
+            let subsets: Vec<Vec<usize>> = picks
+                .iter()
+                .map(|picks| {
+                    let mut subset: Vec<usize> = Vec::new();
+                    for &p in picks {
+                        if !subset.contains(&(p % n)) {
+                            subset.push(p % n);
+                        }
+                    }
+                    subset
+                })
+                .collect();
+            let walk = subsets.iter().chain(subsets.iter().rev().skip(1));
+            let mut rebuilt = SlotLp::empty();
+            let mut seen_vars: HashSet<VarKey> = HashSet::new();
+            let mut seen_rows: HashSet<RowKey> = HashSet::new();
+            for subset in walk {
+                for trunc in [
+                    Truncation::Standard,
+                    Truncation::PerRequestShare { active: 0 },
+                    Truncation::PerRequestShare { active: subset.len() },
+                    Truncation::PerRequestShare { active },
+                ] {
+                    let lp = SlotLp::build(&inst, subset, trunc);
+                    let (problem, var_keys, row_keys) = build_naive(&inst, subset, trunc);
+                    prop_assert_eq!(&lp.problem, &problem);
+                    prop_assert_eq!(&lp.var_keys, &var_keys);
+                    prop_assert_eq!(&lp.row_keys, &row_keys);
+                    for (v, &key) in lp.var_keys.iter().enumerate() {
+                        prop_assert_eq!(lp.var_of(key), Some(v));
+                    }
+                    for (r, &key) in lp.row_keys.iter().enumerate() {
+                        prop_assert_eq!(lp.row_of(key), Some(r));
+                    }
+
+                    rebuilt.rebuild(&inst, subset, trunc);
+                    prop_assert_eq!(&rebuilt.problem, &lp.problem);
+                    prop_assert_eq!(&rebuilt.vars, &lp.vars);
+                    prop_assert_eq!(&rebuilt.var_keys, &lp.var_keys);
+                    prop_assert_eq!(&rebuilt.row_keys, &lp.row_keys);
+                    prop_assert_eq!(&rebuilt.start_rows, &lp.start_rows);
+                    prop_assert_eq!(&rebuilt.prefix_rows, &lp.prefix_rows);
+                    seen_vars.extend(&lp.var_keys);
+                    seen_rows.extend(&lp.row_keys);
+                    for &key in &seen_vars {
+                        prop_assert_eq!(rebuilt.var_of(key), lp.var_of(key));
+                    }
+                    for &key in &seen_rows {
+                        prop_assert_eq!(rebuilt.row_of(key), lp.row_of(key));
+                    }
                 }
             }
         }

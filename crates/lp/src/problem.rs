@@ -75,6 +75,15 @@ impl Problem {
         }
     }
 
+    /// Removes every variable and constraint, keeping the sense and the
+    /// capacity of the objective, the bounds and the row list, so a
+    /// problem rebuilt in place reuses them.
+    pub fn clear(&mut self) {
+        self.objective.clear();
+        self.upper_bounds.clear();
+        self.rows.clear();
+    }
+
     /// Adds a variable `x ≥ 0` with the given objective coefficient.
     ///
     /// # Panics
@@ -291,6 +300,18 @@ mod tests {
         assert!(!strictly_increasing(&descending));
         p.add_constraint(descending, Cmp::Le, 5.0);
         assert_eq!(p.rows_vec()[2].coeffs, vec![(1, 1.0), (0, 2.0)]);
+    }
+
+    #[test]
+    fn clear_keeps_sense_and_capacity() {
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_var(1.0);
+        p.set_upper_bound(x, 2.0);
+        p.add_constraint(vec![(x, 1.0)], Cmp::Ge, 1.0);
+        let caps = (p.objective.capacity(), p.rows.capacity());
+        p.clear();
+        assert_eq!(p, Problem::new(Sense::Minimize));
+        assert_eq!((p.objective.capacity(), p.rows.capacity()), caps);
     }
 
     #[test]

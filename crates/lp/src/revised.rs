@@ -41,11 +41,19 @@
 //! columns, nonsingular, primal feasible, no loaded artificials); any
 //! failure falls back to a cold start, so a stale basis costs one
 //! factorization, never correctness.
+//!
+//! Buffers: the arrays that grow with the problem — the standard form's
+//! CSC arrays, the per-column state of the iteration and the phase cost
+//! vectors — live in a caller-held [`Workspace`]. It carries capacity,
+//! never values: each solve clears and re-sizes every buffer before
+//! reading it, so a reused workspace solves exactly like a fresh one, and
+//! a caller solving one LP per slot allocates those arrays once instead
+//! of every slot. [`solve`] is the one-shot form with a fresh workspace.
 
 use crate::problem::{Cmp, Problem, Row, Sense};
 use crate::simplex::{note_pivot, note_refactor};
 use crate::solution::{LpError, Solution};
-use crate::sparse::{CscBuilder, CscMatrix};
+use crate::sparse::CscMatrix;
 use serde::{Deserialize, Serialize};
 
 /// Which simplex implementation a caller wants.
@@ -148,6 +156,42 @@ pub enum WarmOutcome {
     FellBack,
 }
 
+/// Buffers a solve refills instead of allocating, kept by the caller from
+/// one solve to the next.
+///
+/// It carries capacity, never values: a solve moves each buffer out,
+/// clears and re-sizes it before reading it, and moves it back before
+/// returning. A warm path that falls back cold hands its buffers on to the
+/// cold start. An `Err` return may drop them; the next solve allocates
+/// them again.
+#[derive(Debug, Clone, Default)]
+pub struct Workspace {
+    /// The standard form's CSC arrays.
+    col_ptr: Vec<usize>,
+    row_idx: Vec<usize>,
+    values: Vec<f64>,
+    /// The counting sort's per-column write cursor.
+    fill: Vec<usize>,
+    /// The iteration's per-column state.
+    d: Vec<f64>,
+    alpha: Vec<f64>,
+    in_row: Vec<bool>,
+    touched: Vec<usize>,
+    in_basis: Vec<bool>,
+    /// The phase-1 and phase-2 cost vectors.
+    c1: Vec<f64>,
+    c2: Vec<f64>,
+}
+
+/// Moves `buf` out of its workspace slot, cleared and refilled with `len`
+/// copies of `value`.
+fn take_filled<T: Clone>(buf: &mut Vec<T>, len: usize, value: T) -> Vec<T> {
+    let mut v = std::mem::take(buf);
+    v.clear();
+    v.resize(len, value);
+    v
+}
+
 /// Standard form shared by both phases: normalized rows and the full CSC
 /// matrix over structural + slack + surplus + artificial columns.
 struct StdForm<'a> {
@@ -187,7 +231,9 @@ fn row_coeffs<'b>(
 }
 
 impl<'a> StdForm<'a> {
-    fn build(problem: &'a Problem) -> Self {
+    /// Builds the standard form of `problem`, its CSC arrays refilled in
+    /// the workspace's buffers; [`Self::release`] hands them back.
+    fn build(problem: &'a Problem, ws: &mut Workspace) -> Self {
         let n = problem.var_count();
         let explicit = problem.rows_vec();
         // Upper bounds become `x_i ≤ u` rows after the explicit ones.
@@ -223,39 +269,53 @@ impl<'a> StdForm<'a> {
         let art_start = n + n_slack + n_surplus;
         let n_total = art_start + n_art;
 
-        // Transpose the row-major coefficients by a counting sort: count
-        // each column's entries, prefix-sum them into column starts, then
-        // scatter the rows in order so every column lists its rows
-        // ascending.
-        let mut col_ptr = vec![0usize; n + 1];
+        // Transpose the row-major coefficients in one counting sort: count
+        // each column's nonzeros, prefix-sum the counts into column starts,
+        // then scatter the rows in order, so every column lists its rows
+        // ascending. Exact zeros are dropped.
+        let mut col_ptr = take_filled(&mut ws.col_ptr, n_total + 1, 0);
         for r in 0..m {
-            for &(v, _) in row_coeffs(r) {
-                col_ptr[v + 1] += 1;
+            for &(v, c) in row_coeffs(r) {
+                if c != 0.0 {
+                    col_ptr[v + 1] += 1;
+                }
             }
         }
         for j in 0..n {
             col_ptr[j + 1] += col_ptr[j];
         }
-        let mut fill = col_ptr.clone();
-        let mut entries = vec![(0usize, 0.0f64); col_ptr[n]];
+        let nnz = col_ptr[n] + (n_total - n);
+        let mut row_idx = take_filled(&mut ws.row_idx, nnz, 0);
+        let mut values = take_filled(&mut ws.values, nnz, 0.0);
+        let fill = &mut ws.fill;
+        fill.clear();
+        fill.extend_from_slice(&col_ptr[..n]);
         for (r, &neg) in negated.iter().enumerate() {
             for &(v, c) in row_coeffs(r) {
-                entries[fill[v]] = (r, if neg { -c } else { c });
-                fill[v] += 1;
+                if c != 0.0 {
+                    row_idx[fill[v]] = r;
+                    values[fill[v]] = if neg { -c } else { c };
+                    fill[v] += 1;
+                }
             }
         }
-        let mut csc = CscBuilder::new(m, entries.len() + (n_total - n));
-        for j in 0..n {
-            csc.push_column(&entries[col_ptr[j]..col_ptr[j + 1]]);
-        }
 
+        // Unit columns come after the structural block, grouped slack /
+        // surplus / artificial exactly like the dense solver, so the CSC
+        // column numbering matches the dense tableau's layout. Each holds
+        // one entry, written in place.
         let mut init_basis = vec![0; m];
         let mut slack_of_row = vec![None; m];
         let mut surplus_of_row = vec![None; m];
         let mut art_of_row = vec![None; m];
         let mut unit_cols = vec![BasisCol::Slack(0); n_total - n];
-        // Unit columns come after the structural block, grouped slack /
-        // surplus / artificial exactly like the dense solver.
+        let mut unit = |c: usize, r: usize, sign: f64, name: BasisCol| {
+            let k = col_ptr[n] + (c - n);
+            row_idx[k] = r;
+            values[k] = sign;
+            col_ptr[c + 1] = k + 1;
+            unit_cols[c - n] = name;
+        };
         let mut next_slack = n;
         let mut next_surplus = n + n_slack;
         let mut next_art = art_start;
@@ -263,42 +323,25 @@ impl<'a> StdForm<'a> {
             match cmp {
                 Cmp::Le => {
                     slack_of_row[r] = Some(next_slack);
-                    unit_cols[next_slack - n] = BasisCol::Slack(r);
+                    unit(next_slack, r, 1.0, BasisCol::Slack(r));
                     init_basis[r] = next_slack;
                     next_slack += 1;
                 }
                 Cmp::Ge => {
                     surplus_of_row[r] = Some(next_surplus);
                     art_of_row[r] = Some(next_art);
-                    unit_cols[next_surplus - n] = BasisCol::Surplus(r);
-                    unit_cols[next_art - n] = BasisCol::Artificial(r);
+                    unit(next_surplus, r, -1.0, BasisCol::Surplus(r));
+                    unit(next_art, r, 1.0, BasisCol::Artificial(r));
                     init_basis[r] = next_art;
                     next_surplus += 1;
                     next_art += 1;
                 }
                 Cmp::Eq => {
                     art_of_row[r] = Some(next_art);
-                    unit_cols[next_art - n] = BasisCol::Artificial(r);
+                    unit(next_art, r, 1.0, BasisCol::Artificial(r));
                     init_basis[r] = next_art;
                     next_art += 1;
                 }
-            }
-        }
-        // Second sweep appends the unit columns in index order so the CSC
-        // column numbering matches the dense tableau's layout.
-        for (r, s) in slack_of_row.iter().enumerate() {
-            if s.is_some() {
-                csc.push_unit(r, 1.0);
-            }
-        }
-        for (r, s) in surplus_of_row.iter().enumerate() {
-            if s.is_some() {
-                csc.push_unit(r, -1.0);
-            }
-        }
-        for (r, a) in art_of_row.iter().enumerate() {
-            if a.is_some() {
-                csc.push_unit(r, 1.0);
             }
         }
 
@@ -307,7 +350,7 @@ impl<'a> StdForm<'a> {
             m,
             art_start,
             n_total,
-            csc: csc.finish(),
+            csc: CscMatrix::from_parts(m, col_ptr, row_idx, values),
             rows: explicit,
             bound_rows,
             rhs,
@@ -318,6 +361,11 @@ impl<'a> StdForm<'a> {
             art_of_row,
             unit_cols,
         }
+    }
+
+    /// Moves the CSC arrays back into the workspace.
+    fn release(self, ws: &mut Workspace) {
+        (ws.col_ptr, ws.row_idx, ws.values) = self.csc.into_parts();
     }
 
     /// Maps a structural [`BasisCol`] to this problem's column index.
@@ -527,8 +575,9 @@ struct Rsx<'a> {
     /// cost, carried across pivots; basic columns hold an exact 0.
     d: Vec<f64>,
     /// The last pivot row `α_r` over the columns below `art_start`, dense;
-    /// `touched` lists its nonzero positions once each (`in_row` marks
-    /// them), so clearing and updating cost the row's size, not `n`.
+    /// `touched` lists its nonzero positions once each, in any order
+    /// (`in_row` marks them), so clearing and updating cost the row's
+    /// size, not `n`.
     alpha: Vec<f64>,
     in_row: Vec<bool>,
     touched: Vec<usize>,
@@ -585,13 +634,17 @@ fn invert(mut a: Vec<f64>, m: usize, eps: f64) -> Result<Vec<f64>, usize> {
 
 impl<'a> Rsx<'a> {
     /// Working state for `basis` with its `factor`, basic values solved
-    /// from the rhs, an empty eta file and unpriced reduced costs.
-    fn new(std: StdForm<'a>, basis: Vec<usize>, factor: Factor) -> Self {
-        let mut in_basis = vec![false; std.n_total];
+    /// from the rhs, an empty eta file and unpriced reduced costs. Its
+    /// per-column arrays are the workspace's buffers; [`Self::release`]
+    /// hands them back.
+    fn new(std: StdForm<'a>, basis: Vec<usize>, factor: Factor, ws: &mut Workspace) -> Self {
+        let mut in_basis = take_filled(&mut ws.in_basis, std.n_total, false);
         for &c in &basis {
             in_basis[c] = true;
         }
         let priced = std.art_start;
+        let mut touched = std::mem::take(&mut ws.touched);
+        touched.clear();
         let mut rsx = Self {
             std,
             basis,
@@ -599,13 +652,24 @@ impl<'a> Rsx<'a> {
             factor,
             etas: Vec::new(),
             xb: Vec::new(),
-            d: vec![0.0; priced],
-            alpha: vec![0.0; priced],
-            in_row: vec![false; priced],
-            touched: Vec::new(),
+            d: take_filled(&mut ws.d, priced, 0.0),
+            alpha: take_filled(&mut ws.alpha, priced, 0.0),
+            in_row: take_filled(&mut ws.in_row, priced, false),
+            touched,
         };
         rsx.solve_xb();
         rsx
+    }
+
+    /// Moves the per-column arrays back into the workspace and returns the
+    /// standard form, whose own arrays are still out.
+    fn release(self, ws: &mut Workspace) -> StdForm<'a> {
+        ws.in_basis = self.in_basis;
+        ws.d = self.d;
+        ws.alpha = self.alpha;
+        ws.in_row = self.in_row;
+        ws.touched = self.touched;
+        self.std
     }
 
     /// Solves `x_B = B₀⁻¹ b` from the factor alone (the eta file must be
@@ -632,11 +696,11 @@ impl<'a> Rsx<'a> {
 
     /// Cold state: the all-slack/artificial basis, whose factor has an
     /// empty kernel.
-    fn cold(std: StdForm<'a>) -> Self {
+    fn cold(std: StdForm<'a>, ws: &mut Workspace) -> Self {
         let basis = std.init_basis.clone();
         let factor =
             Factor::new(&std, &basis, 0.0).expect("one unit column per row is nonsingular");
-        Self::new(std, basis, factor)
+        Self::new(std, basis, factor, ws)
     }
 
     /// Tries to install `cols` as a *rank-valid* starting basis of `std`;
@@ -664,6 +728,7 @@ impl<'a> Rsx<'a> {
         std: StdForm<'a>,
         cols: &[BasisCol],
         config: &RevisedConfig,
+        ws: &mut Workspace,
     ) -> Result<Self, StdForm<'a>> {
         let m = std.m;
         if cols.len() != m || m == 0 {
@@ -697,9 +762,9 @@ impl<'a> Rsx<'a> {
             }
         }
         if let Ok(factor) = Factor::new(&std, &basis, config.eps) {
-            return Ok(Self::new(std, basis, factor));
+            return Ok(Self::new(std, basis, factor, ws));
         }
-        Self::crash_install(std, &candidates, config)
+        Self::crash_install(std, &candidates, config, ws)
     }
 
     /// Rank-revealing crash repair for a snapshot the direct placement
@@ -717,6 +782,7 @@ impl<'a> Rsx<'a> {
         std: StdForm<'a>,
         candidates: &[(usize, usize)],
         config: &RevisedConfig,
+        ws: &mut Workspace,
     ) -> Result<Self, StdForm<'a>> {
         let m = std.m;
         let validated = (|| {
@@ -808,7 +874,7 @@ impl<'a> Rsx<'a> {
             None
         })();
         match validated {
-            Some((basis, factor)) => Ok(Self::new(std, basis, factor)),
+            Some((basis, factor)) => Ok(Self::new(std, basis, factor, ws)),
             None => Err(std),
         }
     }
@@ -1087,13 +1153,23 @@ impl<'a> Rsx<'a> {
                 return true; // primal feasible
             };
             self.pivot_row(pos);
-            let mut best: Option<(usize, f64)> = None;
-            for (j, (&a, &dj)) in self.alpha.iter().zip(&self.d).enumerate() {
-                let na = -a;
-                if self.in_basis[j] || na <= config.eps {
-                    continue;
+            // Only the columns the row touches can have `−α_j > eps`. The
+            // nonbasic ones that do move to the front of `touched`, a
+            // small share of it; sorted ascending, they meet the same ties
+            // as a scan of all `n` columns.
+            let mut k = 0;
+            for i in 0..self.touched.len() {
+                let j = self.touched[i];
+                if -self.alpha[j] > config.eps && !self.in_basis[j] {
+                    self.touched.swap(k, i);
+                    k += 1;
                 }
-                let ratio = dj.max(0.0) / na;
+            }
+            let candidates = &mut self.touched[..k];
+            candidates.sort_unstable();
+            let mut best: Option<(usize, f64)> = None;
+            for &j in candidates.iter() {
+                let ratio = self.d[j].max(0.0) / -self.alpha[j];
                 if best.is_none_or(|(_, b)| ratio < b - config.eps) {
                     best = Some((j, ratio));
                 }
@@ -1143,19 +1219,20 @@ impl<'a> Rsx<'a> {
     }
 }
 
-/// Solves `problem` cold with the revised simplex.
+/// Solves `problem` cold with the revised simplex, in buffers of its own.
 ///
 /// # Errors
 ///
 /// [`LpError::Infeasible`], [`LpError::Unbounded`] (in the problem's own
 /// sense), or [`LpError::IterationLimit`] (also on numerical breakdown).
 pub fn solve(problem: &Problem, config: &RevisedConfig) -> Result<Solution, LpError> {
-    solve_with_basis(problem, config, None).map(|(sol, _, _)| sol)
+    solve_with_basis(problem, config, None, &mut Workspace::default()).map(|(sol, _, _)| sol)
 }
 
 /// Solves `problem`, optionally warm-starting from a prior basis, and
 /// returns the solution together with the optimal basis snapshot and how
-/// the solve actually started.
+/// the solve actually started. The solve's arrays that grow with the
+/// problem live in `ws`, whose capacity the next solve reuses.
 ///
 /// # Errors
 ///
@@ -1166,18 +1243,19 @@ pub fn solve_with_basis(
     problem: &Problem,
     config: &RevisedConfig,
     warm: Option<&BasisSnapshot>,
+    ws: &mut Workspace,
 ) -> Result<(Solution, BasisSnapshot, WarmOutcome), LpError> {
-    let std_form = StdForm::build(problem);
+    let std_form = StdForm::build(problem, ws);
     let n = std_form.n;
     let n_total = std_form.n_total;
-    let n_art = n_total - std_form.art_start;
+    let art_start = std_form.art_start;
 
     // Phase-2 cost up front — a warm basis is repaired against it.
     let sign = match problem.sense() {
         Sense::Maximize => -1.0,
         Sense::Minimize => 1.0,
     };
-    let mut c2 = vec![0.0; n_total];
+    let mut c2 = take_filled(&mut ws.c2, n_total, 0.0);
     for (j, &c) in problem.objective_vec().iter().enumerate() {
         c2[j] = sign * c;
     }
@@ -1187,7 +1265,7 @@ pub fn solve_with_basis(
     // an artificial still carries weight (the old point violates a
     // `≥`/`=` row of the new problem), start cold instead.
     let (mut rsx, outcome) = match warm {
-        Some(snap) => match Rsx::try_warm(std_form, &snap.cols, config) {
+        Some(snap) => match Rsx::try_warm(std_form, &snap.cols, config, ws) {
             Ok(mut warm_rsx) => {
                 if warm_rsx.dual_repair(&c2, config)
                     && warm_rsx.artificial_mass() <= config.feas_tol
@@ -1196,24 +1274,24 @@ pub fn solve_with_basis(
                 } else {
                     // Pivoting never touches the standard form, so the
                     // failed attempt's copy seeds the cold start.
-                    (Rsx::cold(warm_rsx.std), WarmOutcome::FellBack)
+                    let std_form = warm_rsx.release(ws);
+                    (Rsx::cold(std_form, ws), WarmOutcome::FellBack)
                 }
             }
-            Err(std_form) => (Rsx::cold(std_form), WarmOutcome::FellBack),
+            Err(std_form) => (Rsx::cold(std_form, ws), WarmOutcome::FellBack),
         },
-        None => (Rsx::cold(std_form), WarmOutcome::Cold),
+        None => (Rsx::cold(std_form, ws), WarmOutcome::Cold),
     };
 
     // Phase 1 (cold starts with artificials only): minimize the artificial
     // sum to reach a basic feasible point. A validated warm basis is
     // already feasible with weightless artificials, so it skips straight
     // to phase 2.
-    if outcome != WarmOutcome::Warm && n_art > 0 {
-        let mut c1 = vec![0.0; rsx.std.n_total];
-        for c in c1.iter_mut().skip(rsx.std.art_start) {
-            *c = 1.0;
-        }
+    if outcome != WarmOutcome::Warm && n_total > art_start {
+        let mut c1 = take_filled(&mut ws.c1, n_total, 0.0);
+        c1[art_start..].fill(1.0);
         rsx.optimize(&c1, config)?;
+        ws.c1 = c1;
         if rsx.artificial_mass() > config.feas_tol {
             return Err(LpError::Infeasible);
         }
@@ -1235,6 +1313,7 @@ pub fn solve_with_basis(
     // through the rhs-normalization flip and the sense flip, keeping only
     // explicit constraint rows (upper-bound rows were appended last).
     let y = rsx.multipliers(&c2);
+    ws.c2 = c2;
     let explicit = problem.constraint_count();
     let mut duals = Vec::with_capacity(explicit);
     for (r, &yi) in y.iter().enumerate().take(explicit) {
@@ -1245,6 +1324,8 @@ pub fn solve_with_basis(
     let snapshot = BasisSnapshot {
         cols: rsx.basis.iter().map(|&c| rsx.std.unresolve(c)).collect(),
     };
+    let std_form = rsx.release(ws);
+    std_form.release(ws);
     Ok((Solution::with_duals(objective, x, duals), snapshot, outcome))
 }
 
@@ -1376,7 +1457,8 @@ mod tests {
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 2.0);
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 2.0);
         p.add_constraint(vec![(x, 1.0)], Cmp::Ge, 1.0);
-        let mut rsx = Rsx::cold(StdForm::build(&p));
+        let mut ws = Workspace::default();
+        let mut rsx = Rsx::cold(StdForm::build(&p, &mut ws), &mut ws);
         let mut c1 = vec![0.0; rsx.std.n_total];
         c1[rsx.std.art_start..].fill(1.0);
         rsx.optimize(&c1, &cfg()).unwrap();
@@ -1472,10 +1554,12 @@ mod tests {
         p.add_constraint(vec![(x, 1.0)], Cmp::Le, 4.0);
         p.add_constraint(vec![(y, 2.0)], Cmp::Le, 12.0);
         p.add_constraint(vec![(x, 3.0), (y, 2.0)], Cmp::Le, 18.0);
-        let (cold, snap, how) = solve_with_basis(&p, &cfg(), None).unwrap();
+        let (cold, snap, how) =
+            solve_with_basis(&p, &cfg(), None, &mut Workspace::default()).unwrap();
         assert_eq!(how, WarmOutcome::Cold);
         let before = crate::pivots_performed();
-        let (warm, snap2, how2) = solve_with_basis(&p, &cfg(), Some(&snap)).unwrap();
+        let (warm, snap2, how2) =
+            solve_with_basis(&p, &cfg(), Some(&snap), &mut Workspace::default()).unwrap();
         assert_eq!(how2, WarmOutcome::Warm);
         assert_eq!(
             crate::pivots_performed(),
@@ -1499,9 +1583,11 @@ mod tests {
             p.add_constraint(vec![(x, 3.0), (y, 2.0)], Cmp::Le, cap);
             p
         };
-        let (_, snap, _) = solve_with_basis(&build(18.0), &cfg(), None).unwrap();
+        let (_, snap, _) =
+            solve_with_basis(&build(18.0), &cfg(), None, &mut Workspace::default()).unwrap();
         let p2 = build(19.0);
-        let (warm, _, how) = solve_with_basis(&p2, &cfg(), Some(&snap)).unwrap();
+        let (warm, _, how) =
+            solve_with_basis(&p2, &cfg(), Some(&snap), &mut Workspace::default()).unwrap();
         assert_eq!(how, WarmOutcome::Warm);
         let cold = solve(&p2, &cfg()).unwrap();
         assert_close(warm.objective(), cold.objective());
@@ -1517,7 +1603,8 @@ mod tests {
         let bad = BasisSnapshot {
             cols: vec![BasisCol::Structural(7), BasisCol::Structural(7)],
         };
-        let (sol, _, how) = solve_with_basis(&p, &cfg(), Some(&bad)).unwrap();
+        let (sol, _, how) =
+            solve_with_basis(&p, &cfg(), Some(&bad), &mut Workspace::default()).unwrap();
         assert_eq!(how, WarmOutcome::FellBack);
         assert_close(sol.objective(), 2.0);
     }
@@ -1533,11 +1620,13 @@ mod tests {
             p.add_constraint(vec![(y, 1.0)], Cmp::Le, 3.0);
             p
         };
-        let (_, snap, _) = solve_with_basis(&build(5.0), &cfg(), None).unwrap();
+        let (_, snap, _) =
+            solve_with_basis(&build(5.0), &cfg(), None, &mut Workspace::default()).unwrap();
         // Shrink the shared row so the old vertex (y=3, slack=2) flips the
         // slack negative.
         let p2 = build(1.0);
-        let (sol, _, how) = solve_with_basis(&p2, &cfg(), Some(&snap)).unwrap();
+        let (sol, _, how) =
+            solve_with_basis(&p2, &cfg(), Some(&snap), &mut Workspace::default()).unwrap();
         assert!(matches!(how, WarmOutcome::FellBack | WarmOutcome::Warm));
         let cold = solve(&p2, &cfg()).unwrap();
         assert_close(sol.objective(), cold.objective());
@@ -1580,7 +1669,7 @@ mod tests {
         p.add_constraint(vec![(x, 1.0), (y, -3.0)], Cmp::Le, -2.0);
         p.add_constraint(vec![(y, 1.0), (z, 0.0)], Cmp::Eq, 1.0);
         p.add_constraint(vec![(z, 4.0), (x, 2.0)], Cmp::Le, 4.0);
-        let std = StdForm::build(&p);
+        let std = StdForm::build(&p, &mut Workspace::default());
         assert_eq!(std.m, 5);
         assert_eq!(std.negated, vec![false, true, false, false, false]);
         // Each structural column lists its rows ascending, negated rows
@@ -1723,7 +1812,8 @@ mod tests {
             config: &RevisedConfig,
             warm: Option<&BasisSnapshot>,
         ) -> Result<(Vec<f64>, f64, BasisSnapshot, WarmOutcome), LpError> {
-            let std_form = StdForm::build(problem);
+            let mut ws = Workspace::default();
+            let std_form = StdForm::build(problem, &mut ws);
             let sign = match problem.sense() {
                 Sense::Maximize => -1.0,
                 Sense::Minimize => 1.0,
@@ -1733,19 +1823,20 @@ mod tests {
                 c2[j] = sign * c;
             }
             let (mut rsx, outcome) = match warm {
-                Some(snap) => match Rsx::try_warm(std_form, &snap.cols, config) {
+                Some(snap) => match Rsx::try_warm(std_form, &snap.cols, config, &mut ws) {
                     Ok(mut w) => {
                         if dual_repair(&mut w, &c2, config)
                             && w.artificial_mass() <= config.feas_tol
                         {
                             (w, WarmOutcome::Warm)
                         } else {
-                            (Rsx::cold(w.std), WarmOutcome::FellBack)
+                            let std_form = w.release(&mut ws);
+                            (Rsx::cold(std_form, &mut ws), WarmOutcome::FellBack)
                         }
                     }
-                    Err(std_form) => (Rsx::cold(std_form), WarmOutcome::FellBack),
+                    Err(std_form) => (Rsx::cold(std_form, &mut ws), WarmOutcome::FellBack),
                 },
-                None => (Rsx::cold(std_form), WarmOutcome::Cold),
+                None => (Rsx::cold(std_form, &mut ws), WarmOutcome::Cold),
             };
             if outcome != WarmOutcome::Warm && rsx.std.n_total > rsx.std.art_start {
                 let mut c1 = vec![0.0; rsx.std.n_total];
@@ -1861,10 +1952,10 @@ mod tests {
             let base = slot_shaped(seed, requests, stations, slots, 0.0);
             let moved = slot_shaped(seed, requests, stations, slots, shift);
             for config in [cfg(), RevisedConfig { refactor_every: 3, ..cfg() }] {
-                let (_, snap, _) = solve_with_basis(&base, &config, None).unwrap();
+                let (_, snap, _) = solve_with_basis(&base, &config, None, &mut Workspace::default()).unwrap();
                 for (problem, warm) in [(&base, None), (&moved, None), (&moved, Some(&snap))] {
                     let start = crate::pivots_performed();
-                    let (sol, basis, how) = solve_with_basis(problem, &config, warm).unwrap();
+                    let (sol, basis, how) = solve_with_basis(problem, &config, warm, &mut Workspace::default()).unwrap();
                     let mid = crate::pivots_performed();
                     let (x, objective, want_basis, want_how) =
                         full_pricing::solve(problem, &config, warm).unwrap();
@@ -1991,7 +2082,7 @@ mod tests {
             pair in 0usize..3,
         ) {
             let p = mixed_rows(seed, requests, stations, slots, extra);
-            let std = StdForm::build(&p);
+            let std = StdForm::build(&p, &mut Workspace::default());
             let (m, n) = (std.m, std.n);
             let mut next = uniforms(seed ^ 0x5eed);
             let mut pick = |len: usize| ((next() * len as f64) as usize).min(len.max(1) - 1);
@@ -2085,7 +2176,8 @@ mod tests {
         ) {
             let p = mixed_rows(seed, requests, stations, slots, extra);
             let config = RevisedConfig { refactor_every: usize::MAX, ..cfg() };
-            let mut rsx = Rsx::cold(StdForm::build(&p));
+            let mut ws = Workspace::default();
+        let mut rsx = Rsx::cold(StdForm::build(&p, &mut ws), &mut ws);
             let m = rsx.std.m;
             let mut next = uniforms(seed ^ 0xe7a);
             let mut dense = Vec::new();
@@ -2120,6 +2212,290 @@ mod tests {
                 btran_etas(&rsx.etas, &mut sparse_y);
                 dense_btran_etas(&dense, &mut dense_y);
                 prop_assert_eq!(&sparse_y, &dense_y);
+            }
+        }
+    }
+
+    /// The transpose `StdForm::build` replaced, kept as its reference: a
+    /// counting sort into an `entries` temporary, then a column builder
+    /// that copies, sorts and coalesces each column and drops exact zeros,
+    /// with the unit columns appended after.
+    mod old_transpose {
+        use super::super::*;
+
+        struct CscBuilder {
+            m: usize,
+            col_ptr: Vec<usize>,
+            row_idx: Vec<usize>,
+            values: Vec<f64>,
+            scratch: Vec<(usize, f64)>,
+        }
+
+        impl CscBuilder {
+            fn push_column(&mut self, entries: &[(usize, f64)]) {
+                self.scratch.clear();
+                self.scratch.extend_from_slice(entries);
+                self.scratch.sort_unstable_by_key(|&(r, _)| r);
+                let mut last: Option<usize> = None;
+                for &(r, v) in &self.scratch {
+                    assert!(r < self.m, "row {r} out of range ({} rows)", self.m);
+                    if last == Some(r) {
+                        *self.values.last_mut().expect("entry just pushed") += v;
+                    } else if v != 0.0 {
+                        self.row_idx.push(r);
+                        self.values.push(v);
+                        last = Some(r);
+                    }
+                }
+                self.col_ptr.push(self.row_idx.len());
+            }
+
+            fn push_unit(&mut self, row: usize, sign: f64) {
+                self.row_idx.push(row);
+                self.values.push(sign);
+                self.col_ptr.push(self.row_idx.len());
+            }
+        }
+
+        pub(super) fn csc(problem: &Problem) -> CscMatrix {
+            let n = problem.var_count();
+            let explicit = problem.rows_vec();
+            let bound_rows: Vec<((usize, f64), f64)> = problem
+                .upper_bounds_vec()
+                .iter()
+                .enumerate()
+                .filter_map(|(i, ub)| ub.map(|u| ((i, 1.0), u)))
+                .collect();
+            let m = explicit.len() + bound_rows.len();
+            let senses = explicit.iter().map(|r| (r.cmp, r.rhs));
+            let (cmps, negated): (Vec<Cmp>, Vec<bool>) = senses
+                .chain(bound_rows.iter().map(|&(_, u)| (Cmp::Le, u)))
+                .map(|(cmp, b)| match (b < 0.0, cmp) {
+                    (true, Cmp::Le) => (Cmp::Ge, true),
+                    (true, Cmp::Ge) => (Cmp::Le, true),
+                    (neg, cmp) => (cmp, neg),
+                })
+                .unzip();
+            let mut col_ptr = vec![0usize; n + 1];
+            for r in 0..m {
+                for &(v, _) in row_coeffs(explicit, &bound_rows, r) {
+                    col_ptr[v + 1] += 1;
+                }
+            }
+            for j in 0..n {
+                col_ptr[j + 1] += col_ptr[j];
+            }
+            let mut fill = col_ptr.clone();
+            let mut entries = vec![(0usize, 0.0f64); col_ptr[n]];
+            for (r, &neg) in negated.iter().enumerate() {
+                for &(v, c) in row_coeffs(explicit, &bound_rows, r) {
+                    entries[fill[v]] = (r, if neg { -c } else { c });
+                    fill[v] += 1;
+                }
+            }
+            let mut csc = CscBuilder {
+                m,
+                col_ptr: vec![0],
+                row_idx: Vec::new(),
+                values: Vec::new(),
+                scratch: Vec::new(),
+            };
+            for j in 0..n {
+                csc.push_column(&entries[col_ptr[j]..col_ptr[j + 1]]);
+            }
+            for (kind, sign) in [(Cmp::Le, 1.0), (Cmp::Ge, -1.0)] {
+                for (r, &cmp) in cmps.iter().enumerate() {
+                    if cmp == kind {
+                        csc.push_unit(r, sign);
+                    }
+                }
+            }
+            for (r, &cmp) in cmps.iter().enumerate() {
+                if cmp != Cmp::Le {
+                    csc.push_unit(r, 1.0);
+                }
+            }
+            CscMatrix::from_parts(m, csc.col_ptr, csc.row_idx, csc.values)
+        }
+    }
+
+    /// A random program over `n` variables and `m` rows with every feature
+    /// the standard form handles: either sense, `≤`/`≥`/`=` rows, negative
+    /// rhs, upper bounds, exact-zero coefficients, and duplicate entries
+    /// that the problem merges, some to exactly zero. The structure depends
+    /// on `seed` alone; `shift` moves the rhs and objective only.
+    fn random_problem(seed: u64, n: usize, m: usize, shift: f64) -> Problem {
+        let mut next = uniforms(seed);
+        let mut moved = uniforms(!seed);
+        let mut wobble = || 1.0 + shift * (2.0 * moved() - 1.0);
+        let sense = if next() < 0.5 {
+            Sense::Maximize
+        } else {
+            Sense::Minimize
+        };
+        let mut p = Problem::new(sense);
+        let vars: Vec<VarId> = (0..n)
+            .map(|_| {
+                let c = if next() < 0.1 {
+                    0.0
+                } else {
+                    -2.0 + 7.0 * next()
+                };
+                p.add_var(c * wobble())
+            })
+            .collect();
+        for &v in &vars {
+            if next() < 0.2 {
+                p.set_upper_bound(v, 0.5 + 4.5 * next());
+            }
+        }
+        for _ in 0..m {
+            let mut coeffs = Vec::new();
+            for &v in &vars {
+                let u = next();
+                if u < 0.1 {
+                    coeffs.push((v, 0.0));
+                } else if u < 0.2 {
+                    // Listed twice: the problem sums them, here to zero.
+                    let a = 0.5 + next();
+                    coeffs.push((v, a));
+                    coeffs.push((v, -a));
+                } else if u < 0.3 {
+                    coeffs.push((v, 0.5));
+                    coeffs.push((v, 1.0));
+                } else if u < 0.7 {
+                    coeffs.push((v, -2.0 + 5.0 * next()));
+                }
+            }
+            // Descending order takes the merging path even without repeats.
+            if next() < 0.5 {
+                coeffs.reverse();
+            }
+            let cmp = match (3.0 * next()) as usize {
+                0 => Cmp::Le,
+                1 => Cmp::Ge,
+                _ => Cmp::Eq,
+            };
+            p.add_constraint(coeffs, cmp, (-3.0 + 9.0 * next()) * wobble());
+        }
+        p
+    }
+
+    /// Runs `solve`, returning its result with the pivots and
+    /// refactorizations it took.
+    fn counted<T>(solve: impl FnOnce() -> T) -> (T, u64, u64) {
+        let (pivots, refactors) = (crate::pivots_performed(), crate::refactors_performed());
+        let out = solve();
+        (
+            out,
+            crate::pivots_performed() - pivots,
+            crate::refactors_performed() - refactors,
+        )
+    }
+
+    /// Every buffer of a workspace as `(address, capacity)`.
+    fn buffers(ws: &Workspace) -> Vec<(usize, usize)> {
+        fn at<T>(v: &[T], cap: usize) -> (usize, usize) {
+            (v.as_ptr() as usize, cap)
+        }
+        vec![
+            at(&ws.col_ptr, ws.col_ptr.capacity()),
+            at(&ws.row_idx, ws.row_idx.capacity()),
+            at(&ws.values, ws.values.capacity()),
+            at(&ws.fill, ws.fill.capacity()),
+            at(&ws.d, ws.d.capacity()),
+            at(&ws.alpha, ws.alpha.capacity()),
+            at(&ws.in_row, ws.in_row.capacity()),
+            at(&ws.touched, ws.touched.capacity()),
+            at(&ws.in_basis, ws.in_basis.capacity()),
+            at(&ws.c1, ws.c1.capacity()),
+            at(&ws.c2, ws.c2.capacity()),
+        ]
+    }
+
+    #[test]
+    fn same_shape_resolve_reuses_workspace_buffers() {
+        // A `≥` row gives the cold solve a phase 1, so every buffer is used.
+        let mut p = slot_shaped(3, 10, 3, 4, 0.0);
+        p.add_constraint(vec![(VarId(0), 1.0)], Cmp::Ge, 0.1);
+        let mut ws = Workspace::default();
+        let (_, snap, _) = solve_with_basis(&p, &cfg(), None, &mut ws).unwrap();
+        let first = buffers(&ws);
+        assert!(first.iter().all(|&(_, cap)| cap > 0), "{first:?}");
+        for warm in [None, Some(&snap)] {
+            let (_, _, how) = solve_with_basis(&p, &cfg(), warm, &mut ws).unwrap();
+            assert_eq!(how == WarmOutcome::Warm, warm.is_some());
+            assert_eq!(buffers(&ws), first, "warm: {}", warm.is_some());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The single-pass transpose writes exactly the matrix the old
+        /// column builder did.
+        #[test]
+        fn std_form_csc_matches_the_column_builder(
+            seed in 0u64..u64::MAX,
+            n in 0usize..12,
+            m in 0usize..10,
+        ) {
+            let p = random_problem(seed, n, m, 0.0);
+            let mut ws = Workspace::default();
+            let std = StdForm::build(&p, &mut ws);
+            prop_assert_eq!(&std.csc, &old_transpose::csc(&p));
+            // Refilled buffers give the same matrix again.
+            std.release(&mut ws);
+            prop_assert_eq!(&StdForm::build(&p, &mut ws).csc, &old_transpose::csc(&p));
+        }
+
+        /// One workspace driven through a random sequence of problems —
+        /// different shapes, infeasible and unbounded ones, and warm
+        /// restarts of perturbed neighbours — solves each exactly like a
+        /// fresh workspace: same result bit for bit, same basis and start,
+        /// same pivot and refactorization counts.
+        #[test]
+        fn reused_workspace_solves_like_a_fresh_one(
+            seed in 0u64..u64::MAX,
+            steps in 1usize..10,
+        ) {
+            let config = RevisedConfig { refactor_every: 5, ..cfg() };
+            let mut next = uniforms(seed ^ 0x0b5);
+            let mut ws = Workspace::default();
+            let mut last: Option<(u64, usize, usize, bool, BasisSnapshot)> = None;
+            for step in 0..steps {
+                let pick = |len: f64, u: f64| (u * len) as usize;
+                let slot = next() < 0.4;
+                let (structure, a, b) = match &last {
+                    // Half the time, a perturbed neighbour of the last one.
+                    Some((structure, a, b, was_slot, _)) if *was_slot == slot && next() < 0.5 => {
+                        (*structure, *a, *b)
+                    }
+                    _ => (seed.wrapping_add(step as u64), 1 + pick(12.0, next()), pick(10.0, next())),
+                };
+                let shift = 0.3 * next();
+                let p = if slot {
+                    slot_shaped(structure, a, 1 + b % 3, 1 + b % 4, shift)
+                } else {
+                    random_problem(structure, a, b, shift)
+                };
+                let warm = last.as_ref().map(|l| &l.4).filter(|_| next() < 0.8);
+                let (got, got_pivots, got_refactors) =
+                    counted(|| solve_with_basis(&p, &config, warm, &mut ws));
+                let (want, want_pivots, want_refactors) =
+                    counted(|| solve_with_basis(&p, &config, warm, &mut Workspace::default()));
+                prop_assert_eq!((got_pivots, got_refactors), (want_pivots, want_refactors));
+                match (got, want) {
+                    (Ok((sol, basis, how)), Ok((want_sol, want_basis, want_how))) => {
+                        prop_assert_eq!(sol.values(), want_sol.values());
+                        prop_assert_eq!(sol.duals(), want_sol.duals());
+                        prop_assert_eq!(sol.objective().to_bits(), want_sol.objective().to_bits());
+                        prop_assert_eq!(&basis, &want_basis);
+                        prop_assert_eq!(how, want_how);
+                        last = Some((structure, a, b, slot, basis));
+                    }
+                    (got, want) => prop_assert_eq!(got.err(), want.err()),
+                }
             }
         }
     }

@@ -10,8 +10,7 @@
 
 /// An `m × n` sparse matrix in compressed-sparse-column form.
 ///
-/// Row indices within a column are stored in strictly increasing order;
-/// duplicate entries are coalesced at construction.
+/// Row indices within a column are stored in strictly increasing order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CscMatrix {
     m: usize,
@@ -21,74 +20,40 @@ pub struct CscMatrix {
     values: Vec<f64>,
 }
 
-/// Incremental column-by-column builder for a [`CscMatrix`].
-#[derive(Debug, Clone)]
-pub struct CscBuilder {
-    m: usize,
-    col_ptr: Vec<usize>,
-    row_idx: Vec<usize>,
-    values: Vec<f64>,
-    scratch: Vec<(usize, f64)>,
-}
-
-impl CscBuilder {
-    /// Starts a builder for a matrix with `m` rows and roughly `nnz_hint`
-    /// nonzeros.
-    pub fn new(m: usize, nnz_hint: usize) -> Self {
+impl CscMatrix {
+    /// Wraps raw CSC arrays: column `j` holds `row_idx[col_ptr[j]..col_ptr[j + 1]]`
+    /// with the matching `values`, rows strictly ascending within it.
+    pub(crate) fn from_parts(
+        m: usize,
+        col_ptr: Vec<usize>,
+        row_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        debug_assert!(!col_ptr.is_empty(), "col_ptr holds n + 1 offsets");
+        debug_assert_eq!(col_ptr.last(), Some(&row_idx.len()));
+        debug_assert_eq!(row_idx.len(), values.len());
+        debug_assert!(
+            col_ptr.windows(2).all(|w| {
+                let rows = &row_idx[w[0]..w[1]];
+                rows.windows(2).all(|r| r[0] < r[1]) && rows.iter().all(|&r| r < m)
+            }),
+            "rows must ascend within each column and stay below {m}"
+        );
         Self {
             m,
-            col_ptr: vec![0],
-            row_idx: Vec::with_capacity(nnz_hint),
-            values: Vec::with_capacity(nnz_hint),
-            scratch: Vec::new(),
+            n: col_ptr.len() - 1,
+            col_ptr,
+            row_idx,
+            values,
         }
     }
 
-    /// Appends one column given its `(row, value)` entries in any order;
-    /// duplicates are summed, exact zeros dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a row index is out of range.
-    pub fn push_column(&mut self, entries: &[(usize, f64)]) {
-        self.scratch.clear();
-        self.scratch.extend_from_slice(entries);
-        self.scratch.sort_unstable_by_key(|&(r, _)| r);
-        let mut last: Option<usize> = None;
-        for &(r, v) in &self.scratch {
-            assert!(r < self.m, "row {r} out of range ({} rows)", self.m);
-            if last == Some(r) {
-                *self.values.last_mut().expect("entry just pushed") += v;
-            } else if v != 0.0 {
-                self.row_idx.push(r);
-                self.values.push(v);
-                last = Some(r);
-            }
-        }
-        self.col_ptr.push(self.row_idx.len());
+    /// Gives the arrays back, `(col_ptr, row_idx, values)`, so a caller can
+    /// refill them.
+    pub(crate) fn into_parts(self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        (self.col_ptr, self.row_idx, self.values)
     }
 
-    /// Appends a unit column `e_row` (slack / artificial) scaled by `sign`.
-    pub fn push_unit(&mut self, row: usize, sign: f64) {
-        assert!(row < self.m, "row {row} out of range ({} rows)", self.m);
-        self.row_idx.push(row);
-        self.values.push(sign);
-        self.col_ptr.push(self.row_idx.len());
-    }
-
-    /// Finishes the matrix.
-    pub fn finish(self) -> CscMatrix {
-        CscMatrix {
-            m: self.m,
-            n: self.col_ptr.len() - 1,
-            col_ptr: self.col_ptr,
-            row_idx: self.row_idx,
-            values: self.values,
-        }
-    }
-}
-
-impl CscMatrix {
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.m
@@ -174,11 +139,12 @@ mod tests {
         // [ 1 0 2 ]
         // [ 0 3 0 ]
         // [ 4 0 5 ]
-        let mut b = CscBuilder::new(3, 5);
-        b.push_column(&[(0, 1.0), (2, 4.0)]);
-        b.push_column(&[(1, 3.0)]);
-        b.push_column(&[(2, 5.0), (0, 2.0)]);
-        b.finish()
+        CscMatrix::from_parts(
+            3,
+            vec![0, 2, 3, 5],
+            vec![0, 2, 1, 0, 2],
+            vec![1.0, 4.0, 3.0, 2.0, 5.0],
+        )
     }
 
     #[test]
@@ -189,34 +155,7 @@ mod tests {
         assert_eq!(m.nnz(), 5);
         assert_eq!(m.column_nnz(0), 2);
         assert_eq!(m.column_nnz(1), 1);
-    }
-
-    #[test]
-    fn columns_sorted_and_coalesced() {
-        let mut b = CscBuilder::new(2, 4);
-        b.push_column(&[(1, 2.0), (0, 1.0), (1, 3.0)]);
-        let m = b.finish();
-        let col: Vec<_> = m.column(0).collect();
-        assert_eq!(col, vec![(0, 1.0), (1, 5.0)]);
-    }
-
-    #[test]
-    fn zero_entries_dropped() {
-        let mut b = CscBuilder::new(2, 2);
-        b.push_column(&[(0, 0.0), (1, 7.0)]);
-        let m = b.finish();
-        assert_eq!(m.nnz(), 1);
-        assert_eq!(m.column(0).collect::<Vec<_>>(), vec![(1, 7.0)]);
-    }
-
-    #[test]
-    fn unit_columns() {
-        let mut b = CscBuilder::new(3, 2);
-        b.push_unit(1, 1.0);
-        b.push_unit(2, -1.0);
-        let m = b.finish();
-        assert_eq!(m.column(0).collect::<Vec<_>>(), vec![(1, 1.0)]);
-        assert_eq!(m.column(1).collect::<Vec<_>>(), vec![(2, -1.0)]);
+        assert_eq!(m.column(2).collect::<Vec<_>>(), vec![(0, 2.0), (2, 5.0)]);
     }
 
     #[test]
@@ -230,9 +169,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
+    fn parts_round_trip() {
+        let (col_ptr, row_idx, values) = sample().into_parts();
+        assert_eq!(CscMatrix::from_parts(3, col_ptr, row_idx, values), sample());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rows must ascend")]
+    fn descending_rows_rejected() {
+        CscMatrix::from_parts(3, vec![0, 2], vec![2, 0], vec![1.0, 1.0]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rows must ascend")]
     fn row_bounds_checked() {
-        let mut b = CscBuilder::new(2, 1);
-        b.push_column(&[(5, 1.0)]);
+        CscMatrix::from_parts(2, vec![0, 1], vec![5], vec![1.0]);
     }
 }

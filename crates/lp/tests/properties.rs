@@ -174,11 +174,13 @@ proptest! {
     ) {
         let cfg = RevisedConfig::default();
         let (p, _) = primal(&a, &b, &c);
-        let (_, snap, _) = revised::solve_with_basis(&p, &cfg, None).expect("cold solve");
+        let mut ws = revised::Workspace::default();
+        let (_, snap, _) =
+            revised::solve_with_basis(&p, &cfg, None, &mut ws).expect("cold solve");
         let b2: Vec<f64> = b.iter().zip(&scale).map(|(x, s)| x * s).collect();
         let (p2, _) = primal(&a, &b2, &c);
         let (warm, _, _) =
-            revised::solve_with_basis(&p2, &cfg, Some(&snap)).expect("warm solve");
+            revised::solve_with_basis(&p2, &cfg, Some(&snap), &mut ws).expect("warm solve");
         let cold = revised::solve(&p2, &cfg).expect("cold solve of perturbed program");
         prop_assert!((warm.objective() - cold.objective()).abs() < 1e-6,
             "warm {} vs cold {}", warm.objective(), cold.objective());

@@ -32,17 +32,18 @@ fn build(seed: u64, rhs_scale: &[f64]) -> Problem {
 fn warm_with_artificials_stays_feasible() {
     let cfg = RevisedConfig::default();
     let mut bad = 0;
+    let mut ws = revised::Workspace::default();
     for seed in 0..2000u64 {
         let ones = vec![1.0; 8];
         let p1 = build(seed, &ones);
-        let Ok((_, snap, _)) = revised::solve_with_basis(&p1, &cfg, None) else {
+        let Ok((_, snap, _)) = revised::solve_with_basis(&p1, &cfg, None, &mut ws) else {
             continue;
         };
         let mut s = seed ^ 0xDEAD;
         let scale: Vec<f64> = (0..8).map(|_| 0.5 + lcg(&mut s)).collect();
         let p2 = build(seed, &scale);
         let cold = revised::solve(&p2, &cfg);
-        let warm = revised::solve_with_basis(&p2, &cfg, Some(&snap));
+        let warm = revised::solve_with_basis(&p2, &cfg, Some(&snap), &mut ws);
         match (cold, warm) {
             (Ok(c), Ok((w, _, how))) => {
                 let feas = p2.is_feasible(w.values(), 1e-5);
