@@ -9,7 +9,7 @@
 //! Exit code 0 when every benchmark stays within its threshold, 1 on
 //! any regression, 2 on usage or IO errors.
 
-use mec_bench::gate::{compare, cpu_shard_warnings, load_dir, Thresholds};
+use mec_bench::gate::{compare, load_dir, Thresholds};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -148,11 +148,6 @@ fn main() -> ExitCode {
             "note: scaling current medians by {} (injected slowdown)",
             args.slowdown
         );
-    }
-    // Credibility warnings, never failures: scaling results measured
-    // with more worker shards than the machine had cores.
-    for warning in cpu_shard_warnings(&currents) {
-        println!("warn  {warning}");
     }
     let outcome = compare(&baselines, &currents, &args.thresholds, args.slowdown);
     print!("{}", outcome.render());

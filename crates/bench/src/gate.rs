@@ -34,10 +34,6 @@ pub struct BenchReport {
     pub bench: String,
     /// Per-benchmark timings.
     pub entries: Vec<BenchEntry>,
-    /// CPUs of the machine that produced the file (`machine.cpus`;
-    /// 0 when the field is absent). Not gated — used to flag scaling
-    /// results measured with more shards than cores.
-    pub cpus: u64,
 }
 
 /// Parses the normalized result JSON written by the criterion shim.
@@ -58,12 +54,6 @@ pub fn parse_report(text: &str) -> Result<BenchReport, String> {
         .and_then(JsonValue::as_str)
         .ok_or("missing \"bench\" name")?
         .to_string();
-    let cpus = obj
-        .get("machine")
-        .and_then(JsonValue::as_obj)
-        .and_then(|m| m.get("cpus"))
-        .and_then(JsonValue::as_u64)
-        .unwrap_or(0);
     let results = obj
         .get("results")
         .and_then(JsonValue::as_arr)
@@ -88,40 +78,7 @@ pub fn parse_report(text: &str) -> Result<BenchReport, String> {
             p95_ns: field("p95_ns")?,
         });
     }
-    Ok(BenchReport {
-        bench,
-        entries,
-        cpus,
-    })
-}
-
-/// Warnings (never failures) for scaling benchmarks measured on a
-/// machine with fewer CPUs than worker shards: a `.../shards/N` result
-/// with `N > machine.cpus` reflects oversubscription, not parallel
-/// speedup, so comparing it across shard counts is not credible.
-pub fn cpu_shard_warnings(reports: &[BenchReport]) -> Vec<String> {
-    let mut warnings = Vec::new();
-    for r in reports {
-        if r.cpus == 0 {
-            continue; // machine info absent; nothing to judge
-        }
-        for e in &r.entries {
-            let Some((_, param)) = e.name.rsplit_once("/shards/") else {
-                continue;
-            };
-            let Ok(shards) = param.parse::<u64>() else {
-                continue;
-            };
-            if shards > r.cpus {
-                warnings.push(format!(
-                    "{}/{}: measured with {} shard(s) on {} cpu(s) — \
-                     oversubscribed; scaling numbers are not credible",
-                    r.bench, e.name, shards, r.cpus,
-                ));
-            }
-        }
-    }
-    warnings
+    Ok(BenchReport { bench, entries })
 }
 
 /// Relative-noise thresholds, keyed by result label or bench name.
@@ -351,7 +308,6 @@ mod tests {
                     p95_ns: median_ns * 2,
                 })
                 .collect(),
-            cpus: 8,
         }
     }
 
@@ -432,43 +388,6 @@ mod tests {
         assert!(outcome.passed());
         assert_eq!(outcome.comparisons[0].verdict, Verdict::Missing);
         assert_eq!(outcome.new_benchmarks, vec!["lp/fresh/1".to_string()]);
-    }
-
-    #[test]
-    fn oversubscribed_scaling_results_warn_but_do_not_fail() {
-        let text = "{\"schema\":1,\"bench\":\"shard_sweep\",\
-                    \"machine\":{\"cpus\":2,\"os\":\"linux\",\"arch\":\"x86_64\"},\
-                    \"results\":[\
-                    {\"name\":\"serve_replay/shards/1\",\"samples\":10,\"mean_ns\":10,\"median_ns\":10,\"p95_ns\":12,\"throughput_iters_per_sec\":1.0},\
-                    {\"name\":\"serve_replay/shards/8\",\"samples\":10,\"mean_ns\":10,\"median_ns\":10,\"p95_ns\":12,\"throughput_iters_per_sec\":1.0}]}";
-        let parsed = parse_report(text).unwrap();
-        assert_eq!(parsed.cpus, 2);
-        let warnings = cpu_shard_warnings(std::slice::from_ref(&parsed));
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("shards/8"), "{warnings:?}");
-        assert!(warnings[0].contains("2 cpu(s)"), "{warnings:?}");
-        // Warnings never affect the gate verdict.
-        let outcome = compare(
-            std::slice::from_ref(&parsed),
-            std::slice::from_ref(&parsed),
-            &Thresholds::default(),
-            1.0,
-        );
-        assert!(outcome.passed());
-    }
-
-    #[test]
-    fn reports_without_machine_info_never_warn() {
-        let r = BenchReport {
-            bench: "x".into(),
-            entries: vec![BenchEntry {
-                name: "g/shards/64".into(),
-                median_ns: 1,
-                p95_ns: 1,
-            }],
-            cpus: 0,
-        };
-        assert!(cpu_shard_warnings(&[r]).is_empty());
     }
 
     #[test]

@@ -246,7 +246,6 @@ pub(crate) fn residual_fill(
 pub struct Appro {
     seed: u64,
     rounds: usize,
-    solver: SolverKind,
 }
 
 /// Default number of backfill rounds.
@@ -258,7 +257,6 @@ impl Appro {
         Self {
             seed,
             rounds: DEFAULT_ROUNDS,
-            solver: SolverKind::default(),
         }
     }
 
@@ -272,14 +270,6 @@ impl Appro {
     pub fn rounds(mut self, rounds: usize) -> Self {
         assert!(rounds >= 1, "need at least one rounding round");
         self.rounds = rounds;
-        self
-    }
-
-    /// Picks which simplex solves the LP relaxation (the dense tableau is
-    /// the correctness oracle; the revised solver is the default).
-    #[must_use]
-    pub fn solver(mut self, solver: SolverKind) -> Self {
-        self.solver = solver;
         self
     }
 }
@@ -298,7 +288,7 @@ impl OfflineAlgorithm for Appro {
         let n = instance.request_count();
         let subset: Vec<usize> = (0..n).collect();
         let lp = SlotLp::build(instance, &subset, Truncation::Standard);
-        let frac = SlotLpSolver::new(self.solver)
+        let frac = SlotLpSolver::new(SolverKind::Revised)
             .solve(&lp, n)
             .map_err(|e| format!("LP solve failed: {e}"))?;
 

@@ -37,7 +37,6 @@ use std::time::Instant;
 pub struct Heu {
     seed: u64,
     rounds: usize,
-    solver: SolverKind,
 }
 
 impl Heu {
@@ -46,7 +45,6 @@ impl Heu {
         Self {
             seed,
             rounds: DEFAULT_ROUNDS,
-            solver: SolverKind::default(),
         }
     }
 
@@ -59,14 +57,6 @@ impl Heu {
     pub fn rounds(mut self, rounds: usize) -> Self {
         assert!(rounds >= 1, "need at least one rounding round");
         self.rounds = rounds;
-        self
-    }
-
-    /// Picks which simplex solves the LP relaxation (the dense tableau is
-    /// the correctness oracle; the revised solver is the default).
-    #[must_use]
-    pub fn solver(mut self, solver: SolverKind) -> Self {
-        self.solver = solver;
         self
     }
 }
@@ -202,7 +192,7 @@ impl OfflineAlgorithm for Heu {
         let n = instance.request_count();
         let subset: Vec<usize> = (0..n).collect();
         let lp = SlotLp::build(instance, &subset, Truncation::Standard);
-        let frac = SlotLpSolver::new(self.solver)
+        let frac = SlotLpSolver::new(SolverKind::Revised)
             .solve(&lp, n)
             .map_err(|e| format!("LP solve failed: {e}"))?;
 

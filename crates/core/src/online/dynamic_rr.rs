@@ -17,8 +17,8 @@
 //!    station) with per-station water-filling — the fast equivalent of the
 //!    `Heu` + **LP-PT** step; `use_lp` switches to actually solving LP-PT
 //!    each slot (faithful, used in fidelity tests; on a 2-vCPU host it
-//!    runs ~15× slower on a 25-request, 5-station world and ~140× slower
-//!    at |R| = 300, 20 stations).
+//!    takes ~11× the on-CPU time on a 25-request, 5-station world and
+//!    ~50× at |R| = 300, 20 stations).
 //! 4. **Anti-starvation residual pass** (§V's stated purpose: "avoid their
 //!    scheduling starvation"): leftover capacity goes to the most-starved
 //!    unserved requests — a request's response latency (Eq. 2) is fixed at

@@ -84,11 +84,11 @@ fn pinned_episode_matches_recorded_figures() {
         stats,
         SolverStats {
             solves: 160,
-            warm_hits: 142,
-            warm_fallbacks: 17,
+            warm_hits: 151,
+            warm_fallbacks: 8,
             cold_starts: 1,
-            pivots: 4652,
-            refactorizations: 36,
+            pivots: 2944,
+            refactorizations: 22,
         }
     );
     assert_eq!(

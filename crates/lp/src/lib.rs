@@ -7,7 +7,7 @@
 //!
 //! * a typed [`Problem`] builder (maximize/minimize, `≤ / ≥ / =` rows,
 //!   optional upper bounds),
-//! * a **two-phase dense primal simplex** ([`simplex`]) with Dantzig pricing
+//! * a **two-phase dense primal simplex** ([`simplex`]) with Devex pricing
 //!   and a Bland anti-cycling fallback,
 //! * a **sparse revised simplex** ([`revised`]) over CSC columns
 //!   ([`sparse`]) with an eta-file basis inverse, periodic
@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 
 pub mod branch_bound;
+mod devex;
 pub mod problem;
 pub mod revised;
 pub mod simplex;

@@ -4,10 +4,17 @@
 //! `≤` rows get slacks, `≥` rows get a surplus and an artificial, `=` rows
 //! get an artificial. Phase 1 minimizes the artificial sum to find a basic
 //! feasible point; phase 2 minimizes the (possibly negated) objective.
-//! Pricing is Dantzig (most negative reduced cost) with a switch to Bland's
-//! rule after a configurable number of iterations to guarantee termination
-//! under degeneracy.
+//! Pricing is Devex (`devex.rs`): the entering column maximizes
+//! `d_j²/w_j` over reference weights that start at 1 with each phase and
+//! that every pivot raises from its own tableau row,
+//! `w_j = max(w_j, (α_rj/α_rq)²·w_q)`, the leaving column taking
+//! `max(w_q/α_rq², 1)`, where `w_q` is the entering column's exact weight
+//! read off its tableau column. The sparse revised simplex applies the same
+//! rule to its pivot row and FTRAN column, so the two solvers walk the same
+//! vertices up to rounding. After a configurable number of pivots, pricing
+//! switches to Bland's rule to guarantee termination under degeneracy.
 
+use crate::devex;
 use crate::problem::{Cmp, Problem, Sense};
 use crate::solution::{LpError, Solution};
 use serde::{Deserialize, Serialize};
@@ -19,7 +26,7 @@ pub struct SimplexConfig {
     pub max_iterations: usize,
     /// Pivot/zero tolerance.
     pub eps: f64,
-    /// After this many pivots in a phase, switch from Dantzig to Bland's
+    /// After this many pivots in a phase, switch from Devex to Bland's
     /// anti-cycling rule.
     pub bland_after: usize,
     /// Drop provably-zero columns before building the tableau (sound for
@@ -51,6 +58,11 @@ struct Tableau {
     cost: Vec<f64>, // reduced costs, length n_total
     z: f64,         // current objective value (of the phase's cost)
     basis: Vec<usize>,
+    /// Devex weights of the columns below `art_start`, as reciprocals.
+    inv_w: Vec<f64>,
+    /// Devex's reference framework: the columns below `art_start` that
+    /// were nonbasic when the phase started.
+    in_ref: Vec<bool>,
 }
 
 impl Tableau {
@@ -123,30 +135,52 @@ impl Tableau {
         self.basis[row] = col;
     }
 
+    /// Raises the Devex weights from row `row` before `col` enters there:
+    /// every column the row touches by the formula, then the leaving
+    /// column afresh. Basic columns take stray updates too; a basic column's
+    /// weight is never read, and it is set anew when the column leaves.
+    fn update_weights(&mut self, row: usize, col: usize) {
+        let n = self.n_total;
+        let is_ref = |c: usize| c < self.art_start && self.in_ref[c];
+        let wq = devex::entering_weight(
+            is_ref(col),
+            (0..self.m).map(|i| (is_ref(self.basis[i]), self.a[i * n + col])),
+        );
+        let pivot_row = &self.a[row * n..row * n + self.art_start];
+        let step = devex::Step::new(wq, pivot_row[col]);
+        for (inv_wj, &a) in self.inv_w.iter_mut().zip(pivot_row) {
+            if a != 0.0 {
+                *inv_wj = step.raise(*inv_wj, a);
+            }
+        }
+        if let Some(inv_w) = self.inv_w.get_mut(self.basis[row]) {
+            *inv_w = step.leaving();
+        }
+    }
+
     /// Runs pivots until optimal / unbounded / iteration cap.
     fn optimize(&mut self, config: &SimplexConfig) -> Result<(), LpError> {
+        // The columns nonbasic at the phase's start are the reference
+        // framework, every weight 1.
+        self.inv_w.clear();
+        self.inv_w.resize(self.art_start, 1.0);
+        self.in_ref.clear();
+        self.in_ref.resize(self.art_start, true);
+        for &b in &self.basis {
+            if let Some(r) = self.in_ref.get_mut(b) {
+                *r = false;
+            }
+        }
         for iter in 0..config.max_iterations {
             let bland = iter >= config.bland_after;
-            // Entering column: artificials never re-enter. Dantzig takes
-            // the most negative reduced cost; costs within `eps` of it tie
-            // and the lowest index wins, so reruns — and the revised
-            // solver, which recomputes reduced costs from scratch — pivot
-            // identically.
+            // Entering column: artificials never re-enter. Devex takes the
+            // largest `d_j²/w_j`, the lowest index on ties within `eps`,
+            // exactly as the revised solver does with its own reduced costs.
             let entering: Option<usize> = if bland {
                 // Bland: first improving index.
                 (0..self.art_start).find(|&j| self.cost[j] < -config.eps)
             } else {
-                let mut best = 0.0f64;
-                for j in 0..self.art_start {
-                    if self.cost[j] < best {
-                        best = self.cost[j];
-                    }
-                }
-                if best < -config.eps {
-                    (0..self.art_start).find(|&j| self.cost[j] <= best + config.eps)
-                } else {
-                    None
-                }
+                devex::pick(&self.cost[..self.art_start], &self.inv_w, config.eps)
             };
             let Some(col) = entering else {
                 return Ok(()); // optimal
@@ -171,6 +205,7 @@ impl Tableau {
             let Some(row) = leave else {
                 return Err(LpError::Unbounded);
             };
+            self.update_weights(row, col);
             self.pivot(row, col);
             note_pivot();
         }
@@ -355,6 +390,8 @@ pub fn solve(problem: &Problem, config: &SimplexConfig) -> Result<Solution, LpEr
         cost: Vec::new(),
         z: 0.0,
         basis: vec![0; m],
+        inv_w: Vec::new(),
+        in_ref: Vec::new(),
     };
 
     let mut next_slack = n;
