@@ -13,7 +13,7 @@ use crate::params::Defaults;
 use crate::table::Table;
 use mec_core::model::{Instance, Realizations};
 use mec_core::online::{DynamicRr, DynamicRrConfig, Learner};
-use mec_core::{Appro, OfflineAlgorithm};
+use mec_core::{policy_from_name, Appro, OfflineAlgorithm, POLICY_NAMES};
 use mec_sim::Engine;
 
 fn run_dynamic_rr(d: &Defaults, config: DynamicRrConfig, use_lp: bool) -> (f64, f64) {
@@ -214,8 +214,7 @@ pub fn slot_size_ablation(d: &Defaults) -> Table {
 /// comparison: policies that thin allocations across too many streams now
 /// pay for it with teardowns.
 pub fn continuity_extension(d: &Defaults, min_fraction: f64, grace_slots: u64) -> Table {
-    use mec_core::{OnlineGreedy, OnlineHeuKkt, OnlineOcorp};
-    use mec_sim::{Continuity, SlotPolicy};
+    use mec_sim::Continuity;
 
     let mut table = Table::new(
         format!(
@@ -223,8 +222,7 @@ pub fn continuity_extension(d: &Defaults, min_fraction: f64, grace_slots: u64) -
         ),
         &["policy", "reward", "completed", "aborted", "expired"],
     );
-    let names = ["DynamicRR", "HeuKKT", "OCORP", "Greedy"];
-    for name in names {
+    for name in POLICY_NAMES {
         let mut reward = 0.0;
         let (mut completed, mut aborted, mut expired) = (0usize, 0usize, 0usize);
         for seed in 0..d.runs {
@@ -235,15 +233,7 @@ pub fn continuity_extension(d: &Defaults, min_fraction: f64, grace_slots: u64) -
             });
             let paths = topo.shortest_paths();
             let mut engine = Engine::new(&topo, &paths, requests, cfg);
-            let mut policy: Box<dyn SlotPolicy> = match name {
-                "DynamicRR" => Box::new(DynamicRr::new(DynamicRrConfig {
-                    horizon_hint: cfg.horizon,
-                    ..Default::default()
-                })),
-                "HeuKKT" => Box::new(OnlineHeuKkt::new()),
-                "OCORP" => Box::new(OnlineOcorp::new()),
-                _ => Box::new(OnlineGreedy::new()),
-            };
+            let mut policy = policy_from_name(name, cfg.horizon).expect("name from POLICY_NAMES");
             let m = engine.run(policy.as_mut()).expect("legal schedules");
             reward += m.total_reward() / d.runs as f64;
             completed += m.completed();

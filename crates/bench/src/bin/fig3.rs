@@ -6,27 +6,9 @@
 //! (set `MEC_BENCH_RUNS` to change the per-point repetitions, default 5).
 
 use mec_bench::figures::{fig3, runs_from_env};
-use mec_bench::{Defaults, ProfileArgs};
-
-const USAGE: &str = "\
-fig3: regenerate Fig 3(a-c) CSVs under results/
-
-USAGE:
-    fig3 [--profile-out PATH] [--profile-folded PATH]
-
-Profiling flags need a build with --features prof.
-Set MEC_BENCH_RUNS to change the per-point repetitions (default 5).
-";
+use mec_bench::Defaults;
 
 fn main() {
-    let prof = match ProfileArgs::from_env(USAGE) {
-        Ok(prof) => prof,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    prof.begin();
     let d = Defaults {
         runs: runs_from_env(5),
         ..Defaults::paper()
@@ -41,9 +23,5 @@ fn main() {
         print!("{}", table.render());
         table.write_csv(path).expect("write csv");
         println!("  -> {path}\n");
-    }
-    if let Err(msg) = prof.finish() {
-        eprintln!("{msg}");
-        std::process::exit(1);
     }
 }

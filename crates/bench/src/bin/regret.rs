@@ -6,29 +6,12 @@
 //!    oracle).
 //!
 //! Usage: `cargo run -p mec-bench --release --bin regret`
+//! (set `MEC_BENCH_RUNS` to change the end-to-end repetitions, default 3).
 
 use mec_bench::figures::{regret_curve, regret_end_to_end, runs_from_env};
-use mec_bench::{Defaults, ProfileArgs};
-
-const USAGE: &str = "\
-regret: Theorem-3 regret experiment, CSVs under results/
-
-USAGE:
-    regret [--profile-out PATH] [--profile-folded PATH]
-
-Profiling flags need a build with --features prof.
-Set MEC_BENCH_RUNS to change the end-to-end repetitions (default 3).
-";
+use mec_bench::Defaults;
 
 fn main() {
-    let prof = match ProfileArgs::from_env(USAGE) {
-        Ok(prof) => prof,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    prof.begin();
     for &kappa in &[4usize, 9, 16] {
         let table = regret_curve(kappa, 20_000, 0.5, 11);
         print!("{}", table.render());
@@ -51,8 +34,4 @@ fn main() {
         .write_csv("results/regret_end_to_end.csv")
         .expect("write csv");
     println!("  -> results/regret_end_to_end.csv");
-    if let Err(msg) = prof.finish() {
-        eprintln!("{msg}");
-        std::process::exit(1);
-    }
 }

@@ -9,10 +9,10 @@ use crate::table::Table;
 use mec_bandit::{ArmId, BanditPolicy, ConfidenceSchedule, LipschitzDomain, SuccessiveElimination};
 use mec_core::model::Realizations;
 use mec_core::{
-    Appro, DynamicRr, DynamicRrConfig, Exact, Greedy, Heu, HeuKkt, Ocorp, OfflineAlgorithm,
-    OnlineGreedy, OnlineHeuKkt, OnlineOcorp,
+    policy_from_name, Appro, DynamicRr, DynamicRrConfig, Exact, Greedy, Heu, HeuKkt, Ocorp,
+    OfflineAlgorithm, POLICY_NAMES,
 };
-use mec_sim::{Engine, Metrics, SlotPolicy};
+use mec_sim::{Engine, Metrics};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -30,55 +30,6 @@ fn offline_algorithms(seed: u64) -> Vec<Box<dyn OfflineAlgorithm>> {
 /// Names for the offline series.
 pub const OFFLINE_NAMES: [&str; 5] = ["Appro", "Heu", "HeuKKT", "OCORP", "Greedy"];
 
-/// Names for the online series (Fig 4/6).
-pub const ONLINE_NAMES: [&str; 4] = ["DynamicRR", "HeuKKT", "OCORP", "Greedy"];
-
-/// A policy name that matches none of [`ONLINE_NAMES`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownPolicy {
-    /// The name that failed to resolve.
-    pub name: String,
-}
-
-impl std::fmt::Display for UnknownPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown online policy {:?}; accepted values: {}",
-            self.name,
-            ONLINE_NAMES.join(", ")
-        )
-    }
-}
-
-impl std::error::Error for UnknownPolicy {}
-
-/// Resolves an online policy by its [`ONLINE_NAMES`] entry.
-///
-/// # Errors
-///
-/// Returns [`UnknownPolicy`] (listing the accepted values) when `name`
-/// matches no series.
-pub fn online_policy(
-    name: &str,
-    horizon: u64,
-) -> Result<Box<dyn SlotPolicy + Send>, UnknownPolicy> {
-    Ok(match name {
-        "DynamicRR" => Box::new(DynamicRr::new(DynamicRrConfig {
-            horizon_hint: horizon,
-            ..Default::default()
-        })),
-        "HeuKKT" => Box::new(OnlineHeuKkt::new()),
-        "OCORP" => Box::new(OnlineOcorp::new()),
-        "Greedy" => Box::new(OnlineGreedy::new()),
-        other => {
-            return Err(UnknownPolicy {
-                name: other.to_string(),
-            })
-        }
-    })
-}
-
 /// Averaged (reward, latency ms) of one online policy over `runs` seeds.
 /// `burst` switches to the offline-comparable all-at-once arrival world.
 fn online_point_with(d: &Defaults, name: &str, burst: bool) -> (f64, f64) {
@@ -90,7 +41,7 @@ fn online_point_with(d: &Defaults, name: &str, burst: bool) -> (f64, f64) {
         };
         let paths = topo.shortest_paths();
         let mut engine = Engine::new(&topo, &paths, requests, cfg);
-        let mut policy = online_policy(name, cfg.horizon).expect("name from ONLINE_NAMES");
+        let mut policy = policy_from_name(name, cfg.horizon).expect("name from POLICY_NAMES");
         let m: Metrics = engine
             .run(policy.as_mut())
             .expect("built-in policies produce legal schedules");
@@ -148,14 +99,14 @@ pub fn fig3(d: &Defaults, request_counts: &[usize]) -> (Table, Table, Table) {
 /// Fig 4(a-b): online total reward and average latency as `|R|` grows.
 pub fn fig4(d: &Defaults, request_counts: &[usize]) -> (Table, Table) {
     let mut headers = vec!["|R|"];
-    headers.extend(ONLINE_NAMES);
+    headers.extend(POLICY_NAMES);
     let mut reward = Table::new("Fig 4(a): total reward vs |R| (online)", &headers);
     let mut latency = Table::new("Fig 4(b): average latency (ms) vs |R| (online)", &headers);
     for &n in request_counts {
         let dn = Defaults { requests: n, ..*d };
         let mut rew_cells = vec![n.to_string()];
         let mut lat_cells = vec![n.to_string()];
-        for name in ONLINE_NAMES {
+        for name in POLICY_NAMES {
             let (r, l) = online_point(&dn, name);
             rew_cells.push(format!("{r:.1}"));
             lat_cells.push(format!("{l:.1}"));
@@ -236,7 +187,7 @@ pub fn fig5(d: &Defaults, station_counts: &[usize]) -> (Table, Table) {
 /// (rate band `[10, max]` MB/s, matching the paper's 15→35 sweep).
 pub fn fig6(d: &Defaults, max_rates: &[f64]) -> (Table, Table) {
     let mut headers = vec!["maxRate"];
-    headers.extend(ONLINE_NAMES);
+    headers.extend(POLICY_NAMES);
     let mut reward = Table::new("Fig 6(a): total reward vs max data rate (online)", &headers);
     let mut latency = Table::new(
         "Fig 6(b): average latency (ms) vs max data rate (online)",
@@ -255,7 +206,7 @@ pub fn fig6(d: &Defaults, max_rates: &[f64]) -> (Table, Table) {
         };
         let mut rew_cells = vec![format!("{hi:.0}")];
         let mut lat_cells = vec![format!("{hi:.0}")];
-        for name in ONLINE_NAMES {
+        for name in POLICY_NAMES {
             let (r, l) = online_point(&dh, name);
             rew_cells.push(format!("{r:.1}"));
             lat_cells.push(format!("{l:.1}"));

@@ -22,9 +22,7 @@ pub mod figures;
 pub mod gate;
 pub mod parallel;
 pub mod params;
-pub mod profile;
 pub mod table;
 
 pub use params::Defaults;
-pub use profile::ProfileArgs;
 pub use table::Table;

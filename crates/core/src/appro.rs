@@ -294,28 +294,22 @@ impl OfflineAlgorithm for Appro {
 
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xA55A_5AA5);
         let mut state = AdmissionState::new(instance);
-        {
-            mec_obs::prof_scope!("appro.rounding");
-            for _ in 0..self.rounds {
-                let eligible: Vec<bool> = state.assignment.iter().map(Option::is_none).collect();
-                if eligible.iter().all(|&e| !e) {
-                    break;
-                }
-                let tentative = sample_tentative(&frac, &eligible, &mut rng);
-                if tentative.iter().all(Option::is_none) {
-                    continue;
-                }
-                admission_sweep(instance, realized, &tentative, &mut state);
+        for _ in 0..self.rounds {
+            let eligible: Vec<bool> = state.assignment.iter().map(Option::is_none).collect();
+            if eligible.iter().all(|&e| !e) {
+                break;
             }
+            let tentative = sample_tentative(&frac, &eligible, &mut rng);
+            if tentative.iter().all(Option::is_none) {
+                continue;
+            }
+            admission_sweep(instance, realized, &tentative, &mut state);
         }
         if self.rounds > 1 {
             // rounds == 1 is the verbatim paper algorithm (used by the
             // Theorem-1 ratio experiment); otherwise finish with the
             // revealed-information fill.
-            mec_obs::prof_span!(
-                "appro.residual_fill",
-                residual_fill(instance, realized, &mut state)
-            );
+            residual_fill(instance, realized, &mut state);
         }
         Ok(state.into_outcome(instance, started))
     }

@@ -199,56 +199,47 @@ impl OfflineAlgorithm for Heu {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x5EED_BEEF);
         let mut state = AdmissionState::new(instance);
         let mut nearest = NearestTargets::new(instance.topo().station_count());
-        {
-            mec_obs::prof_scope!("heu.rounding");
-            for _ in 0..self.rounds {
-                let eligible: Vec<bool> = state.assignment.iter().map(Option::is_none).collect();
-                if eligible.iter().all(|&e| !e) {
-                    break;
-                }
-                let tentative = sample_tentative(&frac, &eligible, &mut rng);
-                if tentative.iter().all(Option::is_none) {
-                    continue;
-                }
-                let grouped = grouped_by_slot(instance, &tentative);
-                let max_l = grouped.iter().map(Vec::len).max().unwrap_or(0);
-                for l in 1..=max_l {
-                    for station in instance.topo().station_ids() {
-                        let layout = instance.slot_layout(station);
-                        if l > layout.count() {
-                            continue;
-                        }
-                        let prefix = layout.slot_size() * l as f64;
-                        for &j in &grouped[station.index()][l - 1] {
-                            let fits =
-                                state.occupied[station.index()].as_mhz() <= prefix.as_mhz() + 1e-9;
-                            if fits {
-                                state.admit(instance, realized, j, station);
-                            } else if mec_obs::prof_span!(
-                                "heu.migrate",
-                                migrate_one_task(
-                                    instance,
-                                    realized,
-                                    &mut state,
-                                    station,
-                                    &mut nearest
-                                )
-                            ) && state.occupied[station.index()].as_mhz()
-                                <= prefix.as_mhz() + 1e-9
-                            {
-                                // Step 12-14: migration freed the prefix; admit.
-                                state.admit(instance, realized, j, station);
-                            }
+        for _ in 0..self.rounds {
+            let eligible: Vec<bool> = state.assignment.iter().map(Option::is_none).collect();
+            if eligible.iter().all(|&e| !e) {
+                break;
+            }
+            let tentative = sample_tentative(&frac, &eligible, &mut rng);
+            if tentative.iter().all(Option::is_none) {
+                continue;
+            }
+            let grouped = grouped_by_slot(instance, &tentative);
+            let max_l = grouped.iter().map(Vec::len).max().unwrap_or(0);
+            for l in 1..=max_l {
+                for station in instance.topo().station_ids() {
+                    let layout = instance.slot_layout(station);
+                    if l > layout.count() {
+                        continue;
+                    }
+                    let prefix = layout.slot_size() * l as f64;
+                    for &j in &grouped[station.index()][l - 1] {
+                        let fits =
+                            state.occupied[station.index()].as_mhz() <= prefix.as_mhz() + 1e-9;
+                        if fits {
+                            state.admit(instance, realized, j, station);
+                        } else if migrate_one_task(
+                            instance,
+                            realized,
+                            &mut state,
+                            station,
+                            &mut nearest,
+                        ) && state.occupied[station.index()].as_mhz()
+                            <= prefix.as_mhz() + 1e-9
+                        {
+                            // Step 12-14: migration freed the prefix; admit.
+                            state.admit(instance, realized, j, station);
                         }
                     }
                 }
             }
         }
         if self.rounds > 1 {
-            mec_obs::prof_span!(
-                "heu.residual_fill",
-                residual_fill(instance, realized, &mut state)
-            );
+            residual_fill(instance, realized, &mut state);
         }
         Ok(state.into_outcome(instance, started))
     }

@@ -57,7 +57,10 @@ pub use hindsight::hindsight_bound;
 pub use mec_bandit::RegretAccountant;
 pub use mec_lp::SolverKind;
 pub use model::{Instance, InstanceParams, Realizations};
-pub use online::{DynamicRr, DynamicRrConfig, Learner, OnlineGreedy, OnlineHeuKkt, OnlineOcorp};
+pub use online::{
+    policy_from_name, DynamicRr, DynamicRrConfig, Learner, OnlineGreedy, OnlineHeuKkt, OnlineOcorp,
+    UnknownPolicy, POLICY_NAMES,
+};
 pub use outcome::{OfflineAlgorithm, OffloadOutcome};
 pub use placement::TaskPlacement;
 pub use slotlp::{SlotLpSolver, SolverStats};

@@ -524,16 +524,16 @@ impl SlotPolicy for DynamicRr {
             self.current_arm = None;
             return Vec::new();
         }
-        let arm = mec_obs::prof_span!("dynrr.select", self.policy.as_policy_mut().select());
+        let arm = self.policy.as_policy_mut().select();
         self.current_arm = Some(arm);
         let threshold = Compute::mhz(self.domain.value(arm));
-        let admitted = mec_obs::prof_span!("dynrr.admit", self.admit(ctx, threshold));
+        let admitted = self.admit(ctx, threshold);
         let mut allocations = if self.config.use_lp {
-            mec_obs::prof_span!("dynrr.assign_lp", self.assign_lp(ctx, &admitted))
+            self.assign_lp(ctx, &admitted)
         } else {
-            mec_obs::prof_span!("dynrr.assign_fast", self.assign_fast(ctx, &admitted))
+            self.assign_fast(ctx, &admitted)
         };
-        mec_obs::prof_span!("dynrr.keep_alive", self.keep_alive(ctx, &mut allocations));
+        self.keep_alive(ctx, &mut allocations);
         if self.policy.as_probe().probe_enabled() {
             self.last_decision = Some(self.decision_record(ctx.slot, arm, &allocations));
         }

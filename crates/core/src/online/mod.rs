@@ -5,16 +5,21 @@
 //!   admission + `Heu`-style assignment.
 //! * [`OnlineGreedy`], [`OnlineOcorp`], [`OnlineHeuKkt`] — the online
 //!   versions of the §VI-A baselines.
+//!
+//! [`policy_from_name`] resolves each of them from its [`POLICY_NAMES`]
+//! entry.
 
 mod dynamic_rr;
 mod greedy;
 mod heukkt;
 mod ocorp;
+mod registry;
 
 pub use dynamic_rr::{DynamicRr, DynamicRrConfig, Learner};
 pub use greedy::OnlineGreedy;
 pub use heukkt::OnlineHeuKkt;
 pub use ocorp::OnlineOcorp;
+pub use registry::{policy_from_name, UnknownPolicy, POLICY_NAMES};
 
 use mec_sim::{JobView, SlotContext};
 use mec_topology::station::StationId;

@@ -169,7 +169,6 @@ impl SlotLp {
         subset: &[usize],
         truncation: Truncation,
     ) {
-        mec_obs::prof_scope!("slotlp.build");
         let c_unit = instance.params().c_unit;
         let slot_cap = instance.params().slot_capacity;
         let topo = instance.topo();
@@ -322,8 +321,6 @@ impl SlotLp {
     /// Propagates [`LpError`]; a well-formed instance is always feasible
     /// (`y = 0` satisfies everything) and bounded (`y ≤ 1` via Eq. 9).
     pub fn solve(&self, subset_len: usize) -> Result<FractionalAssignment, LpError> {
-        mec_obs::prof_scope!("slotlp.solve");
-        let pivots_before = mec_lp::pivots_performed();
         let sol = match revised::solve(&self.problem, &RevisedConfig::default()) {
             Ok(sol) => Ok(sol),
             // The slot LP is always feasible and bounded, so a revised
@@ -332,7 +329,6 @@ impl SlotLp {
             Err(LpError::IterationLimit) => self.problem.solve(),
             Err(e) => Err(e),
         };
-        mec_obs::prof_count!("simplex_pivots", mec_lp::pivots_performed() - pivots_before);
         Ok(self.extract(&sol?, subset_len))
     }
 
@@ -465,7 +461,6 @@ impl SlotLpSolver {
         lp: &SlotLp,
         subset_len: usize,
     ) -> Result<FractionalAssignment, LpError> {
-        mec_obs::prof_scope!("slotlp.solve");
         self.stats.solves += 1;
         let pivots_before = mec_lp::pivots_performed();
         let refactors_before = mec_lp::refactors_performed();
@@ -477,7 +472,6 @@ impl SlotLpSolver {
         let pivots = mec_lp::pivots_performed() - pivots_before;
         self.stats.pivots += pivots;
         self.stats.refactorizations += mec_lp::refactors_performed() - refactors_before;
-        mec_obs::prof_count!("simplex_pivots", pivots);
         result
     }
 

@@ -3,13 +3,8 @@
 //! timeline, learning and flight-recorder sections, fault/restart log,
 //! per-shard latency histograms, final bandit state.
 //!
-//! Also understands profile streams from `--profile-out` (detected by
-//! their `{"kind":"profile",...}` header), rendering the phase report
-//! instead.
-//!
 //! ```text
 //! mec-obs-report events.jsonl
-//! mec-obs-report profile.jsonl
 //! mec-serve --trace-out - ... | mec-obs-report -
 //! ```
 //!
@@ -18,7 +13,6 @@
 //! lines, the truncation is diagnosed on stderr, and the exit code is
 //! nonzero so scripts still notice.
 
-use mec_obs::ProfileReport;
 use std::io::{BufRead, BufReader, Read};
 use std::process::ExitCode;
 
@@ -26,7 +20,7 @@ const USAGE: &str = "\
 mec-obs-report: render a run report from a mec-serve trace
 
 USAGE:
-    mec-obs-report <TRACE.jsonl>    read a trace or profile ('-' for stdin)
+    mec-obs-report <TRACE.jsonl>    read a trace ('-' for stdin)
     mec-obs-report --help           print this help
 ";
 
@@ -82,10 +76,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
 
-    let text = lines.join("\n");
-    if ProfileReport::sniff(&text) {
-        return render_profile(&path, &lines, &text, last_line_no);
-    }
     match mec_obs::build_report(&lines) {
         Ok(report) => {
             print!("{}", report.render());
@@ -111,37 +101,6 @@ fn main() -> ExitCode {
         }
         Err((line_no, e)) => {
             eprintln!("trace {path:?} line {line_no}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Renders a `--profile-out` stream; hot-phase table capped at 10.
-fn render_profile(path: &str, lines: &[String], text: &str, last_line_no: usize) -> ExitCode {
-    match ProfileReport::from_jsonl(text) {
-        Ok(report) => {
-            print!("{}", report.render_text(10));
-            ExitCode::SUCCESS
-        }
-        Err(e) if e.line == last_line_no => {
-            let head = lines[..last_line_no - 1].join("\n");
-            match ProfileReport::from_jsonl(&head) {
-                Ok(report) => {
-                    print!("{}", report.render_text(10));
-                    eprintln!(
-                        "profile {path:?}: last line {last_line_no} is truncated ({e}); \
-                         reported the complete lines before it"
-                    );
-                    ExitCode::FAILURE
-                }
-                Err(e) => {
-                    eprintln!("profile {path:?}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("profile {path:?}: {e}");
             ExitCode::FAILURE
         }
     }

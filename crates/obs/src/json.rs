@@ -91,8 +91,11 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Reads `text` from byte `pos`, which only ever advances over ASCII
+/// bytes or over whole runs of characters, so it always sits on a char
+/// boundary and slicing `text` at it cannot panic.
 struct Cursor<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -106,8 +109,7 @@ impl<'a> Cursor<'a> {
 
     fn skip_ws(&mut self) {
         while self
-            .bytes
-            .get(self.pos)
+            .peek()
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
         {
             self.pos += 1;
@@ -115,7 +117,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
@@ -148,9 +150,8 @@ impl<'a> Cursor<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok());
                             let Some(code) = hex else {
                                 return self.err("bad \\u escape");
@@ -163,19 +164,18 @@ impl<'a> Cursor<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is valid UTF-8
-                    // because it arrived as &str).
-                    let rest = &self.as_str()[self.pos..];
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape at once;
+                    // both are ASCII, so the run ends on a char boundary.
+                    let rest = &self.text[self.pos..];
+                    let run = rest
+                        .bytes()
+                        .position(|b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
-    }
-
-    fn as_str(&self) -> &'a str {
-        std::str::from_utf8(self.bytes).expect("input was a str")
     }
 
     fn number(&mut self) -> Result<f64, ParseError> {
@@ -186,7 +186,7 @@ impl<'a> Cursor<'a> {
         {
             self.pos += 1;
         }
-        self.as_str()[start..self.pos]
+        self.text[start..self.pos]
             .parse::<f64>()
             .map_err(|_| ParseError {
                 at: start,
@@ -195,7 +195,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn literal(&mut self, word: &str) -> bool {
-        if self.as_str()[self.pos..].starts_with(word) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             true
         } else {
@@ -295,13 +295,10 @@ impl<'a> Cursor<'a> {
 /// Fails on malformed JSON, trailing input, or nesting deeper than an
 /// internal cap.
 pub fn parse_json(text: &str) -> Result<JsonValue, ParseError> {
-    let mut c = Cursor {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut c = Cursor { text, pos: 0 };
     let value = c.any_value(0)?;
     c.skip_ws();
-    if c.pos != c.bytes.len() {
+    if c.pos != c.text.len() {
         return c.err("trailing input after value");
     }
     Ok(value)
@@ -314,10 +311,7 @@ pub fn parse_json(text: &str) -> Result<JsonValue, ParseError> {
 /// Fails on anything that is not a single flat object of scalar values
 /// (see module docs).
 pub fn parse_flat_object(line: &str) -> Result<BTreeMap<String, JsonValue>, ParseError> {
-    let mut c = Cursor {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
+    let mut c = Cursor { text: line, pos: 0 };
     let mut out = BTreeMap::new();
     c.skip_ws();
     c.expect(b'{')?;
@@ -344,7 +338,7 @@ pub fn parse_flat_object(line: &str) -> Result<BTreeMap<String, JsonValue>, Pars
         }
     }
     c.skip_ws();
-    if c.pos != c.bytes.len() {
+    if c.pos != c.text.len() {
         return c.err("trailing input after object");
     }
     Ok(out)
@@ -435,5 +429,71 @@ mod tests {
         assert_eq!(m["b"].as_f64(), Some(0.25));
         assert_eq!(m["c"].as_u64(), Some(12));
         assert_eq!(m["a"].as_u64(), None);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Multi-byte characters and escapes throughout, > 512 KiB raw.
+        let unit = r#"abc é€😀 \"q\" \\ \u00e9\n"#;
+        let decoded_unit = "abc é€😀 \"q\" \\ é\n";
+        let repeats = 512 * 1024 / unit.len() + 1;
+        let raw = unit.repeat(repeats);
+        let decoded = decoded_unit.repeat(repeats);
+        assert!(raw.len() >= 512 * 1024);
+        let started = std::time::Instant::now();
+        let value = parse_json(&format!("{{\"big\":\"{raw}\",\"n\":[1,2]}}")).unwrap();
+        assert_eq!(
+            value.get("big").and_then(JsonValue::as_str),
+            Some(&*decoded)
+        );
+        let line = parse_flat_object(&format!("{{\"slot\":1,\"note\":\"{raw}\"}}")).unwrap();
+        assert_eq!(line["note"].as_str(), Some(&*decoded));
+        assert_eq!(line["slot"].as_u64(), Some(1));
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "two 512 KiB strings took {elapsed:?}"
+        );
+    }
+
+    mod props {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        /// Fragments that steer random input towards JSON-shaped text.
+        const FRAGMENTS: [&str; 24] = [
+            "{", "}", "[", "]", "\"", "\\", ":", ",", " ", "\n", "-", "+", ".", "e", "0", "7",
+            "true", "false", "null", "\\u", "\\u00e9", "\"k\":", "é", "😀",
+        ];
+
+        /// Arbitrary text: JSON fragments mixed with any Unicode scalar.
+        fn text() -> impl Strategy<Value = String> {
+            prop::collection::vec((0..FRAGMENTS.len() + 1, 0u32..0x11_0000), 0..48).prop_map(
+                |parts| {
+                    let mut s = String::new();
+                    for (i, code) in parts {
+                        match FRAGMENTS.get(i) {
+                            Some(f) => s.push_str(f),
+                            None => s.push(char::from_u32(code).unwrap_or('\u{FFFD}')),
+                        }
+                    }
+                    s
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+            #[test]
+            fn parsers_never_panic(input in text()) {
+                let _ = parse_json(&input);
+                let _ = parse_flat_object(&input);
+                // A well-formed prefix must not turn a torn tail into a panic.
+                let line = format!("{{\"k\":{input}");
+                let _ = parse_json(&line);
+                let _ = parse_flat_object(&line);
+            }
+        }
     }
 }

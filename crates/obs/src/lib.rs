@@ -58,7 +58,6 @@
 pub mod drift;
 pub mod flight;
 pub mod json;
-pub mod prof;
 pub mod registry;
 pub mod report;
 pub mod server;
@@ -69,7 +68,6 @@ pub use drift::PageHinkley;
 pub use flight::{
     DecisionSnapshot, FlightRecorder, FlightTrigger, FlightTriggerParseError, FlightTriggerSet,
 };
-pub use prof::{PhaseNode, ProfileReport};
 pub use registry::{
     log_linear_bounds, BoundsMismatch, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
     WindowedHistogram, STRIPES,
@@ -181,93 +179,6 @@ macro_rules! span {
                 let _ = &$hist;
             }
             $body
-        }
-    }};
-}
-
-/// Opens a profiler span that lasts to the end of the enclosing scope.
-///
-/// ```ignore
-/// mec_obs::prof_scope!("engine.step");
-/// ```
-///
-/// In a consumer crate compiled **with** its `prof` feature this binds
-/// an RAII guard from [`prof::enter`]; without the feature it compiles
-/// to nothing (the name is type-checked, never evaluated). Like
-/// [`event!`]/[`span!`], the cfg is evaluated in the calling crate.
-#[macro_export]
-macro_rules! prof_scope {
-    ($name:expr) => {
-        #[cfg(feature = "prof")]
-        let __prof_guard = $crate::prof::enter($name);
-        #[cfg(not(feature = "prof"))]
-        let __prof_guard = {
-            if false {
-                let _ = &$name;
-            }
-        };
-        let _ = &__prof_guard;
-    };
-}
-
-/// Times an expression as a profiler span, returning its value.
-///
-/// ```ignore
-/// let frac = mec_obs::prof_span!("slotlp.solve", lp.solve(len)?);
-/// ```
-#[macro_export]
-macro_rules! prof_span {
-    ($name:expr, $body:expr) => {{
-        #[cfg(feature = "prof")]
-        {
-            let __prof_guard = $crate::prof::enter($name);
-            let __prof_out = $body;
-            drop(__prof_guard);
-            __prof_out
-        }
-        #[cfg(not(feature = "prof"))]
-        {
-            if false {
-                let _ = &$name;
-            }
-            $body
-        }
-    }};
-}
-
-/// Sets the virtual slot subsequent spans on this thread are attributed
-/// to (see [`prof::set_slot`]). No-op without the caller's `prof`
-/// feature.
-#[macro_export]
-macro_rules! prof_slot {
-    ($slot:expr) => {{
-        #[cfg(feature = "prof")]
-        {
-            $crate::prof::set_slot($slot);
-        }
-        #[cfg(not(feature = "prof"))]
-        {
-            if false {
-                let _ = &$slot;
-            }
-        }
-    }};
-}
-
-/// Adds to a named counter on the currently open profiler span (see
-/// [`prof::add_count`]). No-op without the caller's `prof` feature.
-#[macro_export]
-macro_rules! prof_count {
-    ($name:expr, $n:expr) => {{
-        #[cfg(feature = "prof")]
-        {
-            $crate::prof::add_count($name, $n);
-        }
-        #[cfg(not(feature = "prof"))]
-        {
-            if false {
-                let _ = (&$name, &$n);
-            }
         }
     }};
 }

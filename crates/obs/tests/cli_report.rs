@@ -1,6 +1,6 @@
-//! CLI behaviour of `mec-obs-report`: trace and profile rendering,
-//! empty input, and truncated-final-line salvage. Drives the real
-//! binary via `CARGO_BIN_EXE_mec-obs-report`.
+//! CLI behaviour of `mec-obs-report`: trace rendering, empty input,
+//! and truncated-final-line salvage. Drives the real binary via
+//! `CARGO_BIN_EXE_mec-obs-report`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -88,45 +88,6 @@ fn mid_stream_corruption_is_a_plain_error() {
     assert!(!out.status.success());
     assert_eq!(stdout(&out), "", "corrupt stream renders nothing");
     assert!(stderr(&out).contains("line 2"), "{}", stderr(&out));
-}
-
-#[test]
-fn profile_stream_renders_phase_report() {
-    let profile = concat!(
-        r#"{"kind":"profile","version":1,"phases":2}"#,
-        "\n",
-        r#"{"kind":"phase","id":0,"parent":null,"name":"engine.step","calls":4,"self_ns":1000,"total_ns":5000}"#,
-        "\n",
-        r#"{"kind":"phase","id":1,"parent":0,"name":"engine.schedule","calls":4,"self_ns":4000,"total_ns":4000}"#,
-        "\n",
-        r#"{"kind":"phase_slot","id":0,"slot":0,"self_ns":1000}"#,
-        "\n",
-    );
-    let out = run_on(profile, "profile.jsonl");
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("engine.step"), "{text}");
-    assert!(text.contains("engine.schedule"), "{text}");
-}
-
-#[test]
-fn truncated_profile_salvages_and_fails() {
-    let torn = concat!(
-        r#"{"kind":"profile","version":1,"phases":1}"#,
-        "\n",
-        r#"{"kind":"phase","id":0,"parent":null,"name":"engine.step","calls":4,"self_ns":1000,"total_ns":1000}"#,
-        "\n",
-        r#"{"kind":"phase_slot","id":0,"sl"#,
-    );
-    let out = run_on(torn, "profile-torn.jsonl");
-    assert!(!out.status.success());
-    let text = stdout(&out);
-    assert!(text.contains("engine.step"), "{text}");
-    assert!(
-        stderr(&out).contains("truncated"),
-        "stderr: {}",
-        stderr(&out)
-    );
 }
 
 #[test]

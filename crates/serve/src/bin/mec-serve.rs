@@ -10,8 +10,9 @@
 //! mec-serve --chaos crash:shard=1@slot=50,recover@slot=60 --seed 7
 //! ```
 
+use mec_core::{UnknownPolicy, POLICY_NAMES};
 use mec_placement::{EvictionPolicy, OpsLog, PlacementConfig};
-use mec_serve::{serve, ChaosSpec, ClockMode, DegradedPolicy, LoadGen, ServeConfig, POLICY_NAMES};
+use mec_serve::{serve, ChaosSpec, ClockMode, DegradedPolicy, LoadGen, ServeConfig};
 use mec_topology::TopologyBuilder;
 use mec_workload::WorkloadBuilder;
 use std::process::ExitCode;
@@ -39,8 +40,6 @@ struct Args {
     trace_out: Option<String>,
     telemetry_every: Option<u64>,
     hold_metrics_ms: u64,
-    profile_out: Option<String>,
-    profile_folded: Option<String>,
     services: usize,
     cache_capacity: u32,
     eviction: EvictionPolicy,
@@ -80,8 +79,6 @@ impl Default for Args {
             trace_out: None,
             telemetry_every: None,
             hold_metrics_ms: 0,
-            profile_out: None,
-            profile_folded: None,
             services: placement.services,
             cache_capacity: placement.cache_capacity,
             eviction: placement.eviction,
@@ -127,6 +124,7 @@ OPTIONS:
                           journal|ckpt[@bytes=B], slowdisk:...@ms=M)
     --chaos-script <PATH> same grammar from a file; one or more directives
                           per line, '#' comments
+    --help                print this help
 
 PLACEMENT AND RECONFIGURATION:
     --services <N>        size of the service catalog; 0 disables
@@ -185,14 +183,6 @@ OBSERVABILITY (requires a build with --features obs):
                           which events trip a flight dump, as a comma
                           list of slo, drift, crash [default: all three];
                           needs --learner-events and --trace-out
-
-PROFILING (requires a build with --features prof):
-    --profile-out <PATH>  write the hierarchical phase profile as JSON
-                          lines to PATH (feed it to mec-obs-report)
-    --profile-folded <PATH>
-                          write collapsed stacks (one `a;b;c N` line per
-                          stack) to PATH for flamegraph tooling
-    --help                print this help
 ";
 
 fn parse_args() -> Result<Args, String> {
@@ -270,18 +260,12 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--flight-dump-on: {e}"))?,
                 );
             }
-            "--profile-out" => args.profile_out = Some(value("--profile-out")?),
-            "--profile-folded" => args.profile_folded = Some(value("--profile-folded")?),
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other:?}\n\n{USAGE}")),
         }
     }
     if !POLICY_NAMES.contains(&args.policy.as_str()) {
-        return Err(format!(
-            "unknown policy {:?}; accepted values: {}",
-            args.policy,
-            POLICY_NAMES.join(", ")
-        ));
+        return Err(UnknownPolicy { name: args.policy }.to_string());
     }
     if args.shards == 0 {
         return Err("--shards must be at least 1".to_string());
@@ -328,12 +312,6 @@ fn parse_args() -> Result<Args, String> {
     {
         return Err(
             "observability flags need the obs feature; rebuild with --features obs".to_string(),
-        );
-    }
-    #[cfg(not(feature = "prof"))]
-    if args.profile_out.is_some() || args.profile_folded.is_some() {
-        return Err(
-            "profiling flags need the prof feature; rebuild with --features prof".to_string(),
         );
     }
     Ok(args)
@@ -517,11 +495,6 @@ fn main() -> ExitCode {
             eprintln!("reconfiguration: {ops} op(s) scheduled");
         }
     }
-    #[cfg(feature = "prof")]
-    if args.profile_out.is_some() || args.profile_folded.is_some() {
-        mec_obs::prof::reset();
-        mec_obs::prof::set_enabled(true);
-    }
     let outcome = match serve(&topo, load, &cfg, |snap| println!("{}", snap.to_json())) {
         Ok(outcome) => outcome,
         Err(e) => {
@@ -600,28 +573,6 @@ fn main() -> ExitCode {
         if args.hold_metrics_ms > 0 {
             eprintln!("metrics: holding endpoint for {} ms", args.hold_metrics_ms);
             std::thread::sleep(std::time::Duration::from_millis(args.hold_metrics_ms));
-        }
-    }
-    #[cfg(feature = "prof")]
-    if args.profile_out.is_some() || args.profile_folded.is_some() {
-        mec_obs::prof::set_enabled(false);
-        let report = mec_obs::prof::take_report();
-        if let Some(path) = &args.profile_out {
-            if let Err(e) = std::fs::write(path, report.to_jsonl()) {
-                eprintln!("cannot write profile {path:?}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "profile: {} phase(s) written to {path}",
-                report.phases.len()
-            );
-        }
-        if let Some(path) = &args.profile_folded {
-            if let Err(e) = std::fs::write(path, report.render_folded()) {
-                eprintln!("cannot write folded stacks {path:?}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("profile: folded stacks written to {path}");
         }
     }
     ExitCode::SUCCESS

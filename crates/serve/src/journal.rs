@@ -1170,7 +1170,7 @@ mod tests {
         let topo = TopologyBuilder::new(6).seed(5).build();
         let paths = topo.shortest_paths();
         let requests = sample_requests(12);
-        let mut policy = crate::policy::policy_from_name("Greedy", 100).unwrap();
+        let mut policy = mec_core::policy_from_name("Greedy", 100).unwrap();
         let mut engine = Engine::new(&topo, &paths, requests, SlotConfig::default());
         loop {
             engine.step(policy.as_mut()).unwrap();

@@ -115,7 +115,6 @@ pub mod loadgen;
 pub mod obs;
 pub mod partition;
 pub mod placement;
-pub mod policy;
 pub mod router;
 pub mod runtime;
 pub mod shard;
@@ -131,7 +130,6 @@ pub use loadgen::LoadGen;
 pub use obs::ObsHub;
 pub use partition::{partition, ShardPlan};
 pub use placement::{PlacementPlane, RouteDecision};
-pub use policy::{policy_from_name, UnknownPolicy, POLICY_NAMES};
 pub use router::{Admission, DegradedPolicy, Router};
 pub use runtime::{serve, FaultConfig, ServeConfig, ServeError, ServeOutcome};
 pub use shard::{

@@ -93,13 +93,13 @@ use crate::loadgen::LoadGen;
 use crate::obs::{ObsHub, ObsState, DRIVER, NO_BS};
 use crate::partition::{partition, ShardPlan};
 use crate::placement::{PlacementPlane, RouteDecision};
-use crate::policy::{policy_from_name, UnknownPolicy};
 use crate::router::{Admission, DegradedPolicy, Router};
 use crate::shard::{
     HandoffEvent, RecoverPlan, ShardCommand, ShardEvent, ShardHandle, ShardProgress, ShardReply,
     ShardTick, SpawnSpec,
 };
 use crate::snapshot::{LatencyStats, Snapshot};
+use mec_core::{policy_from_name, UnknownPolicy};
 use mec_obs::{SloEngine, SloSpec, SlotSample};
 use mec_placement::{OpsLog, PlacementConfig, ReconfigOp};
 use mec_sim::{EngineState, Metrics, SlotConfig};
@@ -162,7 +162,7 @@ pub struct ServeConfig {
     /// Emit a snapshot every this many slots (0 disables periodic
     /// snapshots; the final snapshot is always produced).
     pub snapshot_every: u64,
-    /// Scheduling policy name; see [`crate::POLICY_NAMES`].
+    /// Scheduling policy name; see [`mec_core::POLICY_NAMES`].
     pub policy: String,
     /// Slot parameters shared by every shard engine. The per-shard seed is
     /// derived from `sim.seed` and the shard index; `sim.horizon` is
@@ -1245,39 +1245,35 @@ pub fn serve<F: FnMut(&Snapshot)>(
         let place_before = plane.stats().clone();
         let mut counts = DispatchCounts::default();
         let dispatch_start = std::time::Instant::now();
-        {
-            mec_obs::prof_slot!(slot);
-            mec_obs::prof_scope!("serve.dispatch");
-            for request in plane.release_due(slot) {
-                obs.note_life(slot, request.id().index() as u64, "release", DRIVER, NO_BS);
-                dispatch_one(
-                    request,
-                    slot,
-                    &mut plane,
-                    &mut router,
-                    &mut supervised,
-                    &mut obs,
-                    &mut store,
-                    backoff,
-                    &mut counts,
-                );
-            }
-            while arrivals.peek().is_some_and(|r| r.arrival_slot() <= slot) {
-                let Some(request) = arrivals.next() else {
-                    break;
-                };
-                dispatch_one(
-                    request,
-                    slot,
-                    &mut plane,
-                    &mut router,
-                    &mut supervised,
-                    &mut obs,
-                    &mut store,
-                    backoff,
-                    &mut counts,
-                );
-            }
+        for request in plane.release_due(slot) {
+            obs.note_life(slot, request.id().index() as u64, "release", DRIVER, NO_BS);
+            dispatch_one(
+                request,
+                slot,
+                &mut plane,
+                &mut router,
+                &mut supervised,
+                &mut obs,
+                &mut store,
+                backoff,
+                &mut counts,
+            );
+        }
+        while arrivals.peek().is_some_and(|r| r.arrival_slot() <= slot) {
+            let Some(request) = arrivals.next() else {
+                break;
+            };
+            dispatch_one(
+                request,
+                slot,
+                &mut plane,
+                &mut router,
+                &mut supervised,
+                &mut obs,
+                &mut store,
+                backoff,
+                &mut counts,
+            );
         }
         // Per-slot durability point: everything this slot admitted is on
         // disk before the slot's lease can execute.
@@ -1321,109 +1317,104 @@ pub fn serve<F: FnMut(&Snapshot)>(
         };
         clock.tick();
         let fold_start = std::time::Instant::now();
-        {
-            mec_obs::prof_scope!("serve.barrier");
-            // Grant pass. A shard may run ahead of the coordinator only
-            // while the coordinator can prove it will send that shard
-            // nothing for the leased slots: no pending arrivals or held
-            // releases inside the lease, no reconfig ops or handoffs
-            // outstanding, every peer up (so no extract/absorb or restart
-            // traffic), and no scripted fault inside the span (the fault
-            // must fire at its exact slot, after that slot's injections).
-            let run_ahead_ok = horizon > 1
-                && cfg.clock == ClockMode::Virtual
-                && pending.is_empty()
-                && supervised.iter().all(|s| s.status == ShardStatus::Up)
-                && plane.ops_exhausted()
-                && !plane.has_held()
-                && !plane.has_pending_drains();
-            let global_through = if run_ahead_ok {
-                let mut through = slot + horizon - 1;
-                if let Some(next) = arrivals.peek() {
-                    through = through.min(next.arrival_slot().saturating_sub(1));
+        // Grant pass. A shard may run ahead of the coordinator only
+        // while the coordinator can prove it will send that shard
+        // nothing for the leased slots: no pending arrivals or held
+        // releases inside the lease, no reconfig ops or handoffs
+        // outstanding, every peer up (so no extract/absorb or restart
+        // traffic), and no scripted fault inside the span (the fault
+        // must fire at its exact slot, after that slot's injections).
+        let run_ahead_ok = horizon > 1
+            && cfg.clock == ClockMode::Virtual
+            && pending.is_empty()
+            && supervised.iter().all(|s| s.status == ShardStatus::Up)
+            && plane.ops_exhausted()
+            && !plane.has_held()
+            && !plane.has_pending_drains();
+        let global_through = if run_ahead_ok {
+            let mut through = slot + horizon - 1;
+            if let Some(next) = arrivals.peek() {
+                through = through.min(next.arrival_slot().saturating_sub(1));
+            }
+            through.min(hard_stop.saturating_sub(1)).max(slot)
+        } else {
+            slot
+        };
+        for sup in &mut supervised {
+            if sup.status != ShardStatus::Up {
+                continue;
+            }
+            let mut through = global_through;
+            for fault in &sup.faults_remaining {
+                if fault.slot > slot {
+                    through = through.min(fault.slot - 1);
                 }
-                through.min(hard_stop.saturating_sub(1)).max(slot)
+            }
+            if sup.granted > through {
+                continue; // current lease already covers this slot
+            }
+            let alive = sup
+                .handle
+                .as_ref()
+                .is_some_and(|h| h.send(ShardCommand::Grant { through }).is_ok());
+            if alive {
+                sup.granted = through + 1;
             } else {
-                slot
+                note_down(sup, &mut router, &mut obs, slot, backoff, "send_failed");
+            }
+        }
+        // Fold wait: pull progress events until every live shard has
+        // buffered this slot's tick (or signalled death/error). The
+        // deadline window restarts on every event, so a long grant
+        // span never trips it while progress is still flowing.
+        let deadline = cfg.faults.tick_timeout_ms;
+        loop {
+            let waiting = supervised.iter().any(|sup| {
+                sup.status == ShardStatus::Up
+                    && sup.inbox.is_empty()
+                    && !sup.died
+                    && sup.fatal.is_none()
+            });
+            if !waiting {
+                break;
+            }
+            let event = if deadline > 0 {
+                match progress_rx.recv_timeout(Duration::from_millis(deadline)) {
+                    Ok(p) => Some(p),
+                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
+                }
+            } else {
+                // Deadline 0 disables stall detection; the driver
+                // holds a sender clone, so this never disconnects.
+                progress_rx.recv().ok()
             };
-            for sup in &mut supervised {
-                if sup.status != ShardStatus::Up {
-                    continue;
-                }
-                let mut through = global_through;
-                for fault in &sup.faults_remaining {
-                    if fault.slot > slot {
-                        through = through.min(fault.slot - 1);
-                    }
-                }
-                if sup.granted > through {
-                    continue; // current lease already covers this slot
-                }
-                let alive = sup
-                    .handle
-                    .as_ref()
-                    .is_some_and(|h| h.send(ShardCommand::Grant { through }).is_ok());
-                if alive {
-                    sup.granted = through + 1;
-                } else {
-                    note_down(sup, &mut router, &mut obs, slot, backoff, "send_failed");
-                }
+            match event {
+                Some(p) => ingest_progress(&mut supervised, p),
+                // Deadline elapsed: every still-missing shard is
+                // stalled; the fold pass below marks them down.
+                None => break,
             }
-            // Fold wait: pull progress events until every live shard has
-            // buffered this slot's tick (or signalled death/error). The
-            // deadline window restarts on every event, so a long grant
-            // span never trips it while progress is still flowing.
-            let deadline = cfg.faults.tick_timeout_ms;
-            loop {
-                let waiting = supervised.iter().any(|sup| {
-                    sup.status == ShardStatus::Up
-                        && sup.inbox.is_empty()
-                        && !sup.died
-                        && sup.fatal.is_none()
-                });
-                if !waiting {
-                    break;
-                }
-                let event = if deadline > 0 {
-                    match progress_rx.recv_timeout(Duration::from_millis(deadline)) {
-                        Ok(p) => Some(p),
-                        Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                            None
-                        }
-                    }
-                } else {
-                    // Deadline 0 disables stall detection; the driver
-                    // holds a sender clone, so this never disconnects.
-                    progress_rx.recv().ok()
-                };
-                match event {
-                    Some(p) => ingest_progress(&mut supervised, p),
-                    // Deadline elapsed: every still-missing shard is
-                    // stalled; the fold pass below marks them down.
-                    None => break,
-                }
+        }
+        // Fold pass in shard order — the ordering half of the
+        // determinism contract. A missing tick carries its detection
+        // signal: a death notice is a crash, a bare deadline a stall.
+        for sup in &mut supervised {
+            if sup.status != ShardStatus::Up {
+                continue;
             }
-            // Fold pass in shard order — the ordering half of the
-            // determinism contract. A missing tick carries its detection
-            // signal: a death notice is a crash, a bare deadline a stall.
-            for sup in &mut supervised {
-                if sup.status != ShardStatus::Up {
-                    continue;
-                }
-                if let Some(tick) = sup.inbox.pop_front() {
-                    debug_assert_eq!(tick.report.slot, slot, "shard folded out of order");
-                    apply_tick(sup, &mut router, &mut obs, &mut store, &tick);
-                } else if let Some(msg) = sup.fatal.take() {
-                    return Err(ServeError::Shard(msg));
-                } else {
-                    let reason = if sup.died { "disconnect" } else { "timeout" };
-                    note_down(sup, &mut router, &mut obs, slot, backoff, reason);
-                }
+            if let Some(tick) = sup.inbox.pop_front() {
+                debug_assert_eq!(tick.report.slot, slot, "shard folded out of order");
+                apply_tick(sup, &mut router, &mut obs, &mut store, &tick);
+            } else if let Some(msg) = sup.fatal.take() {
+                return Err(ServeError::Shard(msg));
+            } else {
+                let reason = if sup.died { "disconnect" } else { "timeout" };
+                note_down(sup, &mut router, &mut obs, slot, backoff, reason);
             }
-            for sup in &supervised {
-                if sup.status != ShardStatus::Up {
-                    obs.note_degraded(sup.shard);
-                }
+        }
+        for sup in &supervised {
+            if sup.status != ShardStatus::Up {
+                obs.note_degraded(sup.shard);
             }
         }
         fold_ms += fold_start.elapsed().as_secs_f64() * 1e3;
@@ -1470,7 +1461,6 @@ pub fn serve<F: FnMut(&Snapshot)>(
         // trace is byte-identical for every epoch horizon.
         obs.drain_rings_through(slot);
         if cfg.snapshot_every > 0 && slots_done.is_multiple_of(cfg.snapshot_every) {
-            mec_obs::prof_scope!("serve.snapshot");
             obs.sync_router(&router);
             obs.sync_placement(plane.state());
             let samples: Vec<f64> = supervised

@@ -646,7 +646,6 @@ fn worker_main(
                 // wall time).
                 let busy_since = std::time::Instant::now();
                 while next_live_slot <= through {
-                    mec_obs::prof_scope!("serve.shard_tick");
                     if let Some(pos) = faults.iter().position(|f| f.slot == next_live_slot) {
                         let fault = faults.remove(pos);
                         // Emitted before the fault fires so even a crash
@@ -921,7 +920,7 @@ impl Drop for ShardHandle {
 mod tests {
     use super::*;
     use crate::partition::partition;
-    use crate::policy::policy_from_name;
+    use mec_core::policy_from_name;
     use mec_topology::TopologyBuilder;
     use mec_workload::WorkloadBuilder;
 

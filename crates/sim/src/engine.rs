@@ -551,8 +551,6 @@ impl<'a> Engine<'a> {
     pub fn step<P: SlotPolicy + ?Sized>(&mut self, policy: &mut P) -> Result<SlotReport, SimError> {
         debug_assert!(!self.finished, "step() after finish()");
         let slot = self.next_slot;
-        mec_obs::prof_slot!(slot);
-        mec_obs::prof_scope!("engine.step");
         let result = self.execute(slot, policy);
         // Retire what the slot ended — even on a failed slot — so the live
         // vector never holds a terminal job between steps.
@@ -583,38 +581,33 @@ impl<'a> Engine<'a> {
             }
         }
         // Expire waiting jobs that can no longer start anywhere in time.
-        {
-            mec_obs::prof_scope!("engine.expire");
-            let (topo, paths, slot_ms) = (self.topo, self.paths, self.config.slot_ms);
-            for job in &mut self.jobs {
-                if job.phase() != Phase::Waiting || job.request().arrival_slot() > slot {
-                    continue;
-                }
-                let waiting = job.waiting_slots(slot);
-                let startable = topo.station_ids().any(|s| {
-                    job.request()
-                        .meets_deadline_at(topo, paths, s, waiting, slot_ms)
-                });
-                if !startable {
-                    job.expire();
-                    self.metrics.record_expired();
-                    report.expired += 1;
-                    if let Some(trace) = &mut self.trace {
-                        trace.record(slot, Event::Expired { request: job.id() });
-                    }
+        let (topo, paths, slot_ms) = (self.topo, self.paths, self.config.slot_ms);
+        for job in &mut self.jobs {
+            if job.phase() != Phase::Waiting || job.request().arrival_slot() > slot {
+                continue;
+            }
+            let waiting = job.waiting_slots(slot);
+            let startable = topo.station_ids().any(|s| {
+                job.request()
+                    .meets_deadline_at(topo, paths, s, waiting, slot_ms)
+            });
+            if !startable {
+                job.expire();
+                self.metrics.record_expired();
+                report.expired += 1;
+                if let Some(trace) = &mut self.trace {
+                    trace.record(slot, Event::Expired { request: job.id() });
                 }
             }
         }
 
         // Build the policy's view.
-        let views: Vec<JobView<'_>> = mec_obs::prof_span!(
-            "engine.views",
-            self.jobs
-                .iter()
-                .filter(|j| j.request().arrival_slot() <= slot && j.is_live())
-                .map(|job| JobView { job, now: slot })
-                .collect()
-        );
+        let views: Vec<JobView<'_>> = self
+            .jobs
+            .iter()
+            .filter(|j| j.request().arrival_slot() <= slot && j.is_live())
+            .map(|job| JobView { job, now: slot })
+            .collect();
         let ctx = SlotContext {
             slot,
             views,
@@ -622,7 +615,7 @@ impl<'a> Engine<'a> {
             paths: self.paths,
             config: &self.config,
         };
-        let allocations = mec_obs::prof_span!("engine.schedule", policy.schedule(&ctx));
+        let allocations = policy.schedule(&ctx);
         drop(ctx);
 
         // Validate. `served_mb` is indexed by live position: `Some` marks
@@ -630,97 +623,90 @@ impl<'a> Engine<'a> {
         // processed).
         let mut served_mb: Vec<Option<f64>> = vec![None; self.jobs.len()];
         let mut positions = Vec::with_capacity(allocations.len());
-        {
-            mec_obs::prof_scope!("engine.validate");
-            let mut station_load = vec![0.0; self.busy_mhz_slots.len()];
-            for a in &allocations {
-                let pos = self.position(a.request)?;
-                let job = &self.jobs[pos];
-                if job.request().arrival_slot() > slot || !job.is_live() {
-                    return Err(SimError::NotSchedulable(a.request));
-                }
-                if served_mb[pos].replace(0.0).is_some() {
-                    return Err(SimError::DuplicateAllocation(a.request));
-                }
-                if self.paths.delay(job.request().home(), a.station).is_none() {
-                    return Err(SimError::Unreachable(a.request, a.station));
-                }
-                station_load[a.station.index()] += a.compute.as_mhz();
-                positions.push(pos);
+        let mut station_load = vec![0.0; self.busy_mhz_slots.len()];
+        for a in &allocations {
+            let pos = self.position(a.request)?;
+            let job = &self.jobs[pos];
+            if job.request().arrival_slot() > slot || !job.is_live() {
+                return Err(SimError::NotSchedulable(a.request));
             }
-            for (station, &used) in self.topo.station_ids().zip(&station_load) {
-                let capacity = self.topo.station(station).capacity().as_mhz();
-                if used > capacity + 1e-6 {
-                    return Err(SimError::CapacityExceeded {
-                        station,
-                        used,
-                        capacity,
-                    });
-                }
+            if served_mb[pos].replace(0.0).is_some() {
+                return Err(SimError::DuplicateAllocation(a.request));
+            }
+            if self.paths.delay(job.request().home(), a.station).is_none() {
+                return Err(SimError::Unreachable(a.request, a.station));
+            }
+            station_load[a.station.index()] += a.compute.as_mhz();
+            positions.push(pos);
+        }
+        for (station, &used) in self.topo.station_ids().zip(&station_load) {
+            let capacity = self.topo.station(station).capacity().as_mhz();
+            if used > capacity + 1e-6 {
+                return Err(SimError::CapacityExceeded {
+                    station,
+                    used,
+                    capacity,
+                });
             }
         }
 
         // Serve.
         let slot_s = self.config.slot_seconds();
         let mut slot_reward = 0.0;
-        {
-            mec_obs::prof_scope!("engine.serve");
-            for (a, &pos) in allocations.iter().zip(&positions) {
-                self.busy_mhz_slots[a.station.index()] += a.compute.as_mhz();
-                let job = &mut self.jobs[pos];
-                if job.realized().is_none() {
-                    let waiting = job.waiting_slots(slot);
-                    if !job.request().meets_deadline_at(
-                        self.topo,
-                        self.paths,
-                        a.station,
-                        waiting,
-                        self.config.slot_ms,
-                    ) {
-                        return Err(SimError::DeadlineViolated(a.request));
-                    }
-                    let outcome = job.request().demand().sample(&mut self.rng);
-                    job.realize(outcome, slot, a.station, slot_s);
-                    if let Some(trace) = &mut self.trace {
-                        trace.record(
-                            slot,
-                            Event::Started {
-                                request: a.request,
-                                station: a.station,
-                                rate_mbps: outcome.rate.as_mbps(),
-                            },
-                        );
-                    }
+        for (a, &pos) in allocations.iter().zip(&positions) {
+            self.busy_mhz_slots[a.station.index()] += a.compute.as_mhz();
+            let job = &mut self.jobs[pos];
+            if job.realized().is_none() {
+                let waiting = job.waiting_slots(slot);
+                if !job.request().meets_deadline_at(
+                    self.topo,
+                    self.paths,
+                    a.station,
+                    waiting,
+                    self.config.slot_ms,
+                ) {
+                    return Err(SimError::DeadlineViolated(a.request));
                 }
-                let processed_mb = (a.compute.as_mhz() / self.config.c_unit.as_mhz()) * slot_s;
-                served_mb[pos] = Some(processed_mb);
-                if job.process(processed_mb, slot) {
-                    let reward = job.realized().expect("realized on service").reward;
-                    let latency = job
-                        .experienced_latency(self.topo, self.paths, self.config.slot_ms)
-                        .expect("served jobs have latency");
-                    self.metrics.record_completion(reward, latency.as_ms());
-                    report.completed += 1;
-                    slot_reward += reward;
-                    if let Some(trace) = &mut self.trace {
-                        trace.record(
-                            slot,
-                            Event::Completed {
-                                request: a.request,
-                                reward,
-                            },
-                        );
-                    }
+                let outcome = job.request().demand().sample(&mut self.rng);
+                job.realize(outcome, slot, a.station, slot_s);
+                if let Some(trace) = &mut self.trace {
+                    trace.record(
+                        slot,
+                        Event::Started {
+                            request: a.request,
+                            station: a.station,
+                            rate_mbps: outcome.rate.as_mbps(),
+                        },
+                    );
+                }
+            }
+            let processed_mb = (a.compute.as_mhz() / self.config.c_unit.as_mhz()) * slot_s;
+            served_mb[pos] = Some(processed_mb);
+            if job.process(processed_mb, slot) {
+                let reward = job.realized().expect("realized on service").reward;
+                let latency = job
+                    .experienced_latency(self.topo, self.paths, self.config.slot_ms)
+                    .expect("served jobs have latency");
+                self.metrics.record_completion(reward, latency.as_ms());
+                report.completed += 1;
+                slot_reward += reward;
+                if let Some(trace) = &mut self.trace {
+                    trace.record(
+                        slot,
+                        Event::Completed {
+                            request: a.request,
+                            reward,
+                        },
+                    );
                 }
             }
         }
-        mec_obs::prof_span!("engine.observe", policy.observe(slot, slot_reward));
+        policy.observe(slot, slot_reward);
         report.completed_reward = slot_reward;
 
         // Sustained-service enforcement: running streams served below
         // the floor for too many consecutive slots tear down.
         if let Some(continuity) = self.config.continuity {
-            mec_obs::prof_scope!("engine.continuity");
             for (job, got) in self.jobs.iter_mut().zip(&served_mb) {
                 if job.phase() != Phase::Running {
                     continue;

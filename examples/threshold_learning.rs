@@ -7,9 +7,7 @@
 //!
 //! With `--features obs` the example also drives the same workload
 //! through the traced serving runtime and prints a mini admission
-//! funnel + elimination summary from the captured event stream; with
-//! `--features prof` it additionally prints the hottest profiler
-//! phases of the learning run.
+//! funnel + elimination summary from the captured event stream.
 
 use mec_ar::prelude::*;
 
@@ -87,8 +85,6 @@ fn main() {
 
     #[cfg(feature = "obs")]
     traced_serve_summary();
-    #[cfg(feature = "prof")]
-    phase_summary(&topo, &requests, cfg);
 }
 
 /// Replays a small traced serving run of the same kind of workload and
@@ -152,17 +148,4 @@ fn traced_serve_summary() {
             e.slot, e.shard, e.arm, e.value_mhz, e.active_left
         );
     }
-}
-
-/// Profiles one learning run and prints the hottest phases.
-#[cfg(feature = "prof")]
-fn phase_summary(topo: &Topology, requests: &[Request], cfg: SlotConfig) {
-    use mec_ar::obs::prof;
-    prof::reset();
-    prof::set_enabled(true);
-    let _ = run_once(topo, requests, cfg, 100.0, 1000.0, 9);
-    prof::set_enabled(false);
-    let report = prof::take_report();
-    println!("\n== profiled learning run (--features prof) ==");
-    print!("{}", report.render_text(5));
 }
