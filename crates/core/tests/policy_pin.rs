@@ -1,0 +1,251 @@
+//! Pins one saturated 40-station episode of each water-filling online
+//! policy — `DynamicRR`, and the online Greedy, OCORP and HeuKKT
+//! baselines — to figures recorded before the slot decision's fast path
+//! was reworked, so a change to the shared capacity tracker or to
+//! water-filling cannot move a decision silently. Each episode checks the
+//! metrics, a digest of the latency samples and a digest of every slot's
+//! allocations (plus `DynamicRR`'s own per-slot decision digest). The
+//! final snapshot of a `serve()` run at one and two shards is pinned too.
+
+use mec_core::{DynamicRr, DynamicRrConfig, OnlineGreedy, OnlineHeuKkt, OnlineOcorp};
+use mec_serve::{serve, LoadGen, ServeConfig};
+use mec_sim::{Allocation, Engine, Metrics, SlotConfig, SlotContext, SlotPolicy};
+use mec_topology::TopologyBuilder;
+use mec_workload::{ArrivalProcess, WorkloadBuilder};
+
+const STATIONS: usize = 40;
+const REQUESTS: usize = 2_000;
+const HORIZON: u64 = 160;
+const SEED: u64 = 11;
+
+/// FNV-1a.
+#[derive(Debug, Clone, Copy)]
+struct Fnv(u64);
+
+impl Fnv {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    fn new() -> Self {
+        Self(Self::OFFSET)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn mix(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// Wraps a policy and folds every slot's allocations, and the policy's
+/// decision digest when it records one, into a running FNV.
+struct Recorder<P> {
+    inner: P,
+    allocations: Fnv,
+    decisions: Fnv,
+    decided_slots: u64,
+}
+
+impl<P: SlotPolicy> SlotPolicy for Recorder<P> {
+    fn schedule(&mut self, ctx: &SlotContext<'_>) -> Vec<Allocation> {
+        let out = self.inner.schedule(ctx);
+        self.allocations.mix(ctx.slot);
+        for a in &out {
+            self.allocations.mix(a.request.index() as u64);
+            self.allocations.mix(a.station.index() as u64);
+            self.allocations.mix(a.compute.as_mhz().to_bits());
+        }
+        if let Some(d) = self.inner.last_decision().filter(|d| d.slot == ctx.slot) {
+            self.decisions.mix(d.slot);
+            self.decisions.mix(d.assign_digest);
+            self.decided_slots += 1;
+        }
+        out
+    }
+
+    fn observe(&mut self, slot: u64, completed_reward: f64) {
+        self.inner.observe(slot, completed_reward);
+    }
+}
+
+/// What one pinned episode produced.
+#[derive(Debug, PartialEq)]
+struct Pin {
+    completed: usize,
+    expired: usize,
+    unserved: usize,
+    aborted: usize,
+    reward_bits: u64,
+    latencies: usize,
+    latency_digest: u64,
+    allocation_digest: u64,
+    decision_digest: u64,
+    decided_slots: u64,
+}
+
+fn episode<P: SlotPolicy>(mut policy: P) -> Pin {
+    let topo = TopologyBuilder::new(STATIONS).seed(SEED).build();
+    let requests = WorkloadBuilder::new(&topo)
+        .seed(SEED)
+        .count(REQUESTS)
+        .arrivals(ArrivalProcess::UniformOver {
+            horizon: HORIZON / 2,
+        })
+        .build();
+    let paths = topo.shortest_paths();
+    let cfg = SlotConfig {
+        horizon: HORIZON,
+        seed: SEED,
+        ..Default::default()
+    };
+    policy.set_probe(true);
+    let mut recorder = Recorder {
+        inner: policy,
+        allocations: Fnv::new(),
+        decisions: Fnv::new(),
+        decided_slots: 0,
+    };
+    let mut engine = Engine::new(&topo, &paths, requests, cfg);
+    for _ in 0..HORIZON {
+        engine.step(&mut recorder).expect("slot steps");
+    }
+    let metrics = engine.finish();
+    pin(&metrics, &recorder)
+}
+
+fn pin<P>(metrics: &Metrics, recorder: &Recorder<P>) -> Pin {
+    let mut latency = Fnv::new();
+    for x in metrics.latencies_ms() {
+        latency.mix(x.to_bits());
+    }
+    Pin {
+        completed: metrics.completed(),
+        expired: metrics.expired(),
+        unserved: metrics.unserved(),
+        aborted: metrics.aborted(),
+        reward_bits: metrics.total_reward().to_bits(),
+        latencies: metrics.latencies_ms().len(),
+        latency_digest: latency.0,
+        allocation_digest: recorder.allocations.0,
+        decision_digest: recorder.decisions.0,
+        decided_slots: recorder.decided_slots,
+    }
+}
+
+fn dynamic_rr() -> DynamicRr {
+    DynamicRr::new(DynamicRrConfig {
+        horizon_hint: HORIZON,
+        ..Default::default()
+    })
+}
+
+#[test]
+fn dynamic_rr_episode_matches_recorded_figures() {
+    assert_eq!(
+        episode(dynamic_rr()),
+        Pin {
+            completed: 675,
+            expired: 522,
+            unserved: 803,
+            aborted: 0,
+            reward_bits: 0x4111_a2cb_9304_34af,
+            latencies: 1478,
+            latency_digest: 0x9e24_685f_1dde_0792,
+            allocation_digest: 0x7a76_4ede_af38_37ec,
+            decision_digest: 0x6b35_a50a_8fb4_04a9,
+            decided_slots: HORIZON,
+        }
+    );
+}
+
+#[test]
+fn greedy_episode_matches_recorded_figures() {
+    assert_eq!(
+        episode(OnlineGreedy::new()),
+        Pin {
+            completed: 594,
+            expired: 1234,
+            unserved: 172,
+            aborted: 0,
+            reward_bits: 0x4112_fe5c_64aa_127d,
+            latencies: 766,
+            latency_digest: 0xaccb_a7d2_5dd4_d0c4,
+            allocation_digest: 0xafea_09ed_9697_b6de,
+            decision_digest: Fnv::OFFSET,
+            decided_slots: 0,
+        }
+    );
+}
+
+#[test]
+fn ocorp_episode_matches_recorded_figures() {
+    assert_eq!(
+        episode(OnlineOcorp::new()),
+        Pin {
+            completed: 551,
+            expired: 1449,
+            unserved: 0,
+            aborted: 0,
+            reward_bits: 0x4110_d239_5ee1_c900,
+            latencies: 551,
+            latency_digest: 0xdf23_c523_6942_0442,
+            allocation_digest: 0xef5a_34f7_6459_71df,
+            decision_digest: Fnv::OFFSET,
+            decided_slots: 0,
+        }
+    );
+}
+
+#[test]
+fn heukkt_episode_matches_recorded_figures() {
+    assert_eq!(
+        episode(OnlineHeuKkt::new()),
+        Pin {
+            completed: 618,
+            expired: 948,
+            unserved: 434,
+            aborted: 0,
+            reward_bits: 0x4111_5e83_1b1c_6a63,
+            latencies: 1052,
+            latency_digest: 0xb2b7_8280_1677_68cd,
+            allocation_digest: 0x04c1_f19c_4fa9_0b48,
+            decision_digest: Fnv::OFFSET,
+            decided_slots: 0,
+        }
+    );
+}
+
+/// FNV-1a over the bytes of `serve()`'s final snapshot for a saturated
+/// `DynamicRR` run at `shards` shards.
+fn serve_digest(shards: usize) -> u64 {
+    let topo = TopologyBuilder::new(STATIONS).seed(SEED).build();
+    let population = WorkloadBuilder::new(&topo)
+        .seed(SEED)
+        .count(REQUESTS)
+        .build();
+    let load = LoadGen::poisson(population, 1_000.0, 50.0, SEED);
+    let cfg = ServeConfig {
+        shards,
+        queue_capacity: 256,
+        policy: "DynamicRR".to_string(),
+        sim: SlotConfig {
+            seed: SEED,
+            ..SlotConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    let out = serve(&topo, load, &cfg, |_| {}).expect("serve runs");
+    let mut h = Fnv::new();
+    h.bytes(out.final_snapshot.to_json().as_bytes());
+    h.0
+}
+
+#[test]
+fn serve_final_snapshots_match_recorded_digests() {
+    assert_eq!(serve_digest(1), 0x4f6f_7927_7fb6_4ca3);
+    assert_eq!(serve_digest(2), 0xadf0_0a20_03c9_5679);
+}
