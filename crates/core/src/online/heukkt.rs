@@ -3,6 +3,7 @@
 
 use crate::online::{startable_at, useful_compute, SlotCapacity};
 use mec_sim::fair_share;
+use mec_sim::sharing::WaterFill;
 use mec_sim::{Allocation, SlotContext, SlotPolicy};
 use mec_topology::units::total_cmp;
 
@@ -25,6 +26,7 @@ impl OnlineHeuKkt {
 impl SlotPolicy for OnlineHeuKkt {
     fn schedule(&mut self, ctx: &SlotContext<'_>) -> Vec<Allocation> {
         let capacity = SlotCapacity::new(ctx);
+        let mut fill = WaterFill::default();
         // Attach each job to its latency-best feasible station; the KKT
         // water-filling below then resolves per-station contention.
         let mut per_station: Vec<Vec<usize>> = vec![Vec::new(); ctx.topo.station_count()];
@@ -84,8 +86,8 @@ impl SlotPolicy for OnlineHeuKkt {
                 .iter()
                 .map(|&i| useful_compute(&ctx.views[i], ctx))
                 .collect();
-            let grants = mec_sim::sharing::water_fill(cap, &caps);
-            for (&i, grant) in local[..kept].iter().zip(grants) {
+            let grants = fill.fill(cap, &caps);
+            for (&i, &grant) in local[..kept].iter().zip(grants) {
                 if grant.is_positive() {
                     out.push(Allocation {
                         request: ctx.views[i].job.id(),

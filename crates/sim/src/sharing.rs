@@ -13,44 +13,56 @@ pub fn fair_share(capacity: Compute, n: usize) -> Option<Compute> {
     }
 }
 
-/// Splits `capacity` across jobs with individual demand caps: each job gets
-/// at most its cap, and leftover capacity from capped jobs is re-distributed
-/// to the rest (progressive filling / water-filling).
-///
-/// Returns per-job allocations in input order. The sum never exceeds
-/// `capacity`, and no job exceeds its cap.
-pub fn water_fill(capacity: Compute, caps: &[Compute]) -> Vec<Compute> {
-    let n = caps.len();
-    let mut alloc = vec![Compute::ZERO; n];
-    if n == 0 || !capacity.is_positive() {
-        return alloc;
-    }
-    let mut remaining = capacity;
-    let mut open: Vec<usize> = (0..n).collect();
-    // Each pass gives every open job an equal slice of the remaining
-    // capacity, capped; capped jobs close. Terminates in <= n passes.
-    while !open.is_empty() && remaining.as_mhz() > 1e-12 {
-        let share = remaining / open.len() as f64;
-        let mut next_open = Vec::with_capacity(open.len());
-        let mut gave_any = false;
-        for &i in &open {
-            let headroom = caps[i] - alloc[i];
-            let give = share.min(headroom).clamp_non_negative();
-            if give.as_mhz() > 0.0 {
-                alloc[i] += give;
-                remaining -= give;
-                gave_any = true;
-            }
-            if (caps[i] - alloc[i]).as_mhz() > 1e-12 {
-                next_open.push(i);
-            }
+/// Water-filling with buffers kept between calls: [`WaterFill::fill`]
+/// splits `capacity` across jobs with individual demand caps. Each job
+/// gets at most its cap, and leftover capacity from capped jobs is
+/// re-distributed to the rest (progressive filling).
+#[derive(Debug, Clone, Default)]
+pub struct WaterFill {
+    alloc: Vec<Compute>,
+    open: Vec<usize>,
+    next_open: Vec<usize>,
+}
+
+impl WaterFill {
+    /// Returns per-job allocations in input order. The sum never exceeds
+    /// `capacity`, and no job exceeds its cap.
+    pub fn fill(&mut self, capacity: Compute, caps: &[Compute]) -> &[Compute] {
+        let n = caps.len();
+        let alloc = &mut self.alloc;
+        alloc.clear();
+        alloc.resize(n, Compute::ZERO);
+        if n == 0 || !capacity.is_positive() {
+            return alloc;
         }
-        if !gave_any {
-            break; // every open job is saturated to its cap
+        let mut remaining = capacity;
+        self.open.clear();
+        self.open.extend(0..n);
+        // Each pass gives every open job an equal slice of the remaining
+        // capacity, capped; capped jobs close. Terminates in <= n passes.
+        while !self.open.is_empty() && remaining.as_mhz() > 1e-12 {
+            let share = remaining / self.open.len() as f64;
+            self.next_open.clear();
+            let mut gave_any = false;
+            for &i in &self.open {
+                let headroom = caps[i] - alloc[i];
+                let give = share.min(headroom).clamp_non_negative();
+                if give.as_mhz() > 0.0 {
+                    alloc[i] += give;
+                    remaining -= give;
+                    gave_any = true;
+                }
+                if (caps[i] - alloc[i]).as_mhz() > 1e-12 {
+                    self.next_open.push(i);
+                }
+            }
+            if !gave_any {
+                break; // every open job is saturated to its cap
+            }
+            std::mem::swap(&mut self.open, &mut self.next_open);
         }
-        open = next_open;
+        alloc
     }
-    alloc
 }
 
 #[cfg(test)]
@@ -59,6 +71,10 @@ mod tests {
 
     fn mhz(v: f64) -> Compute {
         Compute::mhz(v)
+    }
+
+    fn water_fill(capacity: Compute, caps: &[Compute]) -> Vec<Compute> {
+        WaterFill::default().fill(capacity, caps).to_vec()
     }
 
     #[test]
@@ -102,5 +118,16 @@ mod tests {
         assert!(water_fill(mhz(100.0), &[]).is_empty());
         let alloc = water_fill(mhz(0.0), &[mhz(10.0)]);
         assert_eq!(alloc[0].as_mhz(), 0.0);
+    }
+
+    #[test]
+    fn reused_buffers_forget_the_previous_call() {
+        let mut fill = WaterFill::default();
+        fill.fill(mhz(1000.0), &[mhz(100.0), mhz(2000.0), mhz(2000.0)]);
+        let alloc = fill.fill(mhz(90.0), &[mhz(1000.0), mhz(20.0)]);
+        assert_eq!(alloc, water_fill(mhz(90.0), &[mhz(1000.0), mhz(20.0)]));
+        assert!((alloc[0].as_mhz() - 70.0).abs() < 1e-9);
+        assert!((alloc[1].as_mhz() - 20.0).abs() < 1e-9);
+        assert!(fill.fill(mhz(100.0), &[]).is_empty());
     }
 }
