@@ -12,6 +12,7 @@ use mec_bench::figures::runs_from_env;
 use mec_bench::Defaults;
 
 fn main() {
+    mec_bench::reject_args("ablation [MEC_BENCH_RUNS=<n> sets the runs per point, default 3]");
     let d = Defaults {
         runs: runs_from_env(3),
         requests: 300, // the saturated operating point, where choices matter

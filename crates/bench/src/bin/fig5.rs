@@ -8,6 +8,7 @@ use mec_bench::figures::{fig5, runs_from_env};
 use mec_bench::Defaults;
 
 fn main() {
+    mec_bench::reject_args("fig5 [MEC_BENCH_RUNS=<n> sets the runs per point, default 5]");
     let d = Defaults {
         runs: runs_from_env(5),
         ..Defaults::paper()

@@ -9,6 +9,7 @@ use mec_topology::TopologyStats;
 use std::fs;
 
 fn main() {
+    mec_bench::reject_args("netinfo (takes no arguments)");
     let d = Defaults::paper();
     let mut table = Table::new(
         "Topology statistics (Waxman, paper defaults)",

@@ -7,6 +7,7 @@
 use mec_bench::figures::approx_ratio;
 
 fn main() {
+    mec_bench::reject_args("ratio (takes no arguments)");
     let table = approx_ratio(10, 40);
     print!("{}", table.render());
     table

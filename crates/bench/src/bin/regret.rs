@@ -12,6 +12,7 @@ use mec_bench::figures::{regret_curve, regret_end_to_end, runs_from_env};
 use mec_bench::Defaults;
 
 fn main() {
+    mec_bench::reject_args("regret [MEC_BENCH_RUNS=<n> sets the end-to-end runs, default 3]");
     for &kappa in &[4usize, 9, 16] {
         let table = regret_curve(kappa, 20_000, 0.5, 11);
         print!("{}", table.render());

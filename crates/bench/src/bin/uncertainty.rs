@@ -10,6 +10,7 @@ use mec_bench::{Defaults, Table};
 use mec_core::{hindsight_bound, Appro, Greedy, Heu, HeuKkt, Ocorp, OfflineAlgorithm};
 
 fn main() {
+    mec_bench::reject_args("uncertainty [MEC_BENCH_RUNS=<n> sets the runs, default 5]");
     let d = Defaults {
         runs: runs_from_env(5),
         requests: 300,

@@ -26,3 +26,14 @@ pub mod table;
 
 pub use params::Defaults;
 pub use table::Table;
+
+/// Exits with status 2 and `usage` on stderr if the binary was given any
+/// argument. The figure drivers take none (`MEC_BENCH_RUNS` sets the
+/// repetitions), so a stray one — a typo, a retired flag — must not
+/// silently start a minutes-long run.
+pub fn reject_args(usage: &str) {
+    if let Some(arg) = std::env::args_os().nth(1) {
+        eprintln!("unexpected argument {arg:?}\nusage: {usage}");
+        std::process::exit(2);
+    }
+}

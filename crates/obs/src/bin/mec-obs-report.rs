@@ -11,7 +11,9 @@
 //! A truncated final line (the writer was killed mid-flush) does not
 //! hide the rest of the run: the report is rendered from the complete
 //! lines, the truncation is diagnosed on stderr, and the exit code is
-//! nonzero so scripts still notice.
+//! nonzero so scripts still notice. A file whose lines are not trace
+//! events (no `slot` or `kind`) is refused with the first such line's
+//! number.
 
 use std::io::{BufRead, BufReader, Read};
 use std::process::ExitCode;
@@ -81,7 +83,12 @@ fn main() -> ExitCode {
             print!("{}", report.render());
             ExitCode::SUCCESS
         }
-        Err((line_no, e)) if line_no == last_line_no => {
+        // A last line that is not even JSON is a torn write; one that is
+        // JSON but no trace event says the file is not a trace.
+        Err((line_no, e))
+            if line_no == last_line_no
+                && mec_obs::json::parse_flat_object(&lines[line_no - 1]).is_err() =>
+        {
             // Salvage everything before the torn tail.
             match mec_obs::build_report(&lines[..line_no - 1]) {
                 Ok(report) => {

@@ -149,15 +149,8 @@ impl<'a> Cursor<'a> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
-                                .text
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            let Some(code) = hex else {
-                                return self.err("bad \\u escape");
-                            };
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
+                            let c = self.unicode_escape()?;
+                            out.push(c);
                         }
                         _ => return self.err("bad escape"),
                     }
@@ -176,6 +169,48 @@ impl<'a> Cursor<'a> {
                 }
             }
         }
+    }
+
+    /// Decodes the `\u` escape whose `u` is at `pos`, leaving `pos` on its
+    /// last hex digit. A UTF-16 surrogate pair (`\ud83d\ude00`) is one
+    /// character; a surrogate without its partner is an error.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let Some(unit) = self.hex4(self.pos + 1) else {
+            return self.err("bad \\u escape");
+        };
+        self.pos += 4;
+        let code = match unit {
+            0xD800..=0xDBFF => {
+                let low = match self.text.get(self.pos + 1..self.pos + 3) {
+                    Some("\\u") => self.hex4(self.pos + 3),
+                    _ => None,
+                };
+                match low {
+                    Some(low @ 0xDC00..=0xDFFF) => {
+                        self.pos += 6;
+                        0x1_0000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+                    }
+                    _ => return self.err("unpaired surrogate in \\u escape"),
+                }
+            }
+            0xDC00..=0xDFFF => return self.err("unpaired surrogate in \\u escape"),
+            _ => unit,
+        };
+        match char::from_u32(code) {
+            Some(c) => Ok(c),
+            None => self.err("bad \\u escape"),
+        }
+    }
+
+    /// The four hex digits at byte `at` as one UTF-16 code unit; `None`
+    /// unless all four are hex digits (`from_str_radix` alone would take
+    /// a leading `+`).
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let digits = self.text.get(at..at + 4)?;
+        if !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return None;
+        }
+        u32::from_str_radix(digits, 16).ok()
     }
 
     fn number(&mut self) -> Result<f64, ParseError> {
@@ -456,14 +491,76 @@ mod tests {
         );
     }
 
+    #[test]
+    fn unicode_escapes_decode_pairs_and_reject_strays() {
+        let decode = |raw: &str| {
+            parse_flat_object(&format!("{{\"s\":\"{raw}\"}}"))
+                .map(|m| m["s"].as_str().map(str::to_string))
+        };
+        assert_eq!(decode(r"\u00e9\u00C9"), Ok(Some("éÉ".to_string())));
+        assert_eq!(decode(r"\ud83d\ude00"), Ok(Some("😀".to_string())));
+        assert_eq!(
+            decode(r"a\udbff\udfffb"),
+            Ok(Some("a\u{10FFFF}b".to_string()))
+        );
+        let value = parse_json(r#"["\ud83d\ude00"]"#).unwrap();
+        assert_eq!(
+            value,
+            JsonValue::Arr(vec![JsonValue::Str("😀".to_string())])
+        );
+        for bad in [
+            r"\ud83d",       // high surrogate at the end
+            r"\ud83dx",      // high surrogate, then a plain character
+            r"\ud83d\u0041", // high surrogate, then a non-surrogate
+            r"\ud83d\ud83d", // two high surrogates
+            r"\ude00",       // low surrogate first
+            r"\ude00\ud83d", // a pair in the wrong order
+            r"\u+0e9",       // sign instead of a digit
+            r"\u-0e9",
+            r"\u00g9",
+            r"\u00e",
+        ] {
+            assert!(decode(bad).is_err(), "{bad} must not parse");
+            assert!(
+                parse_json(&format!("[\"{bad}\"]")).is_err(),
+                "{bad} must not parse"
+            );
+        }
+    }
+
     mod props {
         use super::super::*;
         use proptest::prelude::*;
 
         /// Fragments that steer random input towards JSON-shaped text.
-        const FRAGMENTS: [&str; 24] = [
-            "{", "}", "[", "]", "\"", "\\", ":", ",", " ", "\n", "-", "+", ".", "e", "0", "7",
-            "true", "false", "null", "\\u", "\\u00e9", "\"k\":", "é", "😀",
+        const FRAGMENTS: [&str; 27] = [
+            "{",
+            "}",
+            "[",
+            "]",
+            "\"",
+            "\\",
+            ":",
+            ",",
+            " ",
+            "\n",
+            "-",
+            "+",
+            ".",
+            "e",
+            "0",
+            "7",
+            "true",
+            "false",
+            "null",
+            "\\u",
+            "\\u00e9",
+            "\"k\":",
+            "é",
+            "😀",
+            "\\ud83d",
+            "\\ude00",
+            "\\udbff\\udfff",
         ];
 
         /// Arbitrary text: JSON fragments mixed with any Unicode scalar.

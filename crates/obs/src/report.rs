@@ -355,7 +355,10 @@ fn render_attrs(m: &BTreeMap<String, JsonValue>) -> BTreeMap<String, String> {
 ///
 /// # Errors
 ///
-/// Fails on the first malformed line, reporting its 1-based number.
+/// Fails on the first malformed line, reporting its 1-based number. A
+/// line is malformed unless it is a flat JSON object with a
+/// non-negative integer `slot` and a string `kind`, as every trace event
+/// is: other JSON (a metrics snapshot, say) is not a trace.
 pub fn build_report<I, S>(lines: I) -> Result<RunReport, (usize, ParseError)>
 where
     I: IntoIterator<Item = S>,
@@ -368,6 +371,18 @@ where
             continue;
         }
         let obj = parse_flat_object(line).map_err(|e| (i + 1, e))?;
+        if obj.get("slot").and_then(JsonValue::as_u64).is_none()
+            || obj.get("kind").and_then(JsonValue::as_str).is_none()
+        {
+            return Err((
+                i + 1,
+                ParseError {
+                    at: 0,
+                    message: "not a trace event: needs an integer \"slot\" and a string \"kind\""
+                        .to_string(),
+                },
+            ));
+        }
         r.events += 1;
         let slot = get_u64(&obj, "slot");
         let shard = get_u64(&obj, "shard");
@@ -1186,8 +1201,23 @@ mod tests {
 
     #[test]
     fn malformed_line_reports_line_number() {
-        let err = build_report(["{}", "not json"].iter().copied()).unwrap_err();
+        let err = build_report([r#"{"slot":0,"kind":"run_start"}"#, "not json"]).unwrap_err();
         assert_eq!(err.0, 2);
+    }
+
+    #[test]
+    fn lines_without_slot_or_kind_are_not_trace_events() {
+        for (lines, bad_line) in [
+            (vec!["{}"], 1),
+            (vec![r#"{"kind":"profile"}"#, r#"{"kind":"profile"}"#], 1),
+            (vec![SAMPLE[0], r#"{"slot":4}"#], 2),
+            (vec![SAMPLE[0], r#"{"slot":-1,"kind":"served"}"#], 2),
+            (vec![SAMPLE[0], r#"{"slot":4,"kind":7}"#], 2),
+        ] {
+            let (line, err) = build_report(&lines).unwrap_err();
+            assert_eq!(line, bad_line, "{lines:?}");
+            assert!(err.message.contains("not a trace event"), "{err}");
+        }
     }
 
     #[test]

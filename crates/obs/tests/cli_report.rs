@@ -119,3 +119,27 @@ fn one_stream_renders_lifecycle_and_flight_sections() {
         stderr(&out)
     );
 }
+
+#[test]
+fn non_trace_files_are_refused() {
+    // Valid JSON lines that are not trace events, e.g. an old profile
+    // stream: refused at the first one, nothing rendered.
+    let profile = concat!(
+        r#"{"kind":"profile","phase":"engine.step","ms":1.5}"#,
+        "\n",
+        r#"{"kind":"profile","phase":"policy","ms":0.5}"#,
+        "\n",
+    );
+    let out = run_on(profile, "profile.jsonl");
+    assert!(!out.status.success(), "a non-trace must exit nonzero");
+    assert_eq!(stdout(&out), "", "a non-trace renders nothing");
+    let err = stderr(&out);
+    assert!(err.contains("line 1"), "{err}");
+    assert!(err.contains("not a trace event"), "{err}");
+    // A lone non-trace line is not mistaken for a torn write.
+    let out = run_on(r#"{"kind":"profile"}"#, "profile-one.jsonl");
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(err.contains("not a trace event"), "{err}");
+    assert!(!err.contains("truncated"), "{err}");
+}
