@@ -122,6 +122,14 @@ impl Instance {
     /// `ER_{jil}` (Eq. 8): the expected reward of starting request `j` at
     /// slot `l` of `station` — only outcomes whose demand fits in the
     /// capacity remaining *after* the first `l` slots pay out.
+    ///
+    /// This reads Eq. 8's residual capacity as `C − l·C_l` for the 1-based
+    /// slot `l`, so `ER_{jil}` never increases with `l`. Under the default
+    /// parameters it makes every `l = L` option reward-free: a station of
+    /// 3 000–3 600 MHz keeps less than 600 MHz after its three 1 000 MHz
+    /// slots, below the smallest demand outcome. Whether the paper means
+    /// `C − (l−1)·C_l` is an open fidelity question; changing the reading
+    /// moves every figure.
     pub fn expected_reward_at(&self, j: usize, station: StationId, l: usize) -> f64 {
         let cap = self.topo.station(station).capacity();
         let used = self.params.slot_capacity * l as f64;

@@ -17,8 +17,8 @@
 //!    station) with per-station water-filling — the fast equivalent of the
 //!    `Heu` + **LP-PT** step; `use_lp` switches to actually solving LP-PT
 //!    each slot (faithful, used in fidelity tests; on a 2-vCPU host it
-//!    takes ~11× the on-CPU time on a 25-request, 5-station world and
-//!    ~50× at |R| = 300, 20 stations).
+//!    takes ~12× the on-CPU time on a 25-request, 5-station world and
+//!    ~54× at |R| = 300, 20 stations).
 //! 4. **Anti-starvation residual pass** (§V's stated purpose: "avoid their
 //!    scheduling starvation"): leftover capacity goes to the most-starved
 //!    unserved requests — a request's response latency (Eq. 2) is fixed at
@@ -42,7 +42,7 @@
 
 use crate::model::Instance;
 use crate::online::{startable_at, useful_compute, SlotCapacity, StationMax};
-use crate::slotlp::{SlotLp, SlotLpSolver, SolverStats, Truncation};
+use crate::slotlp::{ColumnCache, SlotLp, SlotLpSolver, SolverStats, Truncation};
 use mec_bandit::{
     ArmId, BanditPolicy, ConfidenceSchedule, DiscountedUcb, EpsilonGreedy, LearnerProbe,
     LipschitzDomain, SuccessiveElimination, ThompsonBeta, Ucb1,
@@ -221,6 +221,8 @@ pub struct DynamicRr {
     /// The last slot's LP, rebuilt in place each slot so its vectors keep
     /// their capacity (empty in fast mode).
     slot_lp: SlotLp,
+    /// `lp_instance`'s requests' LP columns, kept from slot to slot.
+    lp_columns: ColumnCache,
     /// The last slot's decision digest (recorded only while the learner
     /// probe is attached — the flight recorder's per-slot feed).
     last_decision: Option<mec_sim::DecisionRecord>,
@@ -252,6 +254,7 @@ impl DynamicRr {
             lp_instance: None,
             lp_solver,
             slot_lp: SlotLp::empty(),
+            lp_columns: ColumnCache::default(),
             last_decision: None,
             buffers: SlotBuffers::default(),
         }
@@ -305,6 +308,7 @@ impl DynamicRr {
                 Truncation::PerRequestShare {
                     active: admitted.len().max(1),
                 },
+                &mut self.lp_columns,
             );
             self.lp_solver.solve(&self.slot_lp, subset.len()).ok()
         };

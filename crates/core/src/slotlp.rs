@@ -10,6 +10,15 @@
 //! constraint (11) is enforced structurally: infeasible `(j, i)` pairs get
 //! no variable.
 //!
+//! A variable exists only where `ER_{jil} > 0`. `ER_{jil}` never increases
+//! with `l` ([`Instance::expected_reward_at`]), so each `(j, i)` pair's
+//! variables are one run `l = 1..=len`, and prefix row `l` takes the first
+//! `min(l, len)` of them. Dropping the reward-free columns leaves LPOpt
+//! unchanged: every row is `≤` with a non-negative rhs and non-negative
+//! coefficients, so setting a zero-objective column to 0 keeps any
+//! feasible point feasible with the same objective. Under the defaults
+//! every `l = L` column is reward-free, a third of the LP.
+//!
 //! LP-PT tightens the truncation with the per-request fair share
 //! `C(bs_i)/|R_t|` (Constraint 23), which is how `DynamicRR` throttles
 //! per-slot contention.
@@ -135,15 +144,96 @@ impl FractionalAssignment {
     }
 }
 
+/// One station's run of a request's variables: `y_{ji1} ..= y_{ji,len}`.
+#[derive(Debug, Clone)]
+struct Run {
+    station: StationId,
+    /// The run's `ER_{jil}`, `l = 1..=len`, in [`RequestRuns::ers`].
+    ers: Range<usize>,
+}
+
+/// Each request's runs, evaluated the first time the request is asked for
+/// and kept: feasibility and `ER_{jil}` depend only on the instance.
+#[derive(Debug, Clone, Default)]
+struct RequestRuns {
+    /// Global request → its range in `runs`, once evaluated.
+    of_request: Vec<Option<Range<usize>>>,
+    runs: Vec<Run>,
+    ers: Vec<f64>,
+}
+
+impl RequestRuns {
+    /// Request `j`'s runs in `self.runs`, evaluating them on first use: one
+    /// run per deadline-feasible station with a positive `ER_{ji1}`,
+    /// covering the slots whose `ER_{jil}` is positive.
+    fn runs_of(&mut self, instance: &Instance, j: usize) -> Range<usize> {
+        if j >= self.of_request.len() {
+            self.of_request.resize(instance.request_count(), None);
+        }
+        if let Some(runs) = &self.of_request[j] {
+            return runs.clone();
+        }
+        let start = self.runs.len();
+        for station in instance.topo().station_ids() {
+            if !instance.offline_feasible(j, station) {
+                continue;
+            }
+            let first = self.ers.len();
+            for l in instance.slot_layout(station).indices() {
+                // `ER_{jil}` never increases with `l`: the first slot that
+                // earns nothing ends the run.
+                let er = instance.expected_reward_at(j, station, l.get());
+                if er <= 0.0 {
+                    break;
+                }
+                self.ers.push(er);
+            }
+            if self.ers.len() > first {
+                self.runs.push(Run {
+                    station,
+                    ers: first..self.ers.len(),
+                });
+            }
+        }
+        self.of_request[j] = Some(start..self.runs.len());
+        start..self.runs.len()
+    }
+}
+
+/// A request's run at the station hosting it, in one build.
+#[derive(Debug, Clone, Copy)]
+struct Hosted {
+    /// Global request index.
+    request: usize,
+    /// The run's first variable.
+    first: usize,
+    len: usize,
+}
+
+/// The parts of a slot LP that outlive one build: each request's runs,
+/// which depend only on the instance, and the build's scratch buffers.
+///
+/// [`SlotLp::build`] starts from an empty cache; `DynamicRr` keeps one
+/// beside its LP for the whole episode, so a request's feasibility and
+/// `ER_{jil}` are evaluated once, not once per slot.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ColumnCache {
+    index: RequestRuns,
+    /// Per station, the runs it hosts in the current build.
+    hosted: Vec<Vec<Hosted>>,
+    /// Per hosted run of one station, its truncated expected rate.
+    truncs: Vec<f64>,
+}
+
 impl SlotLp {
     /// Builds the LP over a subset of the instance's requests.
     ///
     /// `subset` holds distinct request indices (use `0..n` for the full
     /// offline problem). The LP has one variable per deadline-feasible
-    /// `(request, station, slot)` triple.
+    /// `(request, station, slot)` triple whose `ER_{jil}` is positive.
     pub fn build(instance: &Instance, subset: &[usize], truncation: Truncation) -> Self {
         let mut lp = Self::empty();
-        lp.rebuild(instance, subset, truncation);
+        lp.rebuild(instance, subset, truncation, &mut ColumnCache::default());
         lp
     }
 
@@ -159,15 +249,18 @@ impl SlotLp {
         }
     }
 
-    /// Refills this LP exactly as [`Self::build`] builds it, keeping the
-    /// capacity of its vectors: an LP rebuilt every slot reuses its
-    /// variable tables and the problem's objective and row list instead of
-    /// freeing and reallocating them.
+    /// Refills this LP exactly as [`Self::build`] builds it, whatever it
+    /// held before, keeping the capacity of its vectors: an LP rebuilt
+    /// every slot reuses its variable tables and the problem's objective
+    /// and row list instead of freeing and reallocating them. `columns`
+    /// keeps each request's runs between calls, so it must only ever be
+    /// used with this one `instance`.
     pub(crate) fn rebuild(
         &mut self,
         instance: &Instance,
         subset: &[usize],
         truncation: Truncation,
+        columns: &mut ColumnCache,
     ) {
         let c_unit = instance.params().c_unit;
         let slot_cap = instance.params().slot_capacity;
@@ -178,41 +271,44 @@ impl SlotLp {
         self.var_keys.clear();
         self.row_keys.clear();
         // The lookup tables are refilled from scratch: an entry left over
-        // from a larger subset would aim the warm basis at the wrong row.
+        // from a larger subset or network would aim the warm basis at the
+        // wrong row.
         self.start_rows.clear();
         self.start_rows
             .resize(subset.iter().max().map_or(0, |&j| j + 1), None);
         self.prefix_rows.resize_with(stations, Vec::new);
+        let hosted = &mut columns.hosted;
+        hosted.resize_with(stations, Vec::new);
+        hosted.iter_mut().for_each(Vec::clear);
 
         // Variables + objective, bucketed as they are created: each
         // request's variables form one contiguous range, closed by its
         // Constraint (9) row (each request starts at most once), and each
-        // station lists `(request, first variable)` for the runs it hosts —
-        // a run covers slots `1..=L` in order.
-        let mut runs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); stations];
+        // station lists the runs it hosts.
         for (local_j, &j) in subset.iter().enumerate() {
             let first = self.vars.len();
-            for station in topo.station_ids() {
-                if !instance.offline_feasible(j, station) {
-                    continue;
-                }
-                runs[station.index()].push((local_j, self.vars.len()));
-                let layout = instance.slot_layout(station);
-                for l in layout.indices() {
-                    let er = instance.expected_reward_at(j, station, l.get());
+            let runs = columns.index.runs_of(instance, j);
+            for run in &columns.index.runs[runs] {
+                let station = run.station;
+                hosted[station.index()].push(Hosted {
+                    request: j,
+                    first: self.vars.len(),
+                    len: run.ers.len(),
+                });
+                for (l, &er) in (1..).zip(&columns.index.ers[run.ers.clone()]) {
                     let var = self.problem.add_var(er);
                     self.vars.push((
                         SlotVar {
                             request: local_j,
                             station,
-                            slot: l.get(),
+                            slot: l,
                         },
                         var,
                     ));
                     self.var_keys.push(VarKey {
                         request: j,
                         station,
-                        slot: l.get(),
+                        slot: l,
                     });
                 }
             }
@@ -232,6 +328,7 @@ impl SlotLp {
         }
 
         // Constraint (10)/(23): truncated expected demand per slot prefix.
+        let truncs = &mut columns.truncs;
         for station in topo.station_ids() {
             let layout = instance.slot_layout(station);
             let share_rate: Option<DataRate> = match truncation {
@@ -247,36 +344,52 @@ impl SlotLp {
                     }
                 }
             };
-            let station_runs = &runs[station.index()];
+            let station_runs = &hosted[station.index()];
             let rows = &mut self.prefix_rows[station.index()];
             rows.clear();
+            let mut truncated_at = None;
             for l in layout.indices() {
                 let prefix_rate = l.prefix_capacity(slot_cap).sustainable_rate(c_unit);
                 let cap_rate = match share_rate {
                     Some(s) => s.min(prefix_rate),
                     None => prefix_rate,
                 };
-                // A run's first `l` variables start inside the prefix, and
-                // `E[min(ρ_j, cap)]` is the same for all of them.
-                let mut coeffs: Vec<(VarId, f64)> = Vec::new();
-                for &(local_j, first) in station_runs {
-                    let trunc = instance.requests()[subset[local_j]]
-                        .demand()
-                        .expected_truncated_rate(cap_rate)
-                        .as_mbps();
-                    if trunc > 0.0 {
-                        let inside = &self.vars[first..first + l.get()];
-                        coeffs.extend(inside.iter().map(|&(_, v)| (v, trunc)));
+                // `E[min(ρ_j, cap)]` is the same for every variable of a
+                // run. The cap only grows with `l`, up to the share, so
+                // each distinct cap is evaluated once per run.
+                if truncated_at != Some(cap_rate.as_mbps()) {
+                    truncated_at = Some(cap_rate.as_mbps());
+                    truncs.clear();
+                    truncs.extend(station_runs.iter().map(|h| {
+                        instance.requests()[h.request]
+                            .demand()
+                            .expected_truncated_rate(cap_rate)
+                            .as_mbps()
+                    }));
+                }
+                // A run's first `min(l, len)` variables start inside the
+                // prefix.
+                let inside = |h: &Hosted| h.first..h.first + h.len.min(l.get());
+                let len: usize = station_runs
+                    .iter()
+                    .zip(truncs.iter())
+                    .filter(|&(_, &t)| t > 0.0)
+                    .map(|(h, _)| inside(h).len())
+                    .sum();
+                if len == 0 {
+                    rows.push(None);
+                    continue;
+                }
+                let mut coeffs: Vec<(VarId, f64)> = Vec::with_capacity(len);
+                for (h, &t) in station_runs.iter().zip(truncs.iter()) {
+                    if t > 0.0 {
+                        coeffs.extend(self.vars[inside(h)].iter().map(|&(_, v)| (v, t)));
                     }
                 }
-                if coeffs.is_empty() {
-                    rows.push(None);
-                } else {
-                    self.problem
-                        .add_constraint(coeffs, Cmp::Le, 2.0 * prefix_rate.as_mbps());
-                    rows.push(Some(self.row_keys.len()));
-                    self.row_keys.push(RowKey::Prefix(station, l.get()));
-                }
+                self.problem
+                    .add_constraint(coeffs, Cmp::Le, 2.0 * prefix_rate.as_mbps());
+                rows.push(Some(self.row_keys.len()));
+                self.row_keys.push(RowKey::Prefix(station, l.get()));
             }
         }
     }
@@ -598,6 +711,7 @@ impl SlotLpSolver {
 mod tests {
     use super::*;
     use crate::model::InstanceParams;
+    use mec_topology::units::Compute;
     use mec_topology::TopologyBuilder;
     use mec_workload::WorkloadBuilder;
     use proptest::prelude::*;
@@ -613,13 +727,37 @@ mod tests {
         Instance::new(topo, requests, InstanceParams::default())
     }
 
+    /// An instance whose station capacities, resource-slot size `C_l` and
+    /// demand rates are drawn too, so `ER_{jil}` can reach 0 at any `l`.
+    fn instance_shaped(n: usize, stations: usize, seed: u64, shape: (f64, f64, f64)) -> Instance {
+        let (capacity, slot, rate) = shape;
+        let topo = TopologyBuilder::new(stations)
+            .seed(seed)
+            .capacity_range(capacity, capacity * 1.3)
+            .build();
+        let requests = WorkloadBuilder::new(&topo)
+            .seed(seed)
+            .count(n)
+            .rate_range(rate * 0.6, rate)
+            .build();
+        let params = InstanceParams {
+            slot_capacity: Compute::mhz(slot),
+            ..InstanceParams::default()
+        };
+        Instance::new(topo, requests, params)
+    }
+
     /// The quadratic reference builder `SlotLp::build` replaced: every
     /// row filters all variables, and the truncated rate is recomputed per
-    /// variable. Returns the problem and the stable row/column identities.
+    /// variable. It builds a variable for every deadline-feasible
+    /// `(request, station, slot)`, or with `reward_free: false` only for
+    /// those whose `ER_{jil}` is positive, as `SlotLp` does. Returns the
+    /// problem and the stable row/column identities.
     fn build_naive(
         instance: &Instance,
         subset: &[usize],
         truncation: Truncation,
+        reward_free: bool,
     ) -> (Problem, Vec<VarKey>, Vec<RowKey>) {
         let mut problem = Problem::new(Sense::Maximize);
         let mut vars: Vec<(SlotVar, VarId)> = Vec::new();
@@ -634,6 +772,9 @@ mod tests {
                 }
                 for l in instance.slot_layout(station).indices() {
                     let er = instance.expected_reward_at(j, station, l.get());
+                    if !reward_free && er <= 0.0 {
+                        continue;
+                    }
                     let var = problem.add_var(er);
                     let slot = l.get();
                     vars.push((
@@ -695,6 +836,23 @@ mod tests {
         (problem, var_keys, row_keys)
     }
 
+    /// Random subsets in admission order (first appearance wins) of
+    /// `0..n`.
+    fn subsets(picks: &[Vec<usize>], n: usize) -> Vec<Vec<usize>> {
+        picks
+            .iter()
+            .map(|picks| {
+                let mut subset: Vec<usize> = Vec::new();
+                for &p in picks {
+                    if !subset.contains(&(p % n)) {
+                        subset.push(p % n);
+                    }
+                }
+                subset
+            })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -702,69 +860,104 @@ mod tests {
         /// problem (variables, rows, coefficient order and bits), same
         /// identities, and lookup tables that invert those identities.
         /// One LP rebuilt in place through every case, over subsets that
-        /// shrink and grow, matches a fresh build field for field, and
-        /// every key an earlier case produced resolves as it does there.
+        /// shrink and grow (requests leave and come back) and a share that
+        /// changes, first on one network and then on a smaller one, each
+        /// with its own column cache, matches a fresh build field for
+        /// field, and every key an earlier case produced resolves as it
+        /// does there.
         #[test]
         fn bucketed_build_matches_naive_builder(
             world in (0u64..200, 1usize..30, 1usize..7),
+            fewer in 0usize..6,
+            shape in (1000.0f64..4000.0, 300.0f64..1500.0, 20.0f64..100.0),
             picks in prop::collection::vec(prop::collection::vec(0usize..1000, 0..40), 1..4),
             active in 0usize..40,
         ) {
             let (seed, n, stations) = world;
-            let inst = instance_seeded(n, stations, seed);
-            // Random subsets in admission order (first appearance wins),
-            // walked there and back so the subset both grows and shrinks.
-            let subsets: Vec<Vec<usize>> = picks
-                .iter()
-                .map(|picks| {
-                    let mut subset: Vec<usize> = Vec::new();
-                    for &p in picks {
-                        if !subset.contains(&(p % n)) {
-                            subset.push(p % n);
-                        }
-                    }
-                    subset
-                })
-                .collect();
-            let walk = subsets.iter().chain(subsets.iter().rev().skip(1));
+            let insts = [
+                instance_shaped(n, stations, seed, shape),
+                instance_seeded(n, stations.saturating_sub(fewer).max(1), seed + 1),
+            ];
+            let subsets = subsets(&picks, n);
+            // Walked there and back so the subset both grows and shrinks.
+            let walk: Vec<&Vec<usize>> = subsets.iter().chain(subsets.iter().rev().skip(1)).collect();
             let mut rebuilt = SlotLp::empty();
             let mut seen_vars: HashSet<VarKey> = HashSet::new();
             let mut seen_rows: HashSet<RowKey> = HashSet::new();
-            for subset in walk {
-                for trunc in [
-                    Truncation::Standard,
-                    Truncation::PerRequestShare { active: 0 },
-                    Truncation::PerRequestShare { active: subset.len() },
-                    Truncation::PerRequestShare { active },
-                ] {
-                    let lp = SlotLp::build(&inst, subset, trunc);
-                    let (problem, var_keys, row_keys) = build_naive(&inst, subset, trunc);
-                    prop_assert_eq!(&lp.problem, &problem);
-                    prop_assert_eq!(&lp.var_keys, &var_keys);
-                    prop_assert_eq!(&lp.row_keys, &row_keys);
-                    for (v, &key) in lp.var_keys.iter().enumerate() {
-                        prop_assert_eq!(lp.var_of(key), Some(v));
-                    }
-                    for (r, &key) in lp.row_keys.iter().enumerate() {
-                        prop_assert_eq!(lp.row_of(key), Some(r));
-                    }
+            for inst in &insts {
+                let mut columns = ColumnCache::default();
+                for subset in &walk {
+                    for trunc in [
+                        Truncation::Standard,
+                        Truncation::PerRequestShare { active: 0 },
+                        Truncation::PerRequestShare { active: subset.len() },
+                        Truncation::PerRequestShare { active },
+                    ] {
+                        let lp = SlotLp::build(inst, subset, trunc);
+                        let (problem, var_keys, row_keys) = build_naive(inst, subset, trunc, false);
+                        prop_assert_eq!(&lp.problem, &problem);
+                        prop_assert_eq!(&lp.var_keys, &var_keys);
+                        prop_assert_eq!(&lp.row_keys, &row_keys);
+                        for (v, &key) in lp.var_keys.iter().enumerate() {
+                            prop_assert_eq!(lp.var_of(key), Some(v));
+                        }
+                        for (r, &key) in lp.row_keys.iter().enumerate() {
+                            prop_assert_eq!(lp.row_of(key), Some(r));
+                        }
 
-                    rebuilt.rebuild(&inst, subset, trunc);
-                    prop_assert_eq!(&rebuilt.problem, &lp.problem);
-                    prop_assert_eq!(&rebuilt.vars, &lp.vars);
-                    prop_assert_eq!(&rebuilt.var_keys, &lp.var_keys);
-                    prop_assert_eq!(&rebuilt.row_keys, &lp.row_keys);
-                    prop_assert_eq!(&rebuilt.start_rows, &lp.start_rows);
-                    prop_assert_eq!(&rebuilt.prefix_rows, &lp.prefix_rows);
-                    seen_vars.extend(&lp.var_keys);
-                    seen_rows.extend(&lp.row_keys);
-                    for &key in &seen_vars {
-                        prop_assert_eq!(rebuilt.var_of(key), lp.var_of(key));
-                    }
-                    for &key in &seen_rows {
-                        prop_assert_eq!(rebuilt.row_of(key), lp.row_of(key));
+                        rebuilt.rebuild(inst, subset, trunc, &mut columns);
+                        prop_assert_eq!(&rebuilt.problem, &lp.problem);
+                        prop_assert_eq!(&rebuilt.vars, &lp.vars);
+                        prop_assert_eq!(&rebuilt.var_keys, &lp.var_keys);
+                        prop_assert_eq!(&rebuilt.row_keys, &lp.row_keys);
+                        prop_assert_eq!(&rebuilt.start_rows, &lp.start_rows);
+                        prop_assert_eq!(&rebuilt.prefix_rows, &lp.prefix_rows);
+                        seen_vars.extend(&lp.var_keys);
+                        seen_rows.extend(&lp.row_keys);
+                        for &key in &seen_vars {
+                            prop_assert_eq!(rebuilt.var_of(key), lp.var_of(key));
+                        }
+                        for &key in &seen_rows {
+                            prop_assert_eq!(rebuilt.row_of(key), lp.row_of(key));
+                        }
                     }
                 }
+            }
+        }
+
+        /// Dropping the reward-free columns leaves LPOpt where the LP with
+        /// every deadline-feasible column has it, and drops nothing else:
+        /// every column the full LP has and `SlotLp` lacks earns
+        /// `ER_{jil} = 0`. The instances draw capacities, `C_l` and rates
+        /// so that `ER` reaches 0 at any slot, including before `L`.
+        #[test]
+        fn reward_free_columns_leave_the_optimum(
+            world in (0u64..500, 1usize..30, 1usize..7),
+            shape in (1000.0f64..4000.0, 300.0f64..1500.0, 20.0f64..100.0),
+            picks in prop::collection::vec(0usize..1000, 0..40),
+            active in 0usize..40,
+        ) {
+            let (seed, n, stations) = world;
+            let inst = instance_shaped(n, stations, seed, shape);
+            let subset = subsets(&[picks], n).remove(0);
+            for trunc in [Truncation::Standard, Truncation::PerRequestShare { active }] {
+                let lp = SlotLp::build(&inst, &subset, trunc);
+                let (full, full_keys, _) = build_naive(&inst, &subset, trunc, true);
+                let kept: HashSet<VarKey> = lp.var_keys.iter().copied().collect();
+                for key in full_keys.iter().filter(|k| !kept.contains(k)) {
+                    prop_assert_eq!(
+                        inst.expected_reward_at(key.request, key.station, key.slot),
+                        0.0,
+                        "{:?} was dropped", key
+                    );
+                }
+                let config = RevisedConfig::default();
+                let got = revised::solve(lp.problem(), &config).unwrap().objective();
+                let want = revised::solve(&full, &config).unwrap().objective();
+                prop_assert!(
+                    (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                    "LPOpt {} without the reward-free columns, {} with them", got, want
+                );
             }
         }
     }
