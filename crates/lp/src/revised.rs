@@ -66,6 +66,7 @@ use crate::simplex::{note_pivot, note_refactor};
 use crate::solution::{LpError, Solution};
 use crate::sparse::CscMatrix;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Which simplex implementation a caller wants.
 ///
@@ -652,6 +653,96 @@ fn invert(mut a: Vec<f64>, m: usize, eps: f64) -> Result<Vec<f64>, usize> {
     Ok(inv)
 }
 
+/// The crash's greedy elimination: accepts each candidate `(column, row
+/// the snapshot paired it with)` not `excluded` while it stays independent
+/// of the columns accepted before it, and returns each accepted column
+/// with the row it pivots on, in acceptance order.
+///
+/// Every accepted column is kept transformed by the ones before it and
+/// owns its pivot row, where later candidates are eliminated. A candidate
+/// pivots on its snapshot row if that row is free and strong enough,
+/// otherwise on the free row of largest `|v|` (the highest such row on a
+/// tie), and is dropped as dependent if no free row exceeds `eps`. The
+/// elimination runs over each transformed column's nonzeros alone: against
+/// a dense sweep it can only leave the sign of a zero different, and the
+/// choices read `|v|` alone, so it accepts the same columns on the same
+/// rows.
+fn crash_pivots(
+    std: &StdForm,
+    candidates: &[(usize, usize)],
+    excluded: &[bool],
+    eps: f64,
+) -> Vec<(usize, usize)> {
+    let m = std.m;
+    let mut accepted: Vec<(usize, usize)> = Vec::with_capacity(m);
+    // The transformed columns' nonzeros, one range of `entries` each, and
+    // each column's pivot value.
+    let mut entries: Vec<(usize, f64)> = Vec::new();
+    let mut ranges: Vec<Range<usize>> = Vec::with_capacity(m);
+    let mut pivots: Vec<f64> = Vec::with_capacity(m);
+    let mut row_pivoted = vec![false; m];
+    // The candidate being eliminated: dense values and the rows it may be
+    // nonzero on, marked in `in_v`; both are cleared after each candidate.
+    let mut v = vec![0.0; m];
+    let mut in_v = vec![false; m];
+    let mut pattern: Vec<usize> = Vec::with_capacity(m);
+    for &(c, snapshot_row) in candidates {
+        if excluded[c] {
+            continue;
+        }
+        for (i, a) in std.csc.column(c) {
+            v[i] = a;
+            in_v[i] = true;
+            pattern.push(i);
+        }
+        for ((&(_, pr), range), &pivot) in accepted.iter().zip(&ranges).zip(&pivots) {
+            let f = v[pr] / pivot;
+            if f != 0.0 {
+                for &(i, t) in &entries[range.clone()] {
+                    if !in_v[i] {
+                        in_v[i] = true;
+                        pattern.push(i);
+                    }
+                    v[i] -= f * t;
+                }
+            }
+        }
+        let preferred =
+            (!row_pivoted[snapshot_row] && v[snapshot_row].abs() > eps).then_some(snapshot_row);
+        let best = preferred.or_else(|| {
+            let mut best: Option<usize> = None;
+            for &i in &pattern {
+                if row_pivoted[i] || v[i].abs() <= eps {
+                    continue;
+                }
+                let stronger = best.is_none_or(|b| {
+                    let (a, w) = (v[i].abs(), v[b].abs());
+                    a > w || (a == w && i > b)
+                });
+                if stronger {
+                    best = Some(i);
+                }
+            }
+            best
+        });
+        if let Some(pr) = best {
+            row_pivoted[pr] = true;
+            let start = entries.len();
+            entries.extend(pattern.iter().filter(|&&i| v[i] != 0.0).map(|&i| (i, v[i])));
+            ranges.push(start..entries.len());
+            pivots.push(v[pr]);
+            accepted.push((c, pr));
+        }
+        // else: dependent on earlier candidates — drop.
+        for &i in &pattern {
+            v[i] = 0.0;
+            in_v[i] = false;
+        }
+        pattern.clear();
+    }
+    accepted
+}
+
 impl<'a> Rsx<'a> {
     /// Working state for `basis` with its `factor`, basic values solved
     /// from the rhs, an empty eta file and unpriced reduced costs. Its
@@ -812,56 +903,14 @@ impl<'a> Rsx<'a> {
         let validated = (|| {
             let mut excluded = vec![false; std.n_total];
             'round: for _round in 0..16 {
-                // Greedy elimination: transformed copies of accepted
-                // columns, each owning one pivot row; dependent candidates
-                // are dropped.
-                let mut transformed: Vec<Vec<f64>> = Vec::with_capacity(m);
-                let mut pivot_row_of: Vec<usize> = Vec::with_capacity(m);
-                let mut accepted: Vec<usize> = Vec::with_capacity(m);
-                let mut row_pivoted = vec![false; m];
-                for &(c, snapshot_row) in candidates {
-                    if excluded[c] {
-                        continue;
-                    }
-                    let mut v = vec![0.0; m];
-                    std.csc.scatter_column(c, &mut v);
-                    for (t, &pr) in transformed.iter().zip(&pivot_row_of) {
-                        let f = v[pr] / t[pr];
-                        if f != 0.0 {
-                            for i in 0..m {
-                                v[i] -= f * t[i];
-                            }
-                        }
-                    }
-                    // Prefer the row the snapshot paired this column with;
-                    // otherwise the strongest unpivoted row.
-                    let preferred = (!row_pivoted[snapshot_row]
-                        && v[snapshot_row].abs() > config.eps)
-                        .then_some(snapshot_row);
-                    let best = preferred.or_else(|| {
-                        (0..m)
-                            .filter(|&i| !row_pivoted[i] && v[i].abs() > config.eps)
-                            .max_by(|&a, &b| {
-                                v[a].abs()
-                                    .partial_cmp(&v[b].abs())
-                                    .expect("finite eliminations")
-                            })
-                    });
-                    if let Some(pr) = best {
-                        row_pivoted[pr] = true;
-                        pivot_row_of.push(pr);
-                        transformed.push(v);
-                        accepted.push(c);
-                    }
-                    // else: dependent on earlier candidates — drop.
-                }
+                let accepted = crash_pivots(&std, candidates, &excluded, config.eps);
 
                 // Basis ordered by pivot row; unpivoted rows take their own
                 // unit column (the cold choice for that row). A fill unit
                 // already basic as a stray candidate gets banned instead,
                 // freeing it for its home row next round.
                 let mut basis = vec![usize::MAX; m];
-                for (&c, &pr) in accepted.iter().zip(&pivot_row_of) {
+                for &(c, pr) in &accepted {
                     basis[pr] = c;
                 }
                 let mut in_basis = vec![false; std.n_total];
@@ -1097,10 +1146,31 @@ impl<'a> Rsx<'a> {
     /// The reduced costs are priced fresh at the start, after every
     /// refactorization, and whenever the carried ones offer no entering
     /// column, so optimality is always decided on fresh values; between
-    /// those, each pivot updates them from its pivot row. The start is
-    /// also Devex's reference framework: every weight restarts at 1.
-    fn optimize(&mut self, cost: &[f64], config: &RevisedConfig) -> Result<(), LpError> {
-        self.reprice(cost, false);
+    /// those, each pivot updates them from its pivot row. With `priced`,
+    /// `d` already holds this basis's fresh prices under `cost` (a warm
+    /// repair that made no pivot), and the start's pricing is skipped;
+    /// debug builds check that it would have written the same bits. The
+    /// start is also Devex's reference framework: every weight restarts
+    /// at 1.
+    fn optimize(
+        &mut self,
+        cost: &[f64],
+        config: &RevisedConfig,
+        priced: bool,
+    ) -> Result<(), LpError> {
+        if !priced {
+            self.reprice(cost, false);
+        } else if cfg!(debug_assertions) {
+            let carried = self.d.clone();
+            self.reprice(cost, false);
+            debug_assert!(
+                carried
+                    .iter()
+                    .zip(&self.d)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "skipped pricing would have moved d"
+            );
+        }
         self.inv_w.fill(1.0);
         for (in_ref, &basic) in self.in_ref.iter_mut().zip(&self.in_basis) {
             *in_ref = !basic;
@@ -1169,10 +1239,12 @@ impl<'a> Rsx<'a> {
     /// cold instead. Artificials never enter; they may leave. Each dual
     /// pivot costs one BTRAN for its row, whose `α_r` both runs the ratio
     /// test and carries the reduced costs over, as in [`Self::optimize`].
-    fn dual_repair(&mut self, cost: &[f64], config: &RevisedConfig) -> bool {
+    /// Returns the number of dual pivots once the basis is primal
+    /// feasible, `None` when the repair gives up.
+    fn dual_repair(&mut self, cost: &[f64], config: &RevisedConfig) -> Option<usize> {
         let budget = (2 * self.std.m).max(64);
         self.reprice(cost, false);
-        for _ in 0..budget {
+        for pivots in 0..budget {
             // Leaving row: the most negative basic value.
             let mut pos = None;
             let mut most = -config.feas_tol;
@@ -1183,7 +1255,7 @@ impl<'a> Rsx<'a> {
                 }
             }
             let Some(pos) = pos else {
-                return true; // primal feasible
+                return Some(pivots); // primal feasible
             };
             self.pivot_row(pos);
             // Only the columns the row touches can have `−α_j > eps`. The
@@ -1207,23 +1279,19 @@ impl<'a> Rsx<'a> {
                     best = Some((j, ratio));
                 }
             }
-            let Some((col, _)) = best else {
-                return false; // no dual step exists — give up, start cold
-            };
+            let (col, _) = best?; // no dual step exists — give up, start cold
             let d = self.ftran_col(col);
             if d[pos] >= -config.eps {
-                return false;
+                return None;
             }
             // The weights this raises restart before the next phase.
             self.update_duals(col, pos, 1.0);
-            match self.pivot(pos, col, &d, config) {
-                Ok(true) => self.reprice(cost, true),
-                Ok(false) => {}
-                Err(_) => return false,
+            if self.pivot(pos, col, &d, config).ok()? {
+                self.reprice(cost, true);
             }
             note_pivot();
         }
-        false
+        None
     }
 
     /// Pivots degenerate basic artificials out where a usable column
@@ -1298,23 +1366,24 @@ pub fn solve_with_basis(
     // pivots walk it back into the feasible region. If that stalls, or
     // an artificial still carries weight (the old point violates a
     // `≥`/`=` row of the new problem), start cold instead.
-    let (mut rsx, outcome) = match warm {
+    // A repair that made no pivot leaves `d` priced fresh under the phase-2
+    // cost, so phase 2 starts without pricing again.
+    let (mut rsx, outcome, priced) = match warm {
         Some(snap) => match Rsx::try_warm(std_form, &snap.cols, config, ws) {
-            Ok(mut warm_rsx) => {
-                if warm_rsx.dual_repair(&c2, config)
-                    && warm_rsx.artificial_mass() <= config.feas_tol
-                {
-                    (warm_rsx, WarmOutcome::Warm)
-                } else {
+            Ok(mut warm_rsx) => match warm_rsx.dual_repair(&c2, config) {
+                Some(pivots) if warm_rsx.artificial_mass() <= config.feas_tol => {
+                    (warm_rsx, WarmOutcome::Warm, pivots == 0)
+                }
+                _ => {
                     // Pivoting never touches the standard form, so the
                     // failed attempt's copy seeds the cold start.
                     let std_form = warm_rsx.release(ws);
-                    (Rsx::cold(std_form, ws), WarmOutcome::FellBack)
+                    (Rsx::cold(std_form, ws), WarmOutcome::FellBack, false)
                 }
-            }
-            Err(std_form) => (Rsx::cold(std_form, ws), WarmOutcome::FellBack),
+            },
+            Err(std_form) => (Rsx::cold(std_form, ws), WarmOutcome::FellBack, false),
         },
-        None => (Rsx::cold(std_form, ws), WarmOutcome::Cold),
+        None => (Rsx::cold(std_form, ws), WarmOutcome::Cold, false),
     };
 
     // Phase 1 (cold starts with artificials only): minimize the artificial
@@ -1324,7 +1393,7 @@ pub fn solve_with_basis(
     if outcome != WarmOutcome::Warm && n_total > art_start {
         let mut c1 = take_filled(&mut ws.c1, n_total, 0.0);
         c1[art_start..].fill(1.0);
-        rsx.optimize(&c1, config)?;
+        rsx.optimize(&c1, config, false)?;
         ws.c1 = c1;
         if rsx.artificial_mass() > config.feas_tol {
             return Err(LpError::Infeasible);
@@ -1333,7 +1402,7 @@ pub fn solve_with_basis(
     }
 
     // Phase 2: minimize the sense-adjusted objective.
-    rsx.optimize(&c2, config)?;
+    rsx.optimize(&c2, config, priced)?;
 
     let mut x = vec![0.0; n];
     for (r, &c) in rsx.basis.iter().enumerate() {
@@ -1495,7 +1564,7 @@ mod tests {
         let mut rsx = Rsx::cold(StdForm::build(&p, &mut ws), &mut ws);
         let mut c1 = vec![0.0; rsx.std.n_total];
         c1[rsx.std.art_start..].fill(1.0);
-        rsx.optimize(&c1, &cfg()).unwrap();
+        rsx.optimize(&c1, &cfg(), false).unwrap();
         assert!(rsx.in_basis[x.index()] && rsx.in_basis[y.index()]);
         let art_row = (0..rsx.std.m)
             .find(|&r| rsx.basis[r] >= rsx.std.art_start)
@@ -2096,6 +2165,100 @@ mod tests {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             ((s >> 11) as f64) / ((1u64 << 53) as f64)
+        }
+    }
+
+    /// The crash elimination over dense `m`-vectors that [`crash_pivots`]
+    /// replaced, kept as the reference it must reproduce: each candidate
+    /// is eliminated against every accepted column's whole transformed
+    /// copy, and the strongest free row is the last maximum of a scan over
+    /// all `m` rows.
+    fn dense_crash_pivots(
+        std: &StdForm,
+        candidates: &[(usize, usize)],
+        excluded: &[bool],
+        eps: f64,
+    ) -> Vec<(usize, usize)> {
+        let m = std.m;
+        let mut transformed: Vec<Vec<f64>> = Vec::with_capacity(m);
+        let mut accepted: Vec<(usize, usize)> = Vec::with_capacity(m);
+        let mut row_pivoted = vec![false; m];
+        for &(c, snapshot_row) in candidates {
+            if excluded[c] {
+                continue;
+            }
+            let mut v = vec![0.0; m];
+            std.csc.scatter_column(c, &mut v);
+            for (t, &(_, pr)) in transformed.iter().zip(&accepted) {
+                let f = v[pr] / t[pr];
+                if f != 0.0 {
+                    for i in 0..m {
+                        v[i] -= f * t[i];
+                    }
+                }
+            }
+            let preferred =
+                (!row_pivoted[snapshot_row] && v[snapshot_row].abs() > eps).then_some(snapshot_row);
+            let best = preferred.or_else(|| {
+                (0..m)
+                    .filter(|&i| !row_pivoted[i] && v[i].abs() > eps)
+                    .max_by(|&a, &b| {
+                        v[a].abs()
+                            .partial_cmp(&v[b].abs())
+                            .expect("finite eliminations")
+                    })
+            });
+            if let Some(pr) = best {
+                row_pivoted[pr] = true;
+                transformed.push(v);
+                accepted.push((c, pr));
+            }
+        }
+        accepted
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The sparse crash elimination accepts the same columns on the
+        /// same rows as the dense one, so the crash installs the same
+        /// basis. The snapshots are a solved slot-shaped program's optimal
+        /// basis with some members swapped for random columns (dependent
+        /// survivors, as a column delta leaves them) and resolved against
+        /// the program as `try_warm` does, under a random ban set.
+        #[test]
+        fn sparse_crash_matches_the_dense_elimination(
+            seed in 0u64..u64::MAX,
+            requests in 1usize..20,
+            stations in 1usize..5,
+            slots in 1usize..6,
+            swap in 0.0f64..1.0,
+            ban in 0.0f64..0.3,
+        ) {
+            let problem = slot_shaped(seed, requests, stations, slots, 0.0);
+            let mut ws = Workspace::default();
+            let (_, snap, _) = solve_with_basis(&problem, &cfg(), None, &mut ws).unwrap();
+            let std = StdForm::build(&problem, &mut ws);
+            let mut next = uniforms(seed ^ 0x5eed);
+            let pick = |u: f64, len: usize| ((u * len as f64) as usize).min(len - 1);
+            let mut claimed = vec![false; std.n_total];
+            let mut candidates = Vec::new();
+            for (r, &bc) in snap.cols.iter().enumerate() {
+                let c = if next() < swap {
+                    pick(next(), std.n_total)
+                } else {
+                    std.resolve(bc).unwrap()
+                };
+                if !std::mem::replace(&mut claimed[c], true) {
+                    candidates.push((c, r));
+                }
+            }
+            let excluded: Vec<bool> = (0..std.n_total).map(|_| next() < ban).collect();
+            let eps = cfg().eps;
+            prop_assert_eq!(
+                crash_pivots(&std, &candidates, &excluded, eps),
+                dense_crash_pivots(&std, &candidates, &excluded, eps)
+            );
         }
     }
 
