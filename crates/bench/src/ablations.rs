@@ -124,7 +124,7 @@ pub fn rounds_ablation(d: &Defaults) -> Table {
 }
 
 /// Assignment-path ablation: fast water-filling vs the faithful per-slot
-/// LP-PT solve, on a deliberately small world (the LP path takes ~11×
+/// LP-PT solve, on a deliberately small world (the LP path takes ~12×
 /// the fast path's on-CPU time here).
 pub fn assignment_ablation() -> Table {
     let d = Defaults {
