@@ -7,7 +7,6 @@
 //! adapting; `γ = 1` recovers plain UCB1.
 
 use crate::policy::{ArmId, ArmView, BanditPolicy};
-use crate::probe::{ArmEventKind, ArmLifecycleEvent, LearnerProbe, ProbeRecorder};
 use serde::{Deserialize, Serialize};
 
 /// Per-arm discounted statistics.
@@ -39,8 +38,6 @@ pub struct DiscountedUcb {
     /// Exploration scale (the `ξ` constant; 2.0 is the classical choice).
     xi: f64,
     total: u64,
-    #[serde(skip, default)]
-    probe: ProbeRecorder,
 }
 
 impl DiscountedUcb {
@@ -57,7 +54,6 @@ impl DiscountedUcb {
             gamma,
             xi: 2.0,
             total: 0,
-            probe: ProbeRecorder::new(),
         }
     }
 
@@ -73,27 +69,6 @@ impl DiscountedUcb {
     /// Panics if `arm` is out of range.
     pub fn discounted_mean(&self, arm: ArmId) -> f64 {
         self.arms[arm.index()].mean()
-    }
-
-    /// A telemetry view of every arm: discounted means with the D-UCB
-    /// padding as the confidence band (`ucb/lcb = mean ± padding`). No
-    /// arm is ever eliminated.
-    pub fn arm_views(&self) -> Vec<ArmView> {
-        self.arms
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                let pad = self.padding(a);
-                ArmView {
-                    arm: ArmId(i),
-                    pulls: a.pulls,
-                    mean: a.mean(),
-                    ucb: a.mean() + pad,
-                    lcb: a.mean() - pad,
-                    active: true,
-                }
-            })
-            .collect()
     }
 
     fn padding(&self, arm: &DiscountedStats) -> f64 {
@@ -135,35 +110,6 @@ impl BanditPolicy for DiscountedUcb {
         a.sum += reward.clamp(0.0, 1.0);
         a.pulls += 1;
         self.total += 1;
-        if self.probe.enabled() {
-            let t = self.total;
-            let a = self.arms[arm.index()];
-            let oracle = self
-                .arms
-                .iter()
-                .map(DiscountedStats::mean)
-                .fold(f64::NEG_INFINITY, f64::max);
-            self.probe.push(
-                ArmEventKind::Sample,
-                t,
-                arm,
-                a.pulls,
-                a.mean(),
-                self.padding(&a),
-                Some(reward.clamp(0.0, 1.0)),
-                Some(oracle),
-            );
-            self.probe.push(
-                ArmEventKind::BoundUpdate,
-                t,
-                arm,
-                a.pulls,
-                a.mean(),
-                self.padding(&a),
-                None,
-                None,
-            );
-        }
     }
 
     fn best(&self) -> ArmId {
@@ -180,39 +126,26 @@ impl BanditPolicy for DiscountedUcb {
     fn total_pulls(&self) -> u64 {
         self.total
     }
-}
 
-impl LearnerProbe for DiscountedUcb {
-    fn set_probe(&mut self, enabled: bool) {
-        let attach = enabled && !self.probe.enabled();
-        self.probe.set_enabled(enabled);
-        if attach {
-            let t = self.total;
-            for (i, a) in self.arms.iter().enumerate() {
-                self.probe.push(
-                    ArmEventKind::Activate,
-                    t,
-                    ArmId(i),
-                    a.pulls,
-                    a.mean(),
-                    self.padding(a),
-                    None,
-                    None,
-                );
-            }
-        }
-    }
-
-    fn probe_enabled(&self) -> bool {
-        self.probe.enabled()
-    }
-
-    fn drain_probe(&mut self) -> Vec<ArmLifecycleEvent> {
-        self.probe.drain()
-    }
-
-    fn probe_dropped(&self) -> u64 {
-        self.probe.dropped()
+    /// Discounted means with the D-UCB padding as the radius
+    /// (`ucb/lcb = mean ± padding`). No arm is ever eliminated.
+    fn arm_views(&self) -> Vec<ArmView> {
+        self.arms
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                let pad = self.padding(a);
+                ArmView {
+                    arm: ArmId(i),
+                    pulls: a.pulls,
+                    mean: a.mean(),
+                    ucb: a.mean() + pad,
+                    lcb: a.mean() - pad,
+                    radius: pad,
+                    active: true,
+                }
+            })
+            .collect()
     }
 }
 

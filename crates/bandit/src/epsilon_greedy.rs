@@ -1,7 +1,6 @@
 //! ε-greedy — the simplest exploration baseline, used in ablations.
 
 use crate::policy::{ArmId, ArmView, BanditPolicy};
-use crate::probe::{ArmEventKind, ArmLifecycleEvent, LearnerProbe, ProbeRecorder};
 use crate::stats::{ArmStats, ConfidenceSchedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,7 +13,6 @@ pub struct EpsilonGreedy {
     epsilon: f64,
     rng: StdRng,
     total: u64,
-    probe: ProbeRecorder,
 }
 
 impl EpsilonGreedy {
@@ -31,7 +29,6 @@ impl EpsilonGreedy {
             epsilon,
             rng: StdRng::seed_from_u64(seed),
             total: 0,
-            probe: ProbeRecorder::new(),
         }
     }
 
@@ -47,25 +44,6 @@ impl EpsilonGreedy {
     /// Panics if `arm` is out of range.
     pub fn stats(&self, arm: ArmId) -> &ArmStats {
         &self.stats[arm.index()]
-    }
-
-    /// A telemetry view of every arm. ε-greedy has no confidence
-    /// machinery of its own; the anytime-schedule bounds are reported
-    /// for comparability with the UCB-family learners. No arm is ever
-    /// eliminated.
-    pub fn arm_views(&self) -> Vec<ArmView> {
-        self.stats
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ArmView {
-                arm: ArmId(i),
-                pulls: s.pulls(),
-                mean: s.mean(),
-                ucb: s.ucb(ConfidenceSchedule::Anytime, self.total),
-                lcb: s.lcb(ConfidenceSchedule::Anytime, self.total),
-                active: true,
-            })
-            .collect()
     }
 }
 
@@ -93,36 +71,6 @@ impl BanditPolicy for EpsilonGreedy {
         );
         self.total += 1;
         self.stats[arm.index()].record(reward.clamp(0.0, 1.0));
-        if self.probe.enabled() {
-            let t = self.total;
-            let s = self.stats[arm.index()];
-            let radius = s.radius(ConfidenceSchedule::Anytime, t);
-            let oracle = self
-                .stats
-                .iter()
-                .map(ArmStats::mean)
-                .fold(f64::NEG_INFINITY, f64::max);
-            self.probe.push(
-                ArmEventKind::Sample,
-                t,
-                arm,
-                s.pulls(),
-                s.mean(),
-                radius,
-                Some(reward.clamp(0.0, 1.0)),
-                Some(oracle),
-            );
-            self.probe.push(
-                ArmEventKind::BoundUpdate,
-                t,
-                arm,
-                s.pulls(),
-                s.mean(),
-                radius,
-                None,
-                None,
-            );
-        }
     }
 
     fn best(&self) -> ArmId {
@@ -139,39 +87,25 @@ impl BanditPolicy for EpsilonGreedy {
     fn total_pulls(&self) -> u64 {
         self.total
     }
-}
 
-impl LearnerProbe for EpsilonGreedy {
-    fn set_probe(&mut self, enabled: bool) {
-        let attach = enabled && !self.probe.enabled();
-        self.probe.set_enabled(enabled);
-        if attach {
-            let t = self.total;
-            for (i, s) in self.stats.iter().enumerate() {
-                self.probe.push(
-                    ArmEventKind::Activate,
-                    t,
-                    ArmId(i),
-                    s.pulls(),
-                    s.mean(),
-                    s.radius(ConfidenceSchedule::Anytime, t),
-                    None,
-                    None,
-                );
-            }
-        }
-    }
-
-    fn probe_enabled(&self) -> bool {
-        self.probe.enabled()
-    }
-
-    fn drain_probe(&mut self) -> Vec<ArmLifecycleEvent> {
-        self.probe.drain()
-    }
-
-    fn probe_dropped(&self) -> u64 {
-        self.probe.dropped()
+    /// ε-greedy has no confidence machinery of its own; the
+    /// anytime-schedule bounds are reported for comparability with the
+    /// UCB-family learners. No arm is ever eliminated.
+    fn arm_views(&self) -> Vec<ArmView> {
+        let t = self.total;
+        self.stats
+            .iter()
+            .enumerate()
+            .map(|(i, s)| ArmView {
+                arm: ArmId(i),
+                pulls: s.pulls(),
+                mean: s.mean(),
+                ucb: s.ucb(ConfidenceSchedule::Anytime, t),
+                lcb: s.lcb(ConfidenceSchedule::Anytime, t),
+                radius: s.radius(ConfidenceSchedule::Anytime, t),
+                active: true,
+            })
+            .collect()
     }
 }
 

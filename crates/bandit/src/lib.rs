@@ -44,7 +44,7 @@ pub use discounted::DiscountedUcb;
 pub use epsilon_greedy::EpsilonGreedy;
 pub use lipschitz::LipschitzDomain;
 pub use policy::{ArmId, ArmView, BanditPolicy};
-pub use probe::{ArmEventKind, ArmLifecycleEvent, LearnerProbe, ProbeRecorder};
+pub use probe::{ArmEventKind, ArmLifecycleEvent, ArmProbe};
 pub use regret::{RegretAccountant, RegretTracker};
 pub use stats::{ArmStats, ConfidenceSchedule};
 pub use successive_elimination::SuccessiveElimination;

@@ -29,10 +29,10 @@ impl fmt::Display for ArmId {
 }
 
 /// A telemetry view of one arm: its running statistics, confidence
-/// bounds, and membership in the active set. Produced by the policies'
-/// `arm_views` accessors for observability; policies without confidence
-/// machinery report `ucb == lcb == mean`, and policies that never
-/// eliminate report every arm active.
+/// bounds, and membership in the active set. Produced by
+/// [`BanditPolicy::arm_views`] for observability; policies without
+/// confidence machinery report `ucb == lcb == mean`, and policies that
+/// never eliminate report every arm active.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ArmView {
     /// The arm.
@@ -45,6 +45,12 @@ pub struct ArmView {
     pub ucb: f64,
     /// Lower confidence bound at the current time.
     pub lcb: f64,
+    /// The policy's own confidence radius at the current time: the
+    /// schedule's radius for successive elimination, the anytime radius
+    /// for UCB1 and ε-greedy, the padding for discounted UCB, the
+    /// posterior standard deviation for Thompson sampling (infinite for
+    /// an unpulled frequentist arm).
+    pub radius: f64,
     /// Whether the arm is still selectable.
     pub active: bool,
 }
@@ -70,6 +76,10 @@ pub trait BanditPolicy {
 
     /// Total number of updates so far.
     fn total_pulls(&self) -> u64;
+
+    /// A view of every arm, in index order, at the current total pull
+    /// count.
+    fn arm_views(&self) -> Vec<ArmView>;
 }
 
 #[cfg(test)]

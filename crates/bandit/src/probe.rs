@@ -1,18 +1,22 @@
 //! Learner probe: structured arm-lifecycle events for observability.
 //!
-//! Every policy in this crate implements [`LearnerProbe`]: a detachable
-//! recorder of **arm-lifecycle events** — activate, sample, bound-update,
-//! eliminate, re-activate — each carrying the arm's pull count, empirical
-//! mean, and confidence radius at emission time. The recorder is *off by
-//! default* and a disabled recorder is a branch-and-return on the update
-//! path, so detached learners behave (and perform) exactly as before:
-//! recording never perturbs selection, elimination, or RNG state.
+//! [`ArmProbe`] derives every event from the arm state a policy already
+//! exposes through [`BanditPolicy::arm_views`], so no policy records
+//! anything itself:
 //!
-//! The buffer is bounded ([`PROBE_BUFFER_CAP`]): when a consumer stops
-//! draining, further events are counted as dropped rather than growing
-//! memory without bound, mirroring the trace-ring policy in `mec-obs`.
+//! - attaching emits one [`ArmEventKind::Activate`] per active arm;
+//! - after each update, a [`ArmEventKind::Sample`] and a
+//!   [`ArmEventKind::BoundUpdate`] carry the pulled arm's pulls, mean and
+//!   radius, and one [`ArmEventKind::Eliminate`] follows for each arm whose
+//!   `active` flag went from true to false, in index order.
+//!
+//! The probe only reads the policy, so recording never perturbs
+//! selection, elimination, or RNG state. The buffer is bounded
+//! ([`PROBE_BUFFER_CAP`]): when a consumer stops draining, further events
+//! are counted as dropped rather than growing memory without bound,
+//! mirroring the trace-ring policy in `mec-obs`.
 
-use crate::policy::ArmId;
+use crate::policy::{ArmId, ArmView, BanditPolicy};
 use serde::{Deserialize, Serialize};
 
 /// Events a drained probe buffer can hold before dropping (per learner).
@@ -21,7 +25,7 @@ pub const PROBE_BUFFER_CAP: usize = 4096;
 /// What happened to an arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ArmEventKind {
-    /// The arm entered (or re-entered at probe attach) the active set.
+    /// The arm was in the active set when the probe attached.
     Activate,
     /// The arm was pulled and a reward was observed.
     Sample,
@@ -29,8 +33,6 @@ pub enum ArmEventKind {
     BoundUpdate,
     /// The arm was removed from the active set.
     Eliminate,
-    /// A previously eliminated arm was restored to the active set.
-    Reactivate,
 }
 
 impl ArmEventKind {
@@ -41,7 +43,6 @@ impl ArmEventKind {
             ArmEventKind::Sample => "sample",
             ArmEventKind::BoundUpdate => "bound_update",
             ArmEventKind::Eliminate => "eliminate",
-            ArmEventKind::Reactivate => "reactivate",
         }
     }
 }
@@ -59,8 +60,7 @@ pub struct ArmLifecycleEvent {
     pub pulls: u64,
     /// The arm's empirical (or posterior/discounted) mean after the event.
     pub mean: f64,
-    /// The arm's confidence radius after the event (infinite while
-    /// unpulled; 0 for policies without confidence machinery).
+    /// The arm's [`ArmView::radius`] after the event.
     pub radius: f64,
     /// The observed reward ([`ArmEventKind::Sample`] only).
     pub reward: Option<f64>,
@@ -69,152 +69,191 @@ pub struct ArmLifecycleEvent {
     pub oracle: Option<f64>,
 }
 
-/// Bounded, detachable event buffer embedded in every policy.
+/// A bounded, detachable recorder of one policy's arm lifecycle.
 ///
-/// Policies call [`ProbeRecorder::push`] at their lifecycle sites; the
-/// calls are no-ops until a consumer enables the recorder. The recorder
-/// is deliberately excluded from policy equality and serialization — it
-/// is observability state, not learning state.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ProbeRecorder {
-    enabled: bool,
+/// Detached (the default) it records nothing. Call [`ArmProbe::attach`]
+/// to start, and [`ArmProbe::after_update`] right after every
+/// [`BanditPolicy::update`] of the observed policy.
+#[derive(Debug, Clone, Default)]
+pub struct ArmProbe {
+    attached: bool,
+    /// Each arm's `active` flag as of the last derived events.
+    active: Vec<bool>,
     events: Vec<ArmLifecycleEvent>,
     dropped: u64,
 }
 
-impl ProbeRecorder {
-    /// A fresh, disabled recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl ArmProbe {
     /// Whether events are being recorded.
-    pub const fn enabled(&self) -> bool {
-        self.enabled
+    pub const fn attached(&self) -> bool {
+        self.attached
     }
 
-    /// Turns recording on or off. Turning it off keeps already-buffered
-    /// events for a final drain.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
+    /// Starts recording and emits an [`ArmEventKind::Activate`] per
+    /// currently active arm, so a consumer attaching mid-run sees the live
+    /// set before any samples arrive. A no-op while already attached.
+    pub fn attach(&mut self, policy: &dyn BanditPolicy) {
+        if self.attached {
+            return;
+        }
+        self.attached = true;
+        let t = policy.total_pulls();
+        let views = policy.arm_views();
+        self.active = views.iter().map(|v| v.active).collect();
+        for v in views.iter().filter(|v| v.active) {
+            self.push(ArmEventKind::Activate, t, v, None, None);
+        }
+    }
+
+    /// Stops recording. Events already buffered stay for a final drain.
+    pub fn detach(&mut self) {
+        self.attached = false;
+    }
+
+    /// Derives the events of `policy.update(arm, reward)`, which must have
+    /// just returned. A no-op while detached.
+    pub fn after_update(&mut self, policy: &dyn BanditPolicy, arm: ArmId, reward: f64) {
+        if !self.attached {
+            return;
+        }
+        let t = policy.total_pulls();
+        let views = policy.arm_views();
+        let oracle = views
+            .iter()
+            .filter(|v| v.active)
+            .map(|v| v.mean)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let pulled = &views[arm.index()];
+        self.push(
+            ArmEventKind::Sample,
+            t,
+            pulled,
+            Some(reward.clamp(0.0, 1.0)),
+            Some(oracle),
+        );
+        self.push(ArmEventKind::BoundUpdate, t, pulled, None, None);
+        for v in &views {
+            let was = std::mem::replace(&mut self.active[v.arm.index()], v.active);
+            if was && !v.active {
+                self.push(ArmEventKind::Eliminate, t, v, None, None);
+            }
+        }
+    }
+
+    /// Removes and returns everything recorded since the last drain, with
+    /// the number of events the buffer cap dropped since then.
+    pub fn drain(&mut self) -> (Vec<ArmLifecycleEvent>, u64) {
+        (
+            std::mem::take(&mut self.events),
+            std::mem::take(&mut self.dropped),
+        )
     }
 
     /// Records one event; drops (and counts) when the buffer is full.
-    #[allow(clippy::too_many_arguments)]
-    pub fn push(
+    fn push(
         &mut self,
         kind: ArmEventKind,
         step: u64,
-        arm: ArmId,
-        pulls: u64,
-        mean: f64,
-        radius: f64,
+        view: &ArmView,
         reward: Option<f64>,
         oracle: Option<f64>,
     ) {
-        if !self.enabled {
-            return;
-        }
         if self.events.len() >= PROBE_BUFFER_CAP {
             self.dropped += 1;
             return;
         }
         self.events.push(ArmLifecycleEvent {
             step,
-            arm,
+            arm: view.arm,
             kind,
-            pulls,
-            mean,
-            radius,
+            pulls: view.pulls,
+            mean: view.mean,
+            radius: view.radius,
             reward,
             oracle,
         });
     }
-
-    /// Removes and returns everything recorded since the last drain.
-    pub fn drain(&mut self) -> Vec<ArmLifecycleEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Events lost to the buffer cap since creation.
-    pub const fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-/// A learner whose arm lifecycle can be observed.
-///
-/// Implemented by every policy in this crate. The probe is detached by
-/// default; [`LearnerProbe::set_probe`]`(true)` starts recording and
-/// immediately emits an [`ArmEventKind::Activate`] event per currently
-/// active arm, so a consumer attaching mid-run still sees the full live
-/// set before any samples arrive.
-pub trait LearnerProbe {
-    /// Attaches (`true`) or detaches (`false`) the probe.
-    fn set_probe(&mut self, enabled: bool);
-
-    /// Whether the probe is attached.
-    fn probe_enabled(&self) -> bool;
-
-    /// Drains the lifecycle events recorded since the last drain.
-    fn drain_probe(&mut self) -> Vec<ArmLifecycleEvent>;
-
-    /// Events lost to the bounded probe buffer.
-    fn probe_dropped(&self) -> u64;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ConfidenceSchedule, SuccessiveElimination, Ucb1};
 
-    #[test]
-    fn disabled_recorder_is_a_no_op() {
-        let mut r = ProbeRecorder::new();
-        r.push(
-            ArmEventKind::Sample,
-            1,
-            ArmId(0),
-            1,
-            0.5,
-            0.1,
-            Some(0.5),
-            Some(0.5),
-        );
-        assert!(r.drain().is_empty());
-        assert_eq!(r.dropped(), 0);
+    /// Runs `steps` deterministic updates (each arm's mean as its reward),
+    /// reporting each to `probe`.
+    fn drive(p: &mut SuccessiveElimination, probe: &mut ArmProbe, means: &[f64], steps: usize) {
+        for _ in 0..steps {
+            let arm = p.select();
+            p.update(arm, means[arm.index()]);
+            probe.after_update(p, arm, means[arm.index()]);
+        }
     }
 
     #[test]
-    fn bounded_buffer_counts_drops() {
-        let mut r = ProbeRecorder::new();
-        r.set_enabled(true);
-        for i in 0..(PROBE_BUFFER_CAP as u64 + 10) {
-            r.push(
-                ArmEventKind::BoundUpdate,
-                i,
-                ArmId(0),
-                i,
-                0.5,
-                0.1,
-                None,
-                None,
-            );
+    fn detached_probe_records_nothing() {
+        let mut p = SuccessiveElimination::new(2, ConfidenceSchedule::Horizon(200));
+        let mut probe = ArmProbe::default();
+        drive(&mut p, &mut probe, &[0.1, 0.9], 200);
+        assert!(!probe.attached());
+        assert_eq!(probe.drain(), (Vec::new(), 0));
+    }
+
+    #[test]
+    fn probe_emits_full_lifecycle() {
+        use ArmEventKind::*;
+        let mut p = SuccessiveElimination::new(3, ConfidenceSchedule::Horizon(600));
+        let mut probe = ArmProbe::default();
+        probe.attach(&p);
+        // Attach emits one activate per (active) arm.
+        let (attach, _) = probe.drain();
+        assert_eq!(attach.len(), 3);
+        assert!(attach.iter().all(|e| e.kind == Activate && e.pulls == 0));
+        assert!(attach.iter().all(|e| e.radius.is_infinite()));
+        drive(&mut p, &mut probe, &[0.1, 0.9, 0.15], 600);
+        let (events, dropped) = probe.drain();
+        assert_eq!(dropped, 0);
+        let samples: Vec<_> = events.iter().filter(|e| e.kind == Sample).collect();
+        let eliminations: Vec<_> = events.iter().filter(|e| e.kind == Eliminate).collect();
+        assert_eq!(samples.len(), 600);
+        // Each sample carries the reward and the running oracle.
+        assert!(samples
+            .iter()
+            .all(|e| e.reward.is_some() && e.oracle.is_some()));
+        assert!(samples.iter().all(|e| e.radius.is_finite()));
+        // Steps are monotone and pair each sample with a bound update.
+        assert!(samples.windows(2).all(|w| w[0].step < w[1].step));
+        assert_eq!(events.iter().filter(|e| e.kind == BoundUpdate).count(), 600);
+        // Both bad arms were eliminated, and the probe saw it happen.
+        let mut gone: Vec<usize> = eliminations.iter().map(|e| e.arm.index()).collect();
+        gone.sort_unstable();
+        assert_eq!(gone, vec![0, 2]);
+        // Late oracle values approach the best arm's mean.
+        let last = samples.last().unwrap();
+        assert!((last.oracle.unwrap() - 0.9).abs() < 0.05);
+    }
+
+    #[test]
+    fn bounded_buffer_counts_drops_per_drain() {
+        let mut p = Ucb1::new(2);
+        let mut probe = ArmProbe::default();
+        probe.attach(&p);
+        // Two attach events, then two per update.
+        let updates = PROBE_BUFFER_CAP / 2 + 5;
+        for _ in 0..updates {
+            let arm = p.select();
+            p.update(arm, 0.5);
+            probe.after_update(&p, arm, 0.5);
         }
-        assert_eq!(r.dropped(), 10);
-        let drained = r.drain();
-        assert_eq!(drained.len(), PROBE_BUFFER_CAP);
-        // Drain frees the buffer; new events record again.
-        r.push(
-            ArmEventKind::Sample,
-            0,
-            ArmId(1),
-            1,
-            0.2,
-            0.3,
-            Some(0.2),
-            Some(0.2),
-        );
-        assert_eq!(r.drain().len(), 1);
+        let (kept, dropped) = probe.drain();
+        assert_eq!(kept.len(), PROBE_BUFFER_CAP);
+        assert_eq!(dropped, 12);
+        // Drain frees the buffer and restarts the drop count.
+        let arm = p.select();
+        p.update(arm, 0.5);
+        probe.after_update(&p, arm, 0.5);
+        assert_eq!(probe.drain().0.len(), 2);
+        assert_eq!(probe.drain(), (Vec::new(), 0));
     }
 
     #[test]
@@ -223,6 +262,5 @@ mod tests {
         assert_eq!(ArmEventKind::Sample.as_str(), "sample");
         assert_eq!(ArmEventKind::BoundUpdate.as_str(), "bound_update");
         assert_eq!(ArmEventKind::Eliminate.as_str(), "eliminate");
-        assert_eq!(ArmEventKind::Reactivate.as_str(), "reactivate");
     }
 }

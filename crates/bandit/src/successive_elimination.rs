@@ -10,7 +10,6 @@
 //! the paper's Theorem 3).
 
 use crate::policy::{ArmId, ArmView, BanditPolicy};
-use crate::probe::{ArmEventKind, ArmLifecycleEvent, LearnerProbe, ProbeRecorder};
 use crate::stats::{ArmStats, ConfidenceSchedule};
 use serde::{Deserialize, Serialize};
 
@@ -22,8 +21,6 @@ pub struct SuccessiveElimination {
     schedule: ConfidenceSchedule,
     cursor: usize,
     total: u64,
-    #[serde(skip, default)]
-    probe: ProbeRecorder,
 }
 
 impl SuccessiveElimination {
@@ -40,41 +37,7 @@ impl SuccessiveElimination {
             schedule,
             cursor: 0,
             total: 0,
-            probe: ProbeRecorder::new(),
         }
-    }
-
-    /// Restores every eliminated arm to the active set (groundwork for
-    /// sliding-window variants that forget stale eliminations after a
-    /// detected drift). Statistics are kept — only membership resets.
-    pub fn reactivate_all(&mut self) {
-        let t = self.total;
-        for (i, act) in self.active.iter_mut().enumerate() {
-            if !*act {
-                *act = true;
-                let s = &self.stats[i];
-                self.probe.push(
-                    ArmEventKind::Reactivate,
-                    t,
-                    ArmId(i),
-                    s.pulls(),
-                    s.mean(),
-                    s.radius(self.schedule, t),
-                    None,
-                    None,
-                );
-            }
-        }
-    }
-
-    /// The best active arm's empirical mean (the per-step online oracle).
-    fn best_active_mean(&self) -> f64 {
-        self.stats
-            .iter()
-            .zip(&self.active)
-            .filter(|&(_, &act)| act)
-            .map(|(s, _)| s.mean())
-            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Whether `arm` is still active (never eliminated).
@@ -100,25 +63,6 @@ impl SuccessiveElimination {
         &self.stats[arm.index()]
     }
 
-    /// A telemetry view of every arm: pulls, empirical mean, the
-    /// UCB/LCB bounds at the current total pull count, and whether the
-    /// arm survives in the active set.
-    pub fn arm_views(&self) -> Vec<ArmView> {
-        self.stats
-            .iter()
-            .zip(&self.active)
-            .enumerate()
-            .map(|(i, (s, &active))| ArmView {
-                arm: ArmId(i),
-                pulls: s.pulls(),
-                mean: s.mean(),
-                ucb: s.ucb(self.schedule, self.total),
-                lcb: s.lcb(self.schedule, self.total),
-                active,
-            })
-            .collect()
-    }
-
     /// Deactivates every arm dominated by another active arm:
     /// `UCB_t(a) < LCB_t(a')` for some active `a'`.
     fn prune(&mut self) {
@@ -133,16 +77,6 @@ impl SuccessiveElimination {
         for (i, s) in self.stats.iter().enumerate() {
             if self.active[i] && s.ucb(self.schedule, t) < best_lcb {
                 self.active[i] = false;
-                self.probe.push(
-                    ArmEventKind::Eliminate,
-                    t,
-                    ArmId(i),
-                    s.pulls(),
-                    s.mean(),
-                    s.radius(self.schedule, t),
-                    None,
-                    None,
-                );
             }
         }
         // The arm achieving best_lcb can never eliminate itself
@@ -176,32 +110,6 @@ impl BanditPolicy for SuccessiveElimination {
         );
         self.total += 1;
         self.stats[arm.index()].record(reward.clamp(0.0, 1.0));
-        if self.probe.enabled() {
-            let t = self.total;
-            let s = self.stats[arm.index()];
-            let radius = s.radius(self.schedule, t);
-            let oracle = self.best_active_mean();
-            self.probe.push(
-                ArmEventKind::Sample,
-                t,
-                arm,
-                s.pulls(),
-                s.mean(),
-                radius,
-                Some(reward.clamp(0.0, 1.0)),
-                Some(oracle),
-            );
-            self.probe.push(
-                ArmEventKind::BoundUpdate,
-                t,
-                arm,
-                s.pulls(),
-                s.mean(),
-                radius,
-                None,
-                None,
-            );
-        }
         self.prune();
     }
 
@@ -225,41 +133,23 @@ impl BanditPolicy for SuccessiveElimination {
     fn total_pulls(&self) -> u64 {
         self.total
     }
-}
 
-impl LearnerProbe for SuccessiveElimination {
-    fn set_probe(&mut self, enabled: bool) {
-        let attach = enabled && !self.probe.enabled();
-        self.probe.set_enabled(enabled);
-        if attach {
-            let t = self.total;
-            for (i, s) in self.stats.iter().enumerate() {
-                if self.active[i] {
-                    self.probe.push(
-                        ArmEventKind::Activate,
-                        t,
-                        ArmId(i),
-                        s.pulls(),
-                        s.mean(),
-                        s.radius(self.schedule, t),
-                        None,
-                        None,
-                    );
-                }
-            }
-        }
-    }
-
-    fn probe_enabled(&self) -> bool {
-        self.probe.enabled()
-    }
-
-    fn drain_probe(&mut self) -> Vec<ArmLifecycleEvent> {
-        self.probe.drain()
-    }
-
-    fn probe_dropped(&self) -> u64 {
-        self.probe.dropped()
+    fn arm_views(&self) -> Vec<ArmView> {
+        let t = self.total;
+        self.stats
+            .iter()
+            .zip(&self.active)
+            .enumerate()
+            .map(|(i, (s, &active))| ArmView {
+                arm: ArmId(i),
+                pulls: s.pulls(),
+                mean: s.mean(),
+                ucb: s.ucb(self.schedule, t),
+                lcb: s.lcb(self.schedule, t),
+                radius: s.radius(self.schedule, t),
+                active,
+            })
+            .collect()
     }
 }
 
@@ -333,78 +223,5 @@ mod tests {
     #[should_panic(expected = "at least one arm")]
     fn zero_arms_rejected() {
         let _ = SuccessiveElimination::new(0, ConfidenceSchedule::Anytime);
-    }
-
-    #[test]
-    fn detached_probe_records_nothing() {
-        let mut p = run_bernoulli_like(&[0.1, 0.9], 200);
-        assert!(!p.probe_enabled());
-        assert!(p.drain_probe().is_empty());
-        assert_eq!(p.probe_dropped(), 0);
-    }
-
-    #[test]
-    fn probe_emits_full_lifecycle() {
-        use crate::probe::ArmEventKind::*;
-        let mut p = SuccessiveElimination::new(3, ConfidenceSchedule::Horizon(600));
-        p.set_probe(true);
-        // Attach emits one activate per (active) arm.
-        let attach = p.drain_probe();
-        assert_eq!(attach.len(), 3);
-        assert!(attach.iter().all(|e| e.kind == Activate && e.pulls == 0));
-        assert!(attach.iter().all(|e| e.radius.is_infinite()));
-        let means = [0.1, 0.9, 0.15];
-        for _ in 0..600 {
-            let arm = p.select();
-            p.update(arm, means[arm.index()]);
-        }
-        let events = p.drain_probe();
-        let samples: Vec<_> = events.iter().filter(|e| e.kind == Sample).collect();
-        let eliminations: Vec<_> = events.iter().filter(|e| e.kind == Eliminate).collect();
-        assert_eq!(samples.len(), 600);
-        // Each sample carries the reward and the running oracle.
-        assert!(samples
-            .iter()
-            .all(|e| e.reward.is_some() && e.oracle.is_some()));
-        assert!(samples.iter().all(|e| e.radius.is_finite()));
-        // Steps are monotone and pair each sample with a bound update.
-        assert!(samples.windows(2).all(|w| w[0].step < w[1].step));
-        assert_eq!(events.iter().filter(|e| e.kind == BoundUpdate).count(), 600);
-        // Both bad arms were eliminated, and the probe saw it happen.
-        assert_eq!(eliminations.len(), 2);
-        let mut gone: Vec<usize> = eliminations.iter().map(|e| e.arm.index()).collect();
-        gone.sort_unstable();
-        assert_eq!(gone, vec![0, 2]);
-        // Late oracle values approach the best arm's mean.
-        let last = samples.last().unwrap();
-        assert!((last.oracle.unwrap() - 0.9).abs() < 0.05);
-        // Reactivation restores the eliminated arms and says so.
-        p.reactivate_all();
-        let revived = p.drain_probe();
-        assert_eq!(revived.iter().filter(|e| e.kind == Reactivate).count(), 2);
-        assert_eq!(p.active_count(), 3);
-    }
-
-    #[test]
-    fn probe_does_not_perturb_learning() {
-        let means = [0.3, 0.8, 0.5, 0.2];
-        let mut plain = SuccessiveElimination::new(4, ConfidenceSchedule::Horizon(500));
-        let mut probed = SuccessiveElimination::new(4, ConfidenceSchedule::Horizon(500));
-        probed.set_probe(true);
-        for _ in 0..500 {
-            let a = plain.select();
-            plain.update(a, means[a.index()]);
-            let b = probed.select();
-            probed.update(b, means[b.index()]);
-            assert_eq!(a, b);
-        }
-        assert_eq!(plain.best(), probed.best());
-        assert_eq!(plain.active_count(), probed.active_count());
-        for i in 0..4 {
-            assert_eq!(
-                plain.stats(ArmId(i)).pulls(),
-                probed.stats(ArmId(i)).pulls()
-            );
-        }
     }
 }

@@ -7,7 +7,6 @@
 //! fractional ones.
 
 use crate::policy::{ArmId, ArmView, BanditPolicy};
-use crate::probe::{ArmEventKind, ArmLifecycleEvent, LearnerProbe, ProbeRecorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -34,7 +33,7 @@ impl Posterior {
     }
 
     /// Posterior standard deviation — the Bayesian analogue of the
-    /// frequentist confidence radius reported by the UCB-family probes.
+    /// frequentist confidence radius the UCB-family learners report.
     fn std_dev(&self) -> f64 {
         let n = self.alpha + self.beta;
         (self.alpha * self.beta / (n * n * (n + 1.0))).sqrt()
@@ -86,7 +85,6 @@ pub struct ThompsonBeta {
     arms: Vec<Posterior>,
     rng: StdRng,
     total: u64,
-    probe: ProbeRecorder,
 }
 
 impl ThompsonBeta {
@@ -101,7 +99,6 @@ impl ThompsonBeta {
             arms: vec![Posterior::new(); arms],
             rng: StdRng::seed_from_u64(seed),
             total: 0,
-            probe: ProbeRecorder::new(),
         }
     }
 
@@ -121,24 +118,6 @@ impl ThompsonBeta {
     /// Panics if `arm` is out of range.
     pub fn pulls(&self, arm: ArmId) -> u64 {
         self.arms[arm.index()].pulls
-    }
-
-    /// A telemetry view of every arm. The Beta posterior carries no
-    /// frequentist confidence bounds, so `ucb == lcb == mean` (the
-    /// posterior mean). No arm is ever eliminated.
-    pub fn arm_views(&self) -> Vec<ArmView> {
-        self.arms
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ArmView {
-                arm: ArmId(i),
-                pulls: p.pulls,
-                mean: p.mean(),
-                ucb: p.mean(),
-                lcb: p.mean(),
-                active: true,
-            })
-            .collect()
     }
 }
 
@@ -169,35 +148,6 @@ impl BanditPolicy for ThompsonBeta {
         p.beta += 1.0 - r;
         p.pulls += 1;
         self.total += 1;
-        if self.probe.enabled() {
-            let t = self.total;
-            let p = self.arms[arm.index()];
-            let oracle = self
-                .arms
-                .iter()
-                .map(Posterior::mean)
-                .fold(f64::NEG_INFINITY, f64::max);
-            self.probe.push(
-                ArmEventKind::Sample,
-                t,
-                arm,
-                p.pulls,
-                p.mean(),
-                p.std_dev(),
-                Some(r),
-                Some(oracle),
-            );
-            self.probe.push(
-                ArmEventKind::BoundUpdate,
-                t,
-                arm,
-                p.pulls,
-                p.mean(),
-                p.std_dev(),
-                None,
-                None,
-            );
-        }
     }
 
     fn best(&self) -> ArmId {
@@ -214,39 +164,24 @@ impl BanditPolicy for ThompsonBeta {
     fn total_pulls(&self) -> u64 {
         self.total
     }
-}
 
-impl LearnerProbe for ThompsonBeta {
-    fn set_probe(&mut self, enabled: bool) {
-        let attach = enabled && !self.probe.enabled();
-        self.probe.set_enabled(enabled);
-        if attach {
-            let t = self.total;
-            for (i, p) in self.arms.iter().enumerate() {
-                self.probe.push(
-                    ArmEventKind::Activate,
-                    t,
-                    ArmId(i),
-                    p.pulls,
-                    p.mean(),
-                    p.std_dev(),
-                    None,
-                    None,
-                );
-            }
-        }
-    }
-
-    fn probe_enabled(&self) -> bool {
-        self.probe.enabled()
-    }
-
-    fn drain_probe(&mut self) -> Vec<ArmLifecycleEvent> {
-        self.probe.drain()
-    }
-
-    fn probe_dropped(&self) -> u64 {
-        self.probe.dropped()
+    /// The Beta posterior carries no frequentist confidence bounds, so
+    /// `ucb == lcb == mean` (the posterior mean) and the radius is the
+    /// posterior standard deviation. No arm is ever eliminated.
+    fn arm_views(&self) -> Vec<ArmView> {
+        self.arms
+            .iter()
+            .enumerate()
+            .map(|(i, p)| ArmView {
+                arm: ArmId(i),
+                pulls: p.pulls,
+                mean: p.mean(),
+                ucb: p.mean(),
+                lcb: p.mean(),
+                radius: p.std_dev(),
+                active: true,
+            })
+            .collect()
     }
 }
 

@@ -1,7 +1,6 @@
 //! UCB1 (Auer et al.) — an ablation baseline for the threshold learner.
 
-use crate::policy::{ArmId, BanditPolicy};
-use crate::probe::{ArmEventKind, ArmLifecycleEvent, LearnerProbe, ProbeRecorder};
+use crate::policy::{ArmId, ArmView, BanditPolicy};
 use crate::stats::{ArmStats, ConfidenceSchedule};
 use serde::{Deserialize, Serialize};
 
@@ -11,8 +10,6 @@ use serde::{Deserialize, Serialize};
 pub struct Ucb1 {
     stats: Vec<ArmStats>,
     total: u64,
-    #[serde(skip, default)]
-    probe: ProbeRecorder,
 }
 
 impl Ucb1 {
@@ -26,7 +23,6 @@ impl Ucb1 {
         Self {
             stats: vec![ArmStats::new(); arms],
             total: 0,
-            probe: ProbeRecorder::new(),
         }
     }
 
@@ -37,23 +33,6 @@ impl Ucb1 {
     /// Panics if `arm` is out of range.
     pub fn stats(&self, arm: ArmId) -> &ArmStats {
         &self.stats[arm.index()]
-    }
-
-    /// A telemetry view of every arm under the anytime schedule UCB1
-    /// selects with. UCB1 never eliminates, so every arm is active.
-    pub fn arm_views(&self) -> Vec<crate::policy::ArmView> {
-        self.stats
-            .iter()
-            .enumerate()
-            .map(|(i, s)| crate::policy::ArmView {
-                arm: ArmId(i),
-                pulls: s.pulls(),
-                mean: s.mean(),
-                ucb: s.ucb(ConfidenceSchedule::Anytime, self.total),
-                lcb: s.lcb(ConfidenceSchedule::Anytime, self.total),
-                active: true,
-            })
-            .collect()
     }
 }
 
@@ -83,36 +62,6 @@ impl BanditPolicy for Ucb1 {
         );
         self.total += 1;
         self.stats[arm.index()].record(reward.clamp(0.0, 1.0));
-        if self.probe.enabled() {
-            let t = self.total;
-            let s = self.stats[arm.index()];
-            let radius = s.radius(ConfidenceSchedule::Anytime, t);
-            let oracle = self
-                .stats
-                .iter()
-                .map(ArmStats::mean)
-                .fold(f64::NEG_INFINITY, f64::max);
-            self.probe.push(
-                ArmEventKind::Sample,
-                t,
-                arm,
-                s.pulls(),
-                s.mean(),
-                radius,
-                Some(reward.clamp(0.0, 1.0)),
-                Some(oracle),
-            );
-            self.probe.push(
-                ArmEventKind::BoundUpdate,
-                t,
-                arm,
-                s.pulls(),
-                s.mean(),
-                radius,
-                None,
-                None,
-            );
-        }
     }
 
     fn best(&self) -> ArmId {
@@ -129,39 +78,24 @@ impl BanditPolicy for Ucb1 {
     fn total_pulls(&self) -> u64 {
         self.total
     }
-}
 
-impl LearnerProbe for Ucb1 {
-    fn set_probe(&mut self, enabled: bool) {
-        let attach = enabled && !self.probe.enabled();
-        self.probe.set_enabled(enabled);
-        if attach {
-            let t = self.total;
-            for (i, s) in self.stats.iter().enumerate() {
-                self.probe.push(
-                    ArmEventKind::Activate,
-                    t,
-                    ArmId(i),
-                    s.pulls(),
-                    s.mean(),
-                    s.radius(ConfidenceSchedule::Anytime, t),
-                    None,
-                    None,
-                );
-            }
-        }
-    }
-
-    fn probe_enabled(&self) -> bool {
-        self.probe.enabled()
-    }
-
-    fn drain_probe(&mut self) -> Vec<ArmLifecycleEvent> {
-        self.probe.drain()
-    }
-
-    fn probe_dropped(&self) -> u64 {
-        self.probe.dropped()
+    /// Bounds under the anytime schedule UCB1 selects with. UCB1 never
+    /// eliminates, so every arm is active.
+    fn arm_views(&self) -> Vec<ArmView> {
+        let t = self.total;
+        self.stats
+            .iter()
+            .enumerate()
+            .map(|(i, s)| ArmView {
+                arm: ArmId(i),
+                pulls: s.pulls(),
+                mean: s.mean(),
+                ucb: s.ucb(ConfidenceSchedule::Anytime, t),
+                lcb: s.lcb(ConfidenceSchedule::Anytime, t),
+                radius: s.radius(ConfidenceSchedule::Anytime, t),
+                active: true,
+            })
+            .collect()
     }
 }
 

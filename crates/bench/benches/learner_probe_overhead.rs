@@ -5,11 +5,12 @@
 //! comparison isolates the *attached* probe path (per-update lifecycle
 //! events drained at every tick, driver-side regret and drift
 //! accounting, flight-recorder ring upkeep, `/learning.json` rendering)
-//! against the dormant one (the policy's probe recorder stays `None`, so
-//! every record site short-circuits). The slots here are synthetic and
-//! near-empty, so the attached arm's streaming cost (a few µs per
-//! shard-tick) reads as a large relative delta; the perf gate holds each
-//! arm against its committed baseline rather than capping the ratio.
+//! against the dormant one (the policy's `ArmProbe` stays detached, so
+//! each learner update returns before reading any arm state). The slots
+//! here are synthetic and near-empty, so the attached arm's streaming
+//! cost (a few µs per shard-tick) reads as a large relative delta; the
+//! perf gate holds each arm against its committed baseline rather than
+//! capping the ratio.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mec_serve::{serve, LoadGen, ObsHub, ServeConfig};

@@ -44,7 +44,7 @@ use crate::model::Instance;
 use crate::online::{startable_at, useful_compute, SlotCapacity, StationMax};
 use crate::slotlp::{ColumnCache, SlotLp, SlotLpSolver, SolverStats, Truncation};
 use mec_bandit::{
-    ArmId, BanditPolicy, ConfidenceSchedule, DiscountedUcb, EpsilonGreedy, LearnerProbe,
+    ArmId, ArmProbe, BanditPolicy, ConfidenceSchedule, DiscountedUcb, EpsilonGreedy,
     LipschitzDomain, SuccessiveElimination, ThompsonBeta, Ucb1,
 };
 use mec_lp::SolverKind;
@@ -125,43 +125,6 @@ impl LearnerPolicy {
             Self::Ducb(p) => p,
         }
     }
-
-    fn active_count(&self) -> usize {
-        match self {
-            Self::Se(p) => p.active_count(),
-            other => other.as_policy().arm_count(),
-        }
-    }
-
-    fn arm_views(&self) -> Vec<mec_bandit::ArmView> {
-        match self {
-            Self::Se(p) => p.arm_views(),
-            Self::Ucb(p) => p.arm_views(),
-            Self::Eps(p) => p.arm_views(),
-            Self::Thompson(p) => p.arm_views(),
-            Self::Ducb(p) => p.arm_views(),
-        }
-    }
-
-    fn as_probe_mut(&mut self) -> &mut dyn LearnerProbe {
-        match self {
-            Self::Se(p) => p,
-            Self::Ucb(p) => p,
-            Self::Eps(p) => p,
-            Self::Thompson(p) => p,
-            Self::Ducb(p) => p,
-        }
-    }
-
-    fn as_probe(&self) -> &dyn LearnerProbe {
-        match self {
-            Self::Se(p) => p,
-            Self::Ucb(p) => p,
-            Self::Eps(p) => p,
-            Self::Thompson(p) => p,
-            Self::Ducb(p) => p,
-        }
-    }
 }
 
 /// Tuning knobs for [`DynamicRr`].
@@ -179,12 +142,6 @@ pub struct DynamicRrConfig {
     pub use_lp: bool,
     /// Which bandit learns the threshold (ablation hook).
     pub learner: Learner,
-    /// Which simplex solves LP-PT (`use_lp` mode only).
-    #[serde(default)]
-    pub solver: SolverKind,
-    /// Carry the optimal basis across slots (`use_lp` + revised only).
-    #[serde(default)]
-    pub warm_start: bool,
 }
 
 impl Default for DynamicRrConfig {
@@ -196,8 +153,6 @@ impl Default for DynamicRrConfig {
             horizon_hint: 400,
             use_lp: false,
             learner: Learner::SuccessiveElimination,
-            solver: SolverKind::default(),
-            warm_start: true,
         }
     }
 }
@@ -216,13 +171,16 @@ pub struct DynamicRr {
     cum_reward: f64,
     /// Instance copy for the LP-PT mode (`None` in fast mode).
     lp_instance: Option<Instance>,
-    /// Persistent slot-LP solver carrying the warm-start cache.
+    /// Persistent slot-LP solver carrying the warm-start cache: the
+    /// revised simplex, warm-started across slots.
     lp_solver: SlotLpSolver,
     /// The last slot's LP, rebuilt in place each slot so its vectors keep
     /// their capacity (empty in fast mode).
     slot_lp: SlotLp,
     /// `lp_instance`'s requests' LP columns, kept from slot to slot.
     lp_columns: ColumnCache,
+    /// The learner's arm-lifecycle recorder (detached by default).
+    probe: ArmProbe,
     /// The last slot's decision digest (recorded only while the learner
     /// probe is attached — the flight recorder's per-slot feed).
     last_decision: Option<mec_sim::DecisionRecord>,
@@ -243,7 +201,6 @@ impl DynamicRr {
             config.kappa,
         );
         let policy = LearnerPolicy::new(config.learner, config.kappa, config.horizon_hint);
-        let lp_solver = SlotLpSolver::new(config.solver).warm_start(config.warm_start);
         Self {
             config,
             domain,
@@ -252,9 +209,10 @@ impl DynamicRr {
             max_slot_reward: 0.0,
             cum_reward: 0.0,
             lp_instance: None,
-            lp_solver,
+            lp_solver: SlotLpSolver::new(SolverKind::default()),
             slot_lp: SlotLp::empty(),
             lp_columns: ColumnCache::default(),
+            probe: ArmProbe::default(),
             last_decision: None,
             buffers: SlotBuffers::default(),
         }
@@ -276,7 +234,8 @@ impl DynamicRr {
     /// Number of still-active arms (shrinks as elimination proceeds; other
     /// learners never eliminate, so they report the full arm count).
     pub fn active_arms(&self) -> usize {
-        self.policy.active_count()
+        let views = self.policy.as_policy().arm_views();
+        views.iter().filter(|v| v.active).count()
     }
 
     /// Slot-LP solver counters (all zero outside `use_lp` mode).
@@ -576,14 +535,14 @@ impl DynamicRr {
         }
         let policy = self.policy.as_policy();
         let best = policy.best();
-        let best_mean = self.policy.arm_views()[best.index()].mean;
+        let views = policy.arm_views();
         mec_sim::DecisionRecord {
             slot,
             arm: arm.index(),
             value: self.domain.value(arm),
-            active_arms: self.policy.active_count() as u64,
+            active_arms: views.iter().filter(|v| v.active).count() as u64,
             best_arm: best.index(),
-            best_mean,
+            best_mean: views[best.index()].mean,
             granted: allocations.len() as u64,
             granted_mhz,
             assign_digest: h,
@@ -608,7 +567,7 @@ impl SlotPolicy for DynamicRr {
         }
         let mut allocations = self.buffers.materialize(ctx);
         self.buffers.keep_alive(ctx, &mut allocations);
-        if self.policy.as_probe().probe_enabled() {
+        if self.probe.attached() {
             self.last_decision = Some(self.decision_record(ctx.slot, arm, &allocations));
         }
         allocations
@@ -626,11 +585,13 @@ impl SlotPolicy for DynamicRr {
         };
         self.cum_reward += normalized;
         self.policy.as_policy_mut().update(arm, normalized);
+        self.probe
+            .after_update(self.policy.as_policy(), arm, normalized);
     }
 
     fn telemetry(&self) -> Option<mec_sim::PolicyTelemetry> {
-        let views = self.policy.arm_views();
         let policy = self.policy.as_policy();
+        let views = policy.arm_views();
         let best = policy.best();
         let total = policy.total_pulls();
         let best_mean = views[best.index()].mean;
@@ -673,17 +634,19 @@ impl SlotPolicy for DynamicRr {
     }
 
     fn set_probe(&mut self, enabled: bool) {
-        self.policy.as_probe_mut().set_probe(enabled);
-        self.lp_solver
-            .set_record_times(enabled && self.config.use_lp);
-        if !enabled {
+        if enabled {
+            self.probe.attach(self.policy.as_policy());
+        } else {
+            self.probe.detach();
             self.last_decision = None;
         }
+        self.lp_solver
+            .set_record_times(enabled && self.config.use_lp);
     }
 
-    fn drain_learner_events(&mut self) -> Vec<mec_sim::LearnerEvent> {
-        let events = self.policy.as_probe_mut().drain_probe();
-        events
+    fn drain_learner_events(&mut self) -> (Vec<mec_sim::LearnerEvent>, u64) {
+        let (events, dropped) = self.probe.drain();
+        let events = events
             .into_iter()
             .map(|e| mec_sim::LearnerEvent {
                 step: e.step,
@@ -696,11 +659,8 @@ impl SlotPolicy for DynamicRr {
                 reward: e.reward,
                 oracle: e.oracle,
             })
-            .collect()
-    }
-
-    fn probe_dropped(&self) -> u64 {
-        self.policy.as_probe().probe_dropped()
+            .collect();
+        (events, dropped)
     }
 
     fn last_decision(&self) -> Option<mec_sim::DecisionRecord> {
@@ -843,7 +803,8 @@ mod tests {
     #[test]
     fn probe_streams_lifecycle_events_with_domain_values() {
         let (_, mut policy) = run_probed(false, 30, 400, true);
-        let events = SlotPolicy::drain_learner_events(&mut policy);
+        let (events, dropped) = SlotPolicy::drain_learner_events(&mut policy);
+        assert_eq!(dropped, 0);
         assert!(!events.is_empty());
         let kappa = DynamicRrConfig::default().kappa;
         let activates = events.iter().filter(|e| e.kind == "activate").count();
@@ -861,9 +822,11 @@ mod tests {
             let o = s.oracle.expect("samples carry the per-step oracle");
             assert!((0.0..=1.0).contains(&o));
         }
-        // Second drain is empty; drop counter is exposed.
-        assert!(SlotPolicy::drain_learner_events(&mut policy).is_empty());
-        let _ = SlotPolicy::probe_dropped(&policy);
+        // Second drain is empty.
+        assert_eq!(
+            SlotPolicy::drain_learner_events(&mut policy),
+            (Vec::new(), 0)
+        );
     }
 
     #[test]
@@ -901,6 +864,56 @@ mod tests {
 
         let (_, fast) = run(false, 30, 120);
         assert!(SlotPolicy::telemetry(&fast).unwrap().solver.is_none());
+    }
+
+    /// Runs LP-PT `DynamicRR` for 200 slots on a 40-request, 5-station
+    /// world with `solver` driving the slot LP.
+    fn run_lp_with(solver: SlotLpSolver) -> mec_sim::Metrics {
+        const HORIZON: u64 = 200;
+        let topo = TopologyBuilder::new(5).seed(42).build();
+        let requests = WorkloadBuilder::new(&topo)
+            .seed(42)
+            .count(40)
+            .arrivals(ArrivalProcess::UniformOver {
+                horizon: HORIZON / 2,
+            })
+            .build();
+        let params = InstanceParams::default();
+        let paths = topo.shortest_paths();
+        let cfg = SlotConfig {
+            horizon: HORIZON,
+            c_unit: params.c_unit,
+            slot_ms: params.slot_ms,
+            seed: 42,
+            ..Default::default()
+        };
+        let instance = Instance::new(topo.clone(), requests.clone(), params);
+        let mut policy = DynamicRr::with_lp(
+            instance,
+            DynamicRrConfig {
+                horizon_hint: HORIZON,
+                ..Default::default()
+            },
+        );
+        policy.lp_solver = solver;
+        let mut engine = Engine::new(&topo, &paths, requests, cfg);
+        engine.run(&mut policy).expect("run completes")
+    }
+
+    /// The sparse revised simplex, warm-started across slots, is
+    /// indistinguishable from the dense tableau oracle.
+    #[test]
+    fn revised_warm_matches_dense_over_200_slots() {
+        let dense = run_lp_with(SlotLpSolver::new(SolverKind::Dense).warm_start(false));
+        let warm = run_lp_with(SlotLpSolver::new(SolverKind::Revised));
+        assert_eq!(dense, warm, "warm revised diverged from the dense oracle");
+    }
+
+    #[test]
+    fn warm_matches_cold_over_200_slots() {
+        let cold = run_lp_with(SlotLpSolver::new(SolverKind::Revised).warm_start(false));
+        let warm = run_lp_with(SlotLpSolver::new(SolverKind::Revised));
+        assert_eq!(cold, warm, "warm-starting changed the run");
     }
 
     #[test]

@@ -320,8 +320,6 @@ struct LearnPlane {
     lp_last: Vec<mec_sim::SolverTelemetry>,
     /// Last telemetry-sweep arm views per shard, behind `/learning.json`.
     last_arms: Vec<Vec<mec_sim::ArmTelemetry>>,
-    /// Last-seen cumulative probe-ring drop count per shard.
-    probe_dropped: Vec<u64>,
     probe_drop_counter: Arc<Counter>,
     recorder: FlightRecorder,
     /// Last slot the flight document was rendered at. Sweeps arrive once
@@ -364,7 +362,6 @@ impl LearnPlane {
             gauges,
             lp_last: vec![mec_sim::SolverTelemetry::default(); shards],
             last_arms: vec![Vec::new(); shards],
-            probe_dropped: vec![0; shards],
             probe_drop_counter: r.counter(
                 "mec_obs_probe_dropped_total",
                 "learner-probe events lost at the policy's bounded recorder",
@@ -890,12 +887,7 @@ impl ObsState {
                 );
             }
         }
-        if tick.probe_dropped > learn.probe_dropped[shard] {
-            learn
-                .probe_drop_counter
-                .add(tick.probe_dropped - learn.probe_dropped[shard]);
-            learn.probe_dropped[shard] = tick.probe_dropped;
-        }
+        learn.probe_drop_counter.add(tick.probe_dropped);
         if let Some(d) = &tick.decision {
             let lp = &learn.lp_last[shard];
             learn.recorder.record(DecisionSnapshot {
@@ -1588,6 +1580,39 @@ mod tests {
             stats.disk_fallbacks, 2,
             "incident fallback + verify fallback"
         );
+    }
+
+    #[test]
+    fn probe_drops_sum_across_a_restart() {
+        let hub = Arc::new(ObsHub::new().with_probe(true));
+        let mut obs = ObsState::new(2, Some(hub));
+        let tick = |slot, probe_dropped| ShardTick {
+            shard: 1,
+            report: mec_sim::SlotReport {
+                slot,
+                ..Default::default()
+            },
+            backlog: 0,
+            total_reward: 0.0,
+            completed: 0,
+            expired: 0,
+            aborted: 0,
+            new_latencies: Vec::new(),
+            checkpoint: None,
+            telemetry: None,
+            learner_events: Vec::new(),
+            probe_dropped,
+            decision: None,
+        };
+        obs.note_tick(&tick(10, 5));
+        obs.note_tick(&tick(20, 2));
+        // The restarted shard runs a fresh policy, whose probe buffer
+        // starts empty: its drops add to the ones before the crash.
+        obs.note_restart_attempt(1);
+        obs.note_restart_ok(30, 1, 17, 12);
+        obs.note_tick(&tick(31, 4));
+        let learn = obs.learn.as_ref().expect("the hub requested the probe");
+        assert_eq!(learn.probe_drop_counter.get(), 11);
     }
 
     #[test]

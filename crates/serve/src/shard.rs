@@ -106,8 +106,8 @@ pub struct ShardTick {
     /// the previous tick. Empty unless the worker was spawned with
     /// `probe` set and the policy implements a learner.
     pub learner_events: Vec<mec_sim::LearnerEvent>,
-    /// Cumulative count of probe events dropped at the policy's bounded
-    /// recorder (ring saturation). Only meaningful while probing.
+    /// Probe events the policy's bounded recorder dropped (ring
+    /// saturation) since the previous tick. Zero unless probing.
     pub probe_dropped: u64,
     /// Compact snapshot of the decision the policy took this slot, for
     /// the flight recorder. `None` unless probing (or the policy is not
@@ -718,14 +718,10 @@ fn worker_main(
                             }
                         }
                     }
-                    let (learner_events, probe_dropped, decision) = if spec.probe {
-                        (
-                            policy.drain_learner_events(),
-                            policy.probe_dropped(),
-                            policy.last_decision(),
-                        )
+                    let ((learner_events, probe_dropped), decision) = if spec.probe {
+                        (policy.drain_learner_events(), policy.last_decision())
                     } else {
-                        (Vec::new(), 0, None)
+                        ((Vec::new(), 0), None)
                     };
                     let metrics = engine.metrics();
                     let tick = ShardTick {

@@ -73,15 +73,11 @@ pub trait SlotPolicy {
         let _ = enabled;
     }
 
-    /// Drains arm-lifecycle events recorded since the last drain. Empty
-    /// unless a probe is attached.
-    fn drain_learner_events(&mut self) -> Vec<crate::telemetry::LearnerEvent> {
-        Vec::new()
-    }
-
-    /// Lifecycle events lost to the policy's bounded probe buffer.
-    fn probe_dropped(&self) -> u64 {
-        0
+    /// Drains the arm-lifecycle events recorded since the last drain,
+    /// with the number of events the probe's bounded buffer dropped since
+    /// then. Empty unless a probe is attached.
+    fn drain_learner_events(&mut self) -> (Vec<crate::telemetry::LearnerEvent>, u64) {
+        (Vec::new(), 0)
     }
 
     /// The most recent slot's decision digest, when a probe is attached.

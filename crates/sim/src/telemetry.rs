@@ -67,9 +67,9 @@ impl PolicyTelemetry {
 }
 
 /// One arm-lifecycle event drained from an attached learner probe
-/// (`mec-bandit`'s `LearnerProbe`), in policy-agnostic wire form: the
-/// kind travels as its stable lowercase name so consumers need no
-/// bandit-crate types.
+/// (`mec-bandit`'s `ArmProbe`), in policy-agnostic wire form: the kind
+/// travels as its stable lowercase name so consumers need no bandit-crate
+/// types.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LearnerEvent {
     /// The learner's total pull count when the event fired.
@@ -78,8 +78,9 @@ pub struct LearnerEvent {
     pub arm: usize,
     /// The arm's value in problem units (threshold MHz for `DynamicRR`).
     pub value: f64,
-    /// Event kind: `activate`, `sample`, `bound_update`, `eliminate`,
-    /// or `reactivate`.
+    /// Event kind: `activate` (the arm was active when the probe
+    /// attached), `sample` and `bound_update` (the arm was pulled), or
+    /// `eliminate` (the arm left the active set).
     pub kind: &'static str,
     /// The arm's pull count after the event.
     pub pulls: u64,
