@@ -27,7 +27,7 @@ use crate::model::Instance;
 use mec_lp::revised;
 use mec_lp::{
     BasisCol, BasisSnapshot, Cmp, LpError, Problem, RevisedConfig, Sense, Solution, SolverKind,
-    VarId, WarmOutcome,
+    WarmOutcome,
 };
 use mec_topology::station::StationId;
 use mec_topology::units::DataRate;
@@ -91,7 +91,8 @@ enum KeyCol {
 #[derive(Debug, Clone)]
 pub struct SlotLp {
     problem: Problem,
-    vars: Vec<(SlotVar, VarId)>,
+    /// Variable `v`'s coordinates at `vars[v]`.
+    vars: Vec<SlotVar>,
     var_keys: Vec<VarKey>,
     row_keys: Vec<RowKey>,
     /// Global request → its variables and Constraint (9) row; `None` for
@@ -112,8 +113,10 @@ struct StartRow {
 /// The fractional solution `y`, grouped per request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FractionalAssignment {
-    /// `per_request[j]` lists `(station, slot l, y)` with `y > 0`.
-    per_request: Vec<Vec<(StationId, usize, f64)>>,
+    /// Request `j`'s options with `y > 0`, `(station, slot l, y)`, are
+    /// `options[start[j]..start[j + 1]]`.
+    start: Vec<usize>,
+    options: Vec<(StationId, usize, f64)>,
     objective: f64,
 }
 
@@ -124,12 +127,12 @@ impl FractionalAssignment {
     ///
     /// Panics if `j` is out of range.
     pub fn for_request(&self, j: usize) -> &[(StationId, usize, f64)] {
-        &self.per_request[j]
+        &self.options[self.start[j]..self.start[j + 1]]
     }
 
     /// Number of requests covered.
     pub fn request_count(&self) -> usize {
-        self.per_request.len()
+        self.start.len() - 1
     }
 
     /// The LP optimum `LPOpt` — an upper bound on the integral optimum
@@ -140,7 +143,7 @@ impl FractionalAssignment {
 
     /// Total fractional mass of one request (`Σ_il y_jil ≤ 1`).
     pub fn mass(&self, j: usize) -> f64 {
-        self.per_request[j].iter().map(|&(_, _, y)| y).sum()
+        self.for_request(j).iter().map(|&(_, _, y)| y).sum()
     }
 }
 
@@ -152,14 +155,27 @@ struct Run {
     ers: Range<usize>,
 }
 
+/// One evaluated request: its runs and its demand outcomes.
+#[derive(Debug, Clone)]
+struct Evaluated {
+    /// In [`RequestRuns::runs`].
+    runs: Range<usize>,
+    /// In [`RequestRuns::demand`].
+    demand: Range<usize>,
+}
+
 /// Each request's runs, evaluated the first time the request is asked for
-/// and kept: feasibility and `ER_{jil}` depend only on the instance.
+/// and kept: feasibility, `ER_{jil}` and the demand distribution depend
+/// only on the instance.
 #[derive(Debug, Clone, Default)]
 struct RequestRuns {
-    /// Global request → its range in `runs`, once evaluated.
-    of_request: Vec<Option<Range<usize>>>,
+    /// Global request → its runs and outcomes, once evaluated.
+    of_request: Vec<Option<Evaluated>>,
     runs: Vec<Run>,
     ers: Vec<f64>,
+    /// Each evaluated request's demand outcomes as `(probability, rate in
+    /// MB/s)`, side by side for the truncated rates every build takes.
+    demand: Vec<(f64, f64)>,
 }
 
 impl RequestRuns {
@@ -170,10 +186,14 @@ impl RequestRuns {
         if j >= self.of_request.len() {
             self.of_request.resize(instance.request_count(), None);
         }
-        if let Some(runs) = &self.of_request[j] {
-            return runs.clone();
+        if let Some(evaluated) = &self.of_request[j] {
+            return evaluated.runs.clone();
         }
         let start = self.runs.len();
+        let outcomes = instance.requests()[j].demand().outcomes();
+        let demand = self.demand.len()..self.demand.len() + outcomes.len();
+        self.demand
+            .extend(outcomes.iter().map(|o| (o.prob, o.rate.as_mbps())));
         for station in instance.topo().station_ids() {
             if !instance.offline_feasible(j, station) {
                 continue;
@@ -195,8 +215,22 @@ impl RequestRuns {
                 });
             }
         }
-        self.of_request[j] = Some(start..self.runs.len());
-        start..self.runs.len()
+        let runs = start..self.runs.len();
+        self.of_request[j] = Some(Evaluated {
+            runs: runs.clone(),
+            demand,
+        });
+        runs
+    }
+
+    /// Request `j`'s evaluated entry.
+    fn evaluated(&self, j: usize) -> &Evaluated {
+        self.of_request[j].as_ref().expect("request evaluated")
+    }
+
+    /// Request `j`'s demand outcomes as `(probability, rate in MB/s)`.
+    fn demand_of(&self, j: usize) -> &[(f64, f64)] {
+        &self.demand[self.evaluated(j).demand.clone()]
     }
 }
 
@@ -208,6 +242,8 @@ struct Hosted {
     /// The run's first variable.
     first: usize,
     len: usize,
+    /// The run's first cell in [`ColumnCache::cells`].
+    cells: usize,
 }
 
 /// The parts of a slot LP that outlive one build: each request's runs,
@@ -221,6 +257,11 @@ pub(crate) struct ColumnCache {
     index: RequestRuns,
     /// Per station, the runs it hosts in the current build.
     hosted: Vec<Vec<Hosted>>,
+    /// Per run of the current build, in variable order, one cell per slot
+    /// `l` of the most any station has: the run's coefficient in its
+    /// station's prefix row `l`, its truncated rate, or 0 where the run
+    /// stays out of that row.
+    cells: Vec<f64>,
     /// Per hosted run of one station, its truncated expected rate.
     truncs: Vec<f64>,
 }
@@ -251,10 +292,19 @@ impl SlotLp {
 
     /// Refills this LP exactly as [`Self::build`] builds it, whatever it
     /// held before, keeping the capacity of its vectors: an LP rebuilt
-    /// every slot reuses its variable tables and the problem's objective
-    /// and row list instead of freeing and reallocating them. `columns`
+    /// every slot reuses its variable tables and the problem's objective,
+    /// rows and columns instead of freeing and reallocating them. `columns`
     /// keeps each request's runs between calls, so it must only ever be
     /// used with this one `instance`.
+    ///
+    /// The problem's matrix is written once in each orientation. The
+    /// variables come first, then each prefix row's coefficients, the
+    /// truncated rates, into the cells of the runs it takes, which fixes
+    /// every row and its length. The rows then go straight into the
+    /// problem's row arrays, sized once. Every column's entries are known
+    /// too, rows ascending: its request's start row, then the prefix rows
+    /// `l..` its run enters. The columns are written from the cells in one
+    /// pass, and the solver transposes nothing.
     pub(crate) fn rebuild(
         &mut self,
         instance: &Instance,
@@ -266,6 +316,7 @@ impl SlotLp {
         let slot_cap = instance.params().slot_capacity;
         let topo = instance.topo();
         let stations = topo.station_count();
+        let (mut col_start, mut col_rows, mut col_vals) = self.problem.take_columns();
         self.problem.clear();
         self.vars.clear();
         self.var_keys.clear();
@@ -280,55 +331,76 @@ impl SlotLp {
         let hosted = &mut columns.hosted;
         hosted.resize_with(stations, Vec::new);
         hosted.iter_mut().for_each(Vec::clear);
+        // Counted first, so every array that grows with the variables is
+        // reserved once, at its final size.
+        let n: usize = subset
+            .iter()
+            .map(|&j| {
+                let runs = columns.index.runs_of(instance, j);
+                columns.index.runs[runs]
+                    .iter()
+                    .map(|r| r.ers.len())
+                    .sum::<usize>()
+            })
+            .sum();
+        self.problem.reserve(n, 0);
+        self.vars.reserve_exact(n);
+        self.var_keys.reserve_exact(n);
 
+        // Each run gets `stride` cells, as many as the most slots any
+        // station has.
+        let stride = topo
+            .station_ids()
+            .map(|s| instance.slot_layout(s).count())
+            .max()
+            .unwrap_or(0);
+        let mut runs_seen = 0;
         // Variables + objective, bucketed as they are created: each
-        // request's variables form one contiguous range, closed by its
+        // request's variables form one contiguous range, which is its
         // Constraint (9) row (each request starts at most once), and each
         // station lists the runs it hosts.
         for (local_j, &j) in subset.iter().enumerate() {
             let first = self.vars.len();
+            let start_row = self.row_keys.len();
             let runs = columns.index.runs_of(instance, j);
             for run in &columns.index.runs[runs] {
                 let station = run.station;
+                let ers = &columns.index.ers[run.ers.clone()];
                 hosted[station.index()].push(Hosted {
                     request: j,
-                    first: self.vars.len(),
-                    len: run.ers.len(),
+                    first: self.problem.add_vars(ers).index(),
+                    len: ers.len(),
+                    cells: runs_seen * stride,
                 });
-                for (l, &er) in (1..).zip(&columns.index.ers[run.ers.clone()]) {
-                    let var = self.problem.add_var(er);
-                    self.vars.push((
-                        SlotVar {
-                            request: local_j,
-                            station,
-                            slot: l,
-                        },
-                        var,
-                    ));
-                    self.var_keys.push(VarKey {
-                        request: j,
-                        station,
-                        slot: l,
-                    });
-                }
+                runs_seen += 1;
+                let slots = 1..=ers.len();
+                self.vars.extend(slots.clone().map(|slot| SlotVar {
+                    request: local_j,
+                    station,
+                    slot,
+                }));
+                self.var_keys.extend(slots.map(|slot| VarKey {
+                    request: j,
+                    station,
+                    slot,
+                }));
             }
             let span = first..self.vars.len();
             if !span.is_empty() {
-                let coeffs: Vec<(VarId, f64)> = self.vars[span.clone()]
-                    .iter()
-                    .map(|&(_, v)| (v, 1.0))
-                    .collect();
-                self.problem.add_constraint(coeffs, Cmp::Le, 1.0);
                 self.start_rows[j] = Some(StartRow {
                     vars: span,
-                    row: self.row_keys.len(),
+                    row: start_row,
                 });
                 self.row_keys.push(RowKey::Start(j));
             }
         }
 
         // Constraint (10)/(23): truncated expected demand per slot prefix.
-        let truncs = &mut columns.truncs;
+        let index = &columns.index;
+        let (truncs, cells) = (&mut columns.truncs, &mut columns.cells);
+        cells.clear();
+        cells.resize(runs_seen * stride, 0.0);
+        let mut entries = self.vars.len();
         for station in topo.station_ids() {
             let layout = instance.slot_layout(station);
             let share_rate: Option<DataRate> = match truncation {
@@ -357,41 +429,107 @@ impl SlotLp {
                 // `E[min(ρ_j, cap)]` is the same for every variable of a
                 // run. The cap only grows with `l`, up to the share, so
                 // each distinct cap is evaluated once per run.
-                if truncated_at != Some(cap_rate.as_mbps()) {
-                    truncated_at = Some(cap_rate.as_mbps());
+                let cap = cap_rate.as_mbps();
+                if truncated_at != Some(cap) {
+                    truncated_at = Some(cap);
                     truncs.clear();
+                    // `Demand::expected_truncated_rate`, term for term.
                     truncs.extend(station_runs.iter().map(|h| {
-                        instance.requests()[h.request]
-                            .demand()
-                            .expected_truncated_rate(cap_rate)
-                            .as_mbps()
+                        index
+                            .demand_of(h.request)
+                            .iter()
+                            .map(|&(prob, rate)| prob * rate.min(cap))
+                            .sum::<f64>()
                     }));
                 }
                 // A run's first `min(l, len)` variables start inside the
-                // prefix.
-                let inside = |h: &Hosted| h.first..h.first + h.len.min(l.get());
-                let len: usize = station_runs
-                    .iter()
-                    .zip(truncs.iter())
-                    .filter(|&(_, &t)| t > 0.0)
-                    .map(|(h, _)| inside(h).len())
-                    .sum();
+                // prefix; every run holds at least one, so the row is
+                // empty only when no run's rate is positive.
+                let mut len = 0;
+                for (h, &t) in station_runs.iter().zip(truncs.iter()) {
+                    if t > 0.0 {
+                        cells[h.cells + l.get() - 1] = t;
+                        len += h.len.min(l.get());
+                    }
+                }
                 if len == 0 {
                     rows.push(None);
                     continue;
                 }
-                let mut coeffs: Vec<(VarId, f64)> = Vec::with_capacity(len);
-                for (h, &t) in station_runs.iter().zip(truncs.iter()) {
-                    if t > 0.0 {
-                        coeffs.extend(self.vars[inside(h)].iter().map(|&(_, v)| (v, t)));
-                    }
-                }
-                self.problem
-                    .add_constraint(coeffs, Cmp::Le, 2.0 * prefix_rate.as_mbps());
+                entries += len;
                 rows.push(Some(self.row_keys.len()));
                 self.row_keys.push(RowKey::Prefix(station, l.get()));
             }
         }
+
+        // The rows, in row order: every start row, then every prefix row.
+        self.problem.reserve(0, entries);
+        for &j in subset {
+            if let Some(start) = &self.start_rows[j] {
+                self.problem
+                    .add_row_with(Cmp::Le, 1.0, |w| w.push_span(start.vars.clone(), 1.0));
+            }
+        }
+        for station in topo.station_ids() {
+            let station_runs = &hosted[station.index()];
+            let rows = &self.prefix_rows[station.index()];
+            for (l, _) in instance
+                .slot_layout(station)
+                .indices()
+                .zip(rows)
+                .filter(|(_, row)| row.is_some())
+            {
+                let prefix_rate = l.prefix_capacity(slot_cap).sustainable_rate(c_unit);
+                self.problem
+                    .add_row_with(Cmp::Le, 2.0 * prefix_rate.as_mbps(), |w| {
+                        for h in station_runs {
+                            let t = cells[h.cells + l.get() - 1];
+                            if t > 0.0 {
+                                w.push_span(h.first..h.first + h.len.min(l.get()), t);
+                            }
+                        }
+                    });
+            }
+        }
+
+        // The columns in variable order: slot `l` of a run takes its
+        // request's start row, then the prefix rows its cells from `l` on
+        // enter. They hold the rows' entries, so their arrays are sized
+        // once and filled in place.
+        col_start.resize(self.vars.len() + 1, 0);
+        col_rows.resize(entries, 0);
+        col_vals.resize(entries, 0.0);
+        let (mut k, mut v) = (0, 0);
+        let mut run_cells = cells.chunks_exact(stride.max(1));
+        for &j in subset {
+            let Some(start) = &self.start_rows[j] else {
+                continue;
+            };
+            for run in &columns.index.runs[columns.index.evaluated(j).runs.clone()] {
+                let cells = run_cells.next().expect("one stride of cells per run");
+                let rows = &self.prefix_rows[run.station.index()];
+                for l in 0..run.ers.len() {
+                    col_rows[k] = start.row as u32;
+                    col_vals[k] = 1.0;
+                    k += 1;
+                    for (&t, row) in cells[l..].iter().zip(&rows[l..]) {
+                        if let (true, Some(row)) = (t > 0.0, *row) {
+                            col_rows[k] = row as u32;
+                            col_vals[k] = t;
+                            k += 1;
+                        }
+                    }
+                    v += 1;
+                    col_start[v] = k;
+                }
+            }
+        }
+        debug_assert_eq!(
+            (v, k),
+            (self.vars.len(), entries),
+            "every entry written once"
+        );
+        self.problem.set_columns(col_start, col_rows, col_vals);
     }
 
     /// The current row carrying `key`, if this LP has it.
@@ -447,15 +585,27 @@ impl SlotLp {
 
     /// Reads the fractional assignment out of a raw LP solution.
     fn extract(&self, sol: &Solution, subset_len: usize) -> FractionalAssignment {
-        let mut per_request = vec![Vec::new(); subset_len];
-        for &(sv, v) in &self.vars {
-            let y = sol.value(v);
+        // Each request's variables are one contiguous range, in request
+        // order, so its options are too.
+        let mut start = Vec::with_capacity(subset_len + 1);
+        start.push(0);
+        let mut options = Vec::new();
+        for (&sv, &y) in self.vars.iter().zip(sol.values()) {
+            while start.len() <= sv.request {
+                start.push(options.len());
+            }
             if y > 1e-9 {
-                per_request[sv.request].push((sv.station, sv.slot, y));
+                options.push((sv.station, sv.slot, y));
             }
         }
+        debug_assert!(
+            start.len() <= subset_len + 1,
+            "a variable outside the subset"
+        );
+        start.resize(subset_len + 1, options.len());
         FractionalAssignment {
-            per_request,
+            start,
+            options,
             objective: sol.objective(),
         }
     }
@@ -711,8 +861,9 @@ impl SlotLpSolver {
 mod tests {
     use super::*;
     use crate::model::InstanceParams;
+    use mec_lp::VarId;
     use mec_topology::units::Compute;
-    use mec_topology::TopologyBuilder;
+    use mec_topology::{Latency, TopologyBuilder};
     use mec_workload::WorkloadBuilder;
     use proptest::prelude::*;
     use std::collections::HashSet;
@@ -858,13 +1009,14 @@ mod tests {
 
         /// The bucketed builder emits exactly the reference LP: same
         /// problem (variables, rows, coefficient order and bits), same
-        /// identities, and lookup tables that invert those identities.
-        /// One LP rebuilt in place through every case, over subsets that
-        /// shrink and grow (requests leave and come back) and a share that
-        /// changes, first on one network and then on a smaller one, each
-        /// with its own column cache, matches a fresh build field for
-        /// field, and every key an earlier case produced resolves as it
-        /// does there.
+        /// identities, and lookup tables that invert those identities. The
+        /// columns it writes directly are the reference rows' transpose bit
+        /// for bit. One LP rebuilt in place through every case, over
+        /// subsets that shrink and grow (requests leave and come back) and
+        /// a share that changes, first on one network and then on a
+        /// smaller one, each with its own column cache, matches a fresh
+        /// build field for field, its columns included, and every key an
+        /// earlier case produced resolves as it does there.
         #[test]
         fn bucketed_build_matches_naive_builder(
             world in (0u64..200, 1usize..30, 1usize..7),
@@ -896,6 +1048,9 @@ mod tests {
                         let lp = SlotLp::build(inst, subset, trunc);
                         let (problem, var_keys, row_keys) = build_naive(inst, subset, trunc, false);
                         prop_assert_eq!(&lp.problem, &problem);
+                        // `problem` was built row by row, so its columns
+                        // are the transpose of its rows.
+                        prop_assert!(lp.problem.columns().bit_eq(problem.columns()));
                         prop_assert_eq!(&lp.var_keys, &var_keys);
                         prop_assert_eq!(&lp.row_keys, &row_keys);
                         for (v, &key) in lp.var_keys.iter().enumerate() {
@@ -907,6 +1062,7 @@ mod tests {
 
                         rebuilt.rebuild(inst, subset, trunc, &mut columns);
                         prop_assert_eq!(&rebuilt.problem, &lp.problem);
+                        prop_assert!(rebuilt.problem.columns().bit_eq(problem.columns()));
                         prop_assert_eq!(&rebuilt.vars, &lp.vars);
                         prop_assert_eq!(&rebuilt.var_keys, &lp.var_keys);
                         prop_assert_eq!(&rebuilt.row_keys, &lp.row_keys);
@@ -960,6 +1116,69 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// An LP rebuilt in place through subsets where a station loses every
+    /// request and then regains them, under both truncations, keeps
+    /// writing exactly the transpose of its rows: the rows of the emptied
+    /// station vanish and come back, and no column keeps an entry in a row
+    /// that is gone.
+    #[test]
+    fn direct_columns_follow_rows_that_go_empty() {
+        // A 20 ms deadline puts some stations out of some requests' reach.
+        let topo = TopologyBuilder::new(6).seed(0).build();
+        let requests = WorkloadBuilder::new(&topo)
+            .seed(0)
+            .count(40)
+            .deadline(Latency::ms(20.0))
+            .build();
+        let inst = Instance::new(topo, requests, InstanceParams::default());
+        let all: Vec<usize> = (0..40).collect();
+        let mut columns = ColumnCache::default();
+        let stations: Vec<Vec<StationId>> = all
+            .iter()
+            .map(|&j| {
+                let runs = columns.index.runs_of(&inst, j);
+                columns.index.runs[runs].iter().map(|r| r.station).collect()
+            })
+            .collect();
+        // A station some requests run at and others avoid; a subset of
+        // the avoiding ones leaves its prefix rows empty.
+        let hosts = |j: usize, s: StationId| stations[j].contains(&s);
+        let station = inst
+            .topo()
+            .station_ids()
+            .find(|&s| all.iter().any(|&j| hosts(j, s)) && all.iter().any(|&j| !hosts(j, s)))
+            .expect("a station that some requests avoid");
+        let avoiding: Vec<usize> = all
+            .iter()
+            .copied()
+            .filter(|&j| !hosts(j, station))
+            .collect();
+        let one: Vec<usize> = all
+            .iter()
+            .copied()
+            .filter(|&j| hosts(j, station))
+            .take(1)
+            .collect();
+        let mut lp = SlotLp::empty();
+        let mut emptied = false;
+        for subset in [&all, &avoiding, &one, &vec![], &all, &avoiding] {
+            for trunc in [
+                Truncation::Standard,
+                Truncation::PerRequestShare {
+                    active: subset.len(),
+                },
+            ] {
+                lp.rebuild(&inst, subset, trunc, &mut columns);
+                let (naive, _, _) = build_naive(&inst, subset, trunc, false);
+                assert_eq!(lp.problem, naive);
+                assert!(lp.problem.columns().bit_eq(naive.columns()));
+                emptied |= !subset.is_empty()
+                    && lp.prefix_rows[station.index()].iter().all(Option::is_none);
+            }
+        }
+        assert!(emptied, "the station's prefix rows went empty on the way");
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod solution;
 pub mod sparse;
 
 pub use branch_bound::{solve_binary, BranchBoundConfig};
-pub use problem::{Cmp, Problem, Sense, VarId};
+pub use problem::{Cmp, Problem, RowWriter, Sense, VarId};
 pub use revised::{BasisCol, BasisSnapshot, RevisedConfig, SolverKind, WarmOutcome};
 pub use simplex::{pivots_performed, refactors_performed};
 pub use solution::{LpError, Solution, Status};

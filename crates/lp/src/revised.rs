@@ -2,23 +2,24 @@
 //! and warm-start support.
 //!
 //! Where [`crate::simplex`] rebuilds and eliminates a dense `m × n` tableau
-//! on every pivot, this solver keeps the constraint matrix in CSC form
-//! ([`crate::sparse::CscMatrix`]) and represents the basis inverse as a
-//! refactorized basis `B₀` composed with an *eta file* of rank-one pivot
-//! updates, each eta column stored as its nonzeros. `B₀` is factored
-//! around its unit columns: every basic slack, surplus or artificial
-//! covers its own row, so only the kernel of the `k` other basic columns
-//! on the `k` uncovered rows is inverted densely (`O(k³)` per
-//! refactorization, where `k` is a fraction of `m`). A solve with `B₀`
-//! costs `O(k² + nnz(B₀))`, and each eta its own nonzeros. It carries the
+//! on every pivot, this solver reads the problem's own constraint matrix,
+//! which [`Problem`] holds in both orientations: its structural columns in
+//! CSC ([`crate::sparse::CscMatrix`]) and its rows in CSR. It represents the
+//! basis inverse as a refactorized basis `B₀` composed with an *eta file*
+//! of rank-one pivot updates, each eta column stored as its nonzeros. `B₀`
+//! is factored around its unit columns: every basic slack, surplus or
+//! artificial covers its own row, so only the kernel of the `k` other
+//! basic columns on the `k` uncovered rows is inverted, by a Gauss-Jordan
+//! elimination that does work only on nonzeros, into a sparse `K⁻¹`. A
+//! solve with `B₀` costs `O(nnz(K⁻¹) + nnz(B₀))`, and each eta its own
+//! nonzeros. It carries the
 //! reduced costs `d` from pivot to pivot instead of repricing every
 //! column. Per iteration it scans `d` and the Devex weights for the
 //! entering column (`O(n)`, no arithmetic on the matrix), runs one FTRAN
 //! of that column and the ratio test, then one BTRAN for the leaving row
-//! `ρ = e_rᵀB⁻¹`, each `O(k² + nnz(B₀))` plus the eta nonzeros. It forms
-//! the pivot row `α_r = ρᵀA` from the problem's own row-major rows over
-//! the nonzeros of `ρ`, and updates `d` and the weights on just the
-//! columns that row touches. A full
+//! `ρ = e_rᵀB⁻¹`. It forms the pivot row `α_r = ρᵀA` from the problem's
+//! CSR rows over the nonzeros of `ρ`, and updates `d` and the weights on
+//! just the columns that row touches. A full
 //! `O(nnz)` pricing sweep runs only at phase start, after each
 //! refactorization, and when the carried `d` offers no entering column. So
 //! optimality is always decided on fresh prices. On the slot-indexed LP
@@ -53,19 +54,22 @@
 //! factorization, never correctness.
 //!
 //! Buffers: the arrays that grow with the problem — the standard form's
-//! CSC arrays, the per-column state of the iteration and the phase cost
-//! vectors — live in a caller-held [`Workspace`]. It carries capacity,
+//! unit columns (and its copy of the structural columns, for a problem
+//! with a negated row or an upper bound), the per-column state of the
+//! iteration and the phase cost vectors — live in a caller-held
+//! [`Workspace`]. It carries capacity,
 //! never values: each solve clears and re-sizes every buffer before
 //! reading it, so a reused workspace solves exactly like a fresh one, and
 //! a caller solving one LP per slot allocates those arrays once instead
 //! of every slot. [`solve`] is the one-shot form with a fresh workspace.
 
 use crate::devex;
-use crate::problem::{Cmp, Problem, Row, Sense};
+use crate::problem::{Cmp, Problem, Sense};
 use crate::simplex::{note_pivot, note_refactor};
 use crate::solution::{LpError, Solution};
 use crate::sparse::CscMatrix;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// Which simplex implementation a caller wants.
@@ -178,12 +182,14 @@ pub enum WarmOutcome {
 /// them again.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
-    /// The standard form's CSC arrays.
+    /// The normalized copy of the structural columns, for a problem with a
+    /// negated row or an upper bound.
     col_ptr: Vec<usize>,
-    row_idx: Vec<usize>,
+    row_idx: Vec<u32>,
     values: Vec<f64>,
-    /// The counting sort's per-column write cursor.
-    fill: Vec<usize>,
+    /// The unit columns' rows and signs.
+    unit_row: Vec<u32>,
+    unit_sign: Vec<f64>,
     /// The iteration's per-column state.
     d: Vec<f64>,
     inv_w: Vec<f64>,
@@ -206,19 +212,81 @@ fn take_filled<T: Clone>(buf: &mut Vec<T>, len: usize, value: T) -> Vec<T> {
     v
 }
 
-/// Standard form shared by both phases: normalized rows and the full CSC
-/// matrix over structural + slack + surplus + artificial columns.
+/// The standard form's constraint matrix: the structural columns, then one
+/// unit column per slack, surplus and artificial.
+struct StdMatrix<'a> {
+    /// The problem's own CSC, borrowed; a copy only when a row was negated
+    /// or an upper-bound row appended.
+    structural: Cow<'a, CscMatrix>,
+    /// The structural column count: unit column `c ≥ n` holds one entry,
+    /// `unit_sign[c - n]` on row `unit_row[c - n]`.
+    n: usize,
+    unit_row: Vec<u32>,
+    unit_sign: Vec<f64>,
+}
+
+impl StdMatrix<'_> {
+    /// The `(row, value)` entries of column `c`, rows ascending.
+    fn column(&self, c: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (rows, values) = match c.checked_sub(self.n) {
+            None => self.structural.column_parts(c),
+            Some(u) => (&self.unit_row[u..=u], &self.unit_sign[u..=u]),
+        };
+        rows.iter().map(|&r| r as usize).zip(values.iter().copied())
+    }
+
+    /// The row and sign of unit column `c ≥ n`.
+    fn unit(&self, c: usize) -> (usize, f64) {
+        (
+            self.unit_row[c - self.n] as usize,
+            self.unit_sign[c - self.n],
+        )
+    }
+
+    /// Sparse dot product `yᵀ · a_c`.
+    fn dot_column(&self, y: &[f64], c: usize) -> f64 {
+        self.column(c).map(|(r, v)| y[r] * v).sum()
+    }
+
+    /// Adds column `c` into a dense vector.
+    fn scatter_column(&self, c: usize, out: &mut [f64]) {
+        for (r, v) in self.column(c) {
+            out[r] += v;
+        }
+    }
+
+    /// `red[j] = cost[j] - yᵀ·a_j` for every column `j < red.len()`,
+    /// writing `0.0` where `skip[j]`: one pass over the structural CSC
+    /// arrays, then one term per unit column.
+    fn price_into(&self, y: &[f64], cost: &[f64], skip: &[bool], red: &mut [f64]) {
+        let (structural, units) = red.split_at_mut(self.n.min(red.len()));
+        self.structural.price_into(y, cost, skip, structural);
+        for (u, out) in units.iter_mut().enumerate() {
+            let j = self.n + u;
+            *out = if skip[j] {
+                0.0
+            } else {
+                let mut acc = cost[j];
+                acc -= y[self.unit_row[u] as usize] * self.unit_sign[u];
+                acc
+            };
+        }
+    }
+}
+
+/// Standard form shared by both phases: normalized rows and the matrix
+/// over structural + slack + surplus + artificial columns.
 struct StdForm<'a> {
     n: usize,
     m: usize,
     art_start: usize,
     n_total: usize,
-    csc: CscMatrix,
-    /// The problem's explicit rows, read row-wise to form a pivot row.
-    rows: &'a [Row],
-    /// One `((variable, 1.0), bound)` per upper-bound row, in row order
-    /// after the explicit rows.
-    bound_rows: Vec<((usize, f64), f64)>,
+    matrix: StdMatrix<'a>,
+    /// The problem, whose rows are read row-wise to form a pivot row.
+    problem: &'a Problem,
+    /// The variable of each upper-bound row, in row order after the
+    /// explicit rows.
+    bound_vars: Vec<u32>,
     rhs: Vec<f64>,
     negated: Vec<bool>,
     init_basis: Vec<usize>,
@@ -230,43 +298,32 @@ struct StdForm<'a> {
     unit_cols: Vec<BasisCol>,
 }
 
-/// The coefficients of internal row `r` as the problem states them, before
-/// the rhs normalization: an explicit row's, else its upper-bound row's
-/// single `(variable, 1.0)`.
-fn row_coeffs<'b>(
-    explicit: &'b [Row],
-    bound_rows: &'b [((usize, f64), f64)],
-    r: usize,
-) -> &'b [(usize, f64)] {
-    match explicit.get(r) {
-        Some(row) => &row.coeffs,
-        None => std::slice::from_ref(&bound_rows[r - explicit.len()].0),
-    }
-}
-
 impl<'a> StdForm<'a> {
-    /// Builds the standard form of `problem`, its CSC arrays refilled in
-    /// the workspace's buffers; [`Self::release`] hands them back.
+    /// Builds the standard form of `problem` around the problem's own
+    /// structural columns; the unit columns, and a normalized copy of the
+    /// structural ones where the problem needs one, are refilled in the
+    /// workspace's buffers, which [`Self::release`] hands back.
     fn build(problem: &'a Problem, ws: &mut Workspace) -> Self {
         let n = problem.var_count();
-        let explicit = problem.rows_vec();
+        let explicit = problem.constraint_count();
+        let upper = problem.upper_bounds_vec();
         // Upper bounds become `x_i ≤ u` rows after the explicit ones.
-        let bound_rows: Vec<((usize, f64), f64)> = problem
-            .upper_bounds_vec()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, ub)| ub.map(|u| ((i, 1.0), u)))
+        let bound_vars: Vec<u32> = (0..upper.len())
+            .filter(|&i| upper[i].is_some())
+            .map(|i| i as u32)
             .collect();
-        let row_coeffs = |r: usize| row_coeffs(explicit, &bound_rows, r);
 
         // Normalize every rhs non-negative; a negated row flips its sense
-        // and, below, the sign of its coefficients.
-        let m = explicit.len() + bound_rows.len();
+        // and the sign of its coefficients.
+        let m = explicit + bound_vars.len();
         let mut cmps = Vec::with_capacity(m);
         let mut rhs = Vec::with_capacity(m);
         let mut negated = Vec::with_capacity(m);
-        let senses = explicit.iter().map(|r| (r.cmp, r.rhs));
-        for (cmp, b) in senses.chain(bound_rows.iter().map(|&(_, u)| (Cmp::Le, u))) {
+        let senses = (0..explicit).map(|r| problem.row_sense(r));
+        let bounds = bound_vars
+            .iter()
+            .map(|&i| (Cmp::Le, upper[i as usize].unwrap_or(0.0)));
+        for (cmp, b) in senses.chain(bounds) {
             let neg = b < 0.0;
             negated.push(neg);
             rhs.push(if neg { -b } else { b });
@@ -283,51 +340,26 @@ impl<'a> StdForm<'a> {
         let art_start = n + n_slack + n_surplus;
         let n_total = art_start + n_art;
 
-        // Transpose the row-major coefficients in one counting sort: count
-        // each column's nonzeros, prefix-sum the counts into column starts,
-        // then scatter the rows in order, so every column lists its rows
-        // ascending. Exact zeros are dropped.
-        let mut col_ptr = take_filled(&mut ws.col_ptr, n_total + 1, 0);
-        for r in 0..m {
-            for &(v, c) in row_coeffs(r) {
-                if c != 0.0 {
-                    col_ptr[v + 1] += 1;
-                }
-            }
-        }
-        for j in 0..n {
-            col_ptr[j + 1] += col_ptr[j];
-        }
-        let nnz = col_ptr[n] + (n_total - n);
-        let mut row_idx = take_filled(&mut ws.row_idx, nnz, 0);
-        let mut values = take_filled(&mut ws.values, nnz, 0.0);
-        let fill = &mut ws.fill;
-        fill.clear();
-        fill.extend_from_slice(&col_ptr[..n]);
-        for (r, &neg) in negated.iter().enumerate() {
-            for &(v, c) in row_coeffs(r) {
-                if c != 0.0 {
-                    row_idx[fill[v]] = r;
-                    values[fill[v]] = if neg { -c } else { c };
-                    fill[v] += 1;
-                }
-            }
-        }
+        let columns = problem.columns();
+        let structural = if bound_vars.is_empty() && !negated.contains(&true) {
+            Cow::Borrowed(columns)
+        } else {
+            Cow::Owned(normalized(columns, &negated, &bound_vars, m, ws))
+        };
 
         // Unit columns come after the structural block, grouped slack /
-        // surplus / artificial exactly like the dense solver, so the CSC
-        // column numbering matches the dense tableau's layout. Each holds
-        // one entry, written in place.
+        // surplus / artificial exactly like the dense solver, so the column
+        // numbering matches the dense tableau's layout.
+        let mut unit_row = take_filled(&mut ws.unit_row, n_total - n, 0);
+        let mut unit_sign = take_filled(&mut ws.unit_sign, n_total - n, 0.0);
         let mut init_basis = vec![0; m];
         let mut slack_of_row = vec![None; m];
         let mut surplus_of_row = vec![None; m];
         let mut art_of_row = vec![None; m];
         let mut unit_cols = vec![BasisCol::Slack(0); n_total - n];
         let mut unit = |c: usize, r: usize, sign: f64, name: BasisCol| {
-            let k = col_ptr[n] + (c - n);
-            row_idx[k] = r;
-            values[k] = sign;
-            col_ptr[c + 1] = k + 1;
+            unit_row[c - n] = r as u32;
+            unit_sign[c - n] = sign;
             unit_cols[c - n] = name;
         };
         let mut next_slack = n;
@@ -364,9 +396,14 @@ impl<'a> StdForm<'a> {
             m,
             art_start,
             n_total,
-            csc: CscMatrix::from_parts(m, col_ptr, row_idx, values),
-            rows: explicit,
-            bound_rows,
+            matrix: StdMatrix {
+                structural,
+                n,
+                unit_row,
+                unit_sign,
+            },
+            problem,
+            bound_vars,
             rhs,
             negated,
             init_basis,
@@ -377,9 +414,29 @@ impl<'a> StdForm<'a> {
         }
     }
 
-    /// Moves the CSC arrays back into the workspace.
+    /// Moves the workspace's arrays back into it.
     fn release(self, ws: &mut Workspace) {
-        (ws.col_ptr, ws.row_idx, ws.values) = self.csc.into_parts();
+        let StdMatrix {
+            structural,
+            unit_row,
+            unit_sign,
+            ..
+        } = self.matrix;
+        if let Cow::Owned(copy) = structural {
+            (ws.col_ptr, ws.row_idx, ws.values) = copy.into_parts();
+        }
+        ws.unit_row = unit_row;
+        ws.unit_sign = unit_sign;
+    }
+
+    /// The coefficients of internal row `r` as the problem states them,
+    /// before the rhs normalization: an explicit row's, else its
+    /// upper-bound row's single `(variable, 1.0)`.
+    fn row_coeffs(&self, r: usize) -> (&[u32], &[f64]) {
+        match r.checked_sub(self.problem.constraint_count()) {
+            None => self.problem.row(r),
+            Some(b) => (std::slice::from_ref(&self.bound_vars[b]), &[1.0]),
+        }
     }
 
     /// Maps a structural [`BasisCol`] to this problem's column index.
@@ -399,6 +456,38 @@ impl<'a> StdForm<'a> {
             Some(unit) => self.unit_cols[unit],
         }
     }
+}
+
+/// The structural columns over all `m` internal rows: `columns` with every
+/// negated row's entries flipped and the `x ≤ u` row of each variable in
+/// `bound_vars` (ascending) appended, in the workspace's buffers. Bound
+/// rows follow the explicit ones, so each column's rows stay ascending.
+fn normalized(
+    columns: &CscMatrix,
+    negated: &[bool],
+    bound_vars: &[u32],
+    m: usize,
+    ws: &mut Workspace,
+) -> CscMatrix {
+    let mut col_ptr = take_filled(&mut ws.col_ptr, 1, 0);
+    let mut row_idx = take_filled(&mut ws.row_idx, 0, 0);
+    let mut values = take_filled(&mut ws.values, 0, 0.0);
+    let mut bounds = bound_vars.iter().peekable();
+    let mut bound_row = columns.rows();
+    for j in 0..columns.cols() {
+        let (rows, vals) = columns.column_parts(j);
+        for (&r, &v) in rows.iter().zip(vals) {
+            row_idx.push(r);
+            values.push(if negated[r as usize] { -v } else { v });
+        }
+        if bounds.next_if(|&&b| b as usize == j).is_some() {
+            row_idx.push(bound_row as u32);
+            values.push(1.0);
+            bound_row += 1;
+        }
+        col_ptr.push(row_idx.len());
+    }
+    CscMatrix::from_parts(m, col_ptr, row_idx, values)
 }
 
 /// One product-form update: the basis inverse gains a left factor `E`
@@ -447,7 +536,9 @@ fn btran_etas(etas: &[Eta], y: &mut [f64]) {
 /// unit at position `p` covering row `u` with sign `s` takes
 /// `x_p = s·(a_u − Σ_q A[u, S_q]·x_{S_q})`; `yᵀB = cᵀ` runs the same steps
 /// backwards. On the slot LP most basic columns are units, so `k` is a
-/// fraction of `m` and a refactorization costs `O(k³)`, not `O(m³)`.
+/// fraction of `m`, and the kernel is so sparse that `K⁻¹` is too: both are
+/// held as their nonzeros, and a refactorization, an FTRAN and a BTRAN
+/// each cost time in proportion to the nonzeros they touch.
 struct Factor {
     /// `(position, row, sign)` of each basic unit column.
     units: Vec<(usize, usize, f64)>,
@@ -457,10 +548,8 @@ struct Factor {
     kernel_cols: Vec<usize>,
     /// `N`: the uncovered rows, ascending.
     kernel_rows: Vec<usize>,
-    /// `K⁻¹`, row-major `k × k`: row `q` is position `S_q`.
-    kinv: Vec<f64>,
-    /// `K⁻ᵀ`, row-major, so FTRAN reads `K⁻¹`'s columns contiguously.
-    kinv_t: Vec<f64>,
+    /// `K⁻¹`: row `q` is position `S_q`, column `i` row `N_i`.
+    kinv: KernelInverse,
 }
 
 impl Factor {
@@ -469,7 +558,7 @@ impl Factor {
     /// units covering one row, or the kernel column with no pivot above
     /// `eps`.
     fn new(std: &StdForm, basis: &[usize], eps: f64) -> Result<Self, usize> {
-        let (csc, m) = (&std.csc, std.m);
+        let (matrix, m) = (&std.matrix, std.m);
         let mut covered = vec![false; m];
         let mut units = Vec::new();
         let mut kernel_pos = Vec::new();
@@ -480,7 +569,7 @@ impl Factor {
                 kernel_cols.push(c);
                 continue;
             }
-            let (u, s) = csc.column(c).next().expect("unit columns hold one entry");
+            let (u, s) = matrix.unit(c);
             if std::mem::replace(&mut covered[u], true) {
                 return Err(p);
             }
@@ -493,42 +582,39 @@ impl Factor {
         for (i, &r) in kernel_rows.iter().enumerate() {
             kernel_index[r] = i;
         }
-        let mut kmat = vec![0.0; k * k];
-        for (q, &c) in kernel_cols.iter().enumerate() {
-            for (r, v) in csc.column(c) {
+        // Kernel column `q` holds `entries[start[q]..start[q + 1]]`, its
+        // `(kernel row, value)` pairs.
+        let mut start = Vec::with_capacity(k + 1);
+        start.push(0);
+        let mut entries = Vec::new();
+        for &c in &kernel_cols {
+            for (r, v) in matrix.column(c) {
                 let i = kernel_index[r];
                 if i != usize::MAX {
-                    kmat[i * k + q] = v;
+                    entries.push((i, v));
                 }
             }
+            start.push(entries.len());
         }
-        let kinv = invert(kmat, k, eps).map_err(|q| kernel_pos[q])?;
-        let mut kinv_t = vec![0.0; k * k];
-        for q in 0..k {
-            for i in 0..k {
-                kinv_t[i * k + q] = kinv[q * k + i];
-            }
-        }
+        let kinv = invert(k, &start, &entries, eps).map_err(|q| kernel_pos[q])?;
         Ok(Self {
             units,
             kernel_pos,
             kernel_cols,
             kernel_rows,
             kinv,
-            kinv_t,
         })
     }
 
     /// Solves `B x = a`, returning `x` by basis position; `a` is by row
     /// and is overwritten.
-    fn ftran(&self, csc: &CscMatrix, a: &mut [f64]) -> Vec<f64> {
-        let k = self.kernel_pos.len();
-        let mut xs = vec![0.0; k];
+    fn ftran(&self, matrix: &StdMatrix, a: &mut [f64]) -> Vec<f64> {
+        let mut xs = vec![0.0; self.kernel_pos.len()];
         for (i, &r) in self.kernel_rows.iter().enumerate() {
             let ar = a[r];
             if ar != 0.0 {
-                for (xq, &kq) in xs.iter_mut().zip(&self.kinv_t[i * k..(i + 1) * k]) {
-                    *xq += ar * kq;
+                for &(q, kq) in self.kinv.column(i) {
+                    xs[q] += ar * kq;
                 }
             }
         }
@@ -538,7 +624,7 @@ impl Factor {
             if xq != 0.0 {
                 // Take the kernel columns' share out of the covered rows;
                 // what they leave in the kernel rows is never read again.
-                for (r, v) in csc.column(c) {
+                for (r, v) in matrix.column(c) {
                     a[r] -= v * xq;
                 }
             }
@@ -550,20 +636,19 @@ impl Factor {
     }
 
     /// Solves `yᵀB = cᵀ`, returning `y` by row; `c` is by basis position.
-    fn btran(&self, csc: &CscMatrix, c: &[f64]) -> Vec<f64> {
-        let k = self.kernel_pos.len();
+    fn btran(&self, matrix: &StdMatrix, c: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; c.len()];
         for &(p, u, s) in &self.units {
             y[u] = s * c[p];
         }
         // Kernel rows of y are still zero here, so a whole-column dot
         // subtracts the covered rows' share alone.
-        let mut yn = vec![0.0; k];
+        let mut yn = vec![0.0; self.kernel_pos.len()];
         for (q, (&p, &col)) in self.kernel_pos.iter().zip(&self.kernel_cols).enumerate() {
-            let w = c[p] - csc.dot_column(&y, col);
+            let w = c[p] - matrix.dot_column(&y, col);
             if w != 0.0 {
-                for (yi, &kq) in yn.iter_mut().zip(&self.kinv[q * k..(q + 1) * k]) {
-                    *yi += w * kq;
+                for &(i, kq) in self.kinv.row(q) {
+                    yn[i] += w * kq;
                 }
             }
         }
@@ -604,53 +689,231 @@ struct Rsx<'a> {
     touched: Vec<usize>,
 }
 
-/// Inverts a dense row-major `m × m` matrix by Gauss-Jordan with partial
-/// pivoting. `Err(col)` reports the first column with no usable pivot —
-/// i.e. the (numerically) dependent basis position — so callers can
-/// repair it.
-fn invert(mut a: Vec<f64>, m: usize, eps: f64) -> Result<Vec<f64>, usize> {
-    let mut inv = vec![0.0; m * m];
-    for i in 0..m {
-        inv[i * m + i] = 1.0;
+/// `K⁻¹` as its nonzeros, `(index, value)` pairs, held twice: by column
+/// for FTRAN and by row for BTRAN. Skipping a zero term leaves every sum
+/// the dense loops formed bit for bit as it was: each starts at `+0.0`,
+/// which a zero term never moves.
+struct KernelInverse {
+    /// Column `i` holds `(q, K⁻¹[q][i])` in `cols[col_start[i]..col_start[i + 1]]`.
+    col_start: Vec<usize>,
+    cols: Vec<(usize, f64)>,
+    /// Row `q` holds `(i, K⁻¹[q][i])` in `rows[row_start[q]..row_start[q + 1]]`.
+    row_start: Vec<usize>,
+    rows: Vec<(usize, f64)>,
+}
+
+impl KernelInverse {
+    fn column(&self, i: usize) -> &[(usize, f64)] {
+        &self.cols[self.col_start[i]..self.col_start[i + 1]]
     }
-    for col in 0..m {
-        let pivot_row = (col..m)
-            .max_by(|&p, &q| {
-                a[p * m + col]
-                    .abs()
-                    .partial_cmp(&a[q * m + col].abs())
-                    .expect("finite matrix entries")
-            })
-            .expect("non-empty pivot range");
-        if a[pivot_row * m + col].abs() <= eps {
-            return Err(col);
+
+    fn row(&self, q: usize) -> &[(usize, f64)] {
+        &self.rows[self.row_start[q]..self.row_start[q + 1]]
+    }
+}
+
+/// Marks a row not yet pivoted on in [`GaussJordan::step_of`].
+const UNPIVOTED: usize = usize::MAX;
+
+/// The steps of a Gauss-Jordan elimination as it records them, and the
+/// sparse vector it applies them to.
+///
+/// Step `c` pivots on row `pivot[c].0` with reciprocal `pivot[c].1` and
+/// eliminates the pivot column's other nonzero rows with the multipliers
+/// in its span of `elim`. Applied to one column, a step scales the pivot
+/// row's entry, then takes `f` times it from each eliminated row: the dense
+/// loop's operations on that column, which it makes at step `c` on every
+/// column at once.
+struct GaussJordan {
+    pivot: Vec<(usize, f64)>,
+    elim_start: Vec<usize>,
+    elim: Vec<(usize, f64)>,
+    /// The step pivoting on each row, or [`UNPIVOTED`].
+    step_of: Vec<usize>,
+    /// The column being transformed: dense values, the rows it may be
+    /// nonzero on (marked in `in_w`), and the steps still to apply to it,
+    /// one bit each.
+    w: Vec<f64>,
+    in_w: Vec<bool>,
+    pattern: Vec<usize>,
+    pending: Vec<u64>,
+}
+
+impl GaussJordan {
+    fn new(k: usize) -> Self {
+        Self {
+            pivot: Vec::with_capacity(k),
+            elim_start: vec![0],
+            elim: Vec::with_capacity(2 * k),
+            step_of: vec![UNPIVOTED; k],
+            w: vec![0.0; k],
+            in_w: vec![false; k],
+            pattern: Vec::with_capacity(k),
+            pending: vec![0; k.div_ceil(64)],
         }
-        if pivot_row != col {
-            for j in 0..m {
-                a.swap(col * m + j, pivot_row * m + j);
-                inv.swap(col * m + j, pivot_row * m + j);
-            }
+    }
+
+    /// Puts `v` into row `r` of the column, which must be zero there.
+    fn load(&mut self, r: usize, v: f64) {
+        self.w[r] = v;
+        self.in_w[r] = true;
+        self.pattern.push(r);
+        self.queue(r, 0);
+    }
+
+    /// Queues the step pivoting on row `r` if it comes at or after `from`.
+    fn queue(&mut self, r: usize, from: usize) {
+        let c = self.step_of[r];
+        if c != UNPIVOTED && c >= from {
+            self.pending[c / 64] |= 1 << (c % 64);
         }
-        let p = a[col * m + col];
-        let pinv = 1.0 / p;
-        for j in 0..m {
-            a[col * m + j] *= pinv;
-            inv[col * m + j] *= pinv;
-        }
-        for r in 0..m {
-            if r == col {
+    }
+
+    /// Applies every recorded step to the column, in step order. A step
+    /// whose pivot row holds a zero changes no nonzero, so only the steps
+    /// of rows the column reaches are queued; a step only queues later
+    /// ones, so one sweep over the bits meets them all in order.
+    fn transform(&mut self) {
+        let mut word = 0;
+        while word < self.pending.len() {
+            let bits = self.pending[word];
+            if bits == 0 {
+                word += 1;
                 continue;
             }
-            let f = a[r * m + col];
-            if f != 0.0 {
-                for j in 0..m {
-                    a[r * m + j] -= f * a[col * m + j];
-                    inv[r * m + j] -= f * inv[col * m + j];
+            self.pending[word] = bits & (bits - 1);
+            let c = word * 64 + bits.trailing_zeros() as usize;
+            let (p, pinv) = self.pivot[c];
+            if self.w[p] == 0.0 {
+                continue;
+            }
+            let v = self.w[p] * pinv;
+            self.w[p] = v;
+            for e in self.elim_start[c]..self.elim_start[c + 1] {
+                let (r, f) = self.elim[e];
+                self.w[r] -= f * v;
+                if !self.in_w[r] {
+                    // A row already in the column queued its step when it
+                    // entered, if that step was still to come.
+                    self.in_w[r] = true;
+                    self.pattern.push(r);
+                    self.queue(r, c + 1);
                 }
             }
         }
     }
-    Ok(inv)
+
+    /// Clears the column, handing each nonzero `(row, value)` to `keep`.
+    fn drain(&mut self, mut keep: impl FnMut(usize, f64)) {
+        for &r in &self.pattern {
+            if self.w[r] != 0.0 {
+                keep(r, self.w[r]);
+            }
+            self.w[r] = 0.0;
+            self.in_w[r] = false;
+        }
+        self.pattern.clear();
+    }
+}
+
+/// Inverts the `k × k` kernel whose column `q` holds the `(row, value)`
+/// pairs `entries[start[q]..start[q + 1]]`, by Gauss-Jordan with partial
+/// pivoting. `Err(col)` reports the first column with no usable pivot —
+/// i.e. the (numerically) dependent basis position — so callers can repair
+/// it.
+///
+/// It makes exactly the floating-point operations of the dense
+/// elimination (row-major `[K | I]`, every row swapped, scaled and
+/// eliminated whole) on nonzeros, in the same order, so `K⁻¹` matches it
+/// bit for bit apart from the sign of zeros. The dense loop applies step
+/// `c` to every column right of `c` at once; here each kernel column takes
+/// all earlier steps when its turn comes, and each column of the identity
+/// all steps once the last is recorded, every column meeting its steps in
+/// the same order either way. Rows never move: `row_at` keeps the order the
+/// dense row swaps would give, so the pivot search picks the same row, the
+/// largest `|a|` of the transformed column among the rows not yet pivoted
+/// on, and the last of them in that order on a tie. The work is the
+/// nonzeros each step touches, plus a sweep over one bit per step for
+/// each column.
+fn invert(
+    k: usize,
+    start: &[usize],
+    entries: &[(usize, f64)],
+    eps: f64,
+) -> Result<KernelInverse, usize> {
+    let mut row_at: Vec<usize> = (0..k).collect();
+    let mut order: Vec<usize> = (0..k).collect();
+    let mut gj = GaussJordan::new(k);
+    for col in 0..k {
+        for &(r, v) in &entries[start[col]..start[col + 1]] {
+            debug_assert!(v.is_finite(), "finite matrix entries");
+            gj.load(r, v);
+        }
+        gj.transform();
+        let mut p = row_at[col];
+        let mut best = gj.w[p].abs();
+        for &r in &gj.pattern {
+            if order[r] >= col {
+                let mag = gj.w[r].abs();
+                if mag > best || (mag == best && order[r] > order[p]) {
+                    p = r;
+                    best = mag;
+                }
+            }
+        }
+        if best <= eps {
+            return Err(col);
+        }
+        // The dense loop swaps the pivot row into position `col`.
+        let displaced = row_at[col];
+        row_at[order[p]] = displaced;
+        order[displaced] = order[p];
+        row_at[col] = p;
+        order[p] = col;
+        gj.pivot.push((p, 1.0 / gj.w[p]));
+        gj.step_of[p] = col;
+        let mut elim = std::mem::take(&mut gj.elim);
+        gj.drain(|r, v| {
+            if r != p {
+                elim.push((r, v));
+            }
+        });
+        gj.elim = elim;
+        gj.elim_start.push(gj.elim.len());
+    }
+    // Column `j` of `K⁻¹` is column `j` of the identity under every step;
+    // its row `r` lands at the position `order[r]` the swaps gave it.
+    let mut col_start = Vec::with_capacity(k + 1);
+    col_start.push(0);
+    let mut cols = Vec::with_capacity(entries.len() + k);
+    for j in 0..k {
+        gj.load(j, 1.0);
+        gj.transform();
+        gj.drain(|r, v| cols.push((order[r], v)));
+        col_start.push(cols.len());
+    }
+    // The rows by one counting sort of the columns.
+    let mut row_start = vec![0; k + 1];
+    for &(q, _) in &cols {
+        row_start[q + 1] += 1;
+    }
+    for q in 0..k {
+        row_start[q + 1] += row_start[q];
+    }
+    let mut fill = row_start[..k].to_vec();
+    let mut rows = vec![(0, 0.0); cols.len()];
+    for (i, span) in col_start.windows(2).enumerate() {
+        for &(q, v) in &cols[span[0]..span[1]] {
+            rows[fill[q]] = (i, v);
+            fill[q] += 1;
+        }
+    }
+    Ok(KernelInverse {
+        col_start,
+        cols,
+        row_start,
+        rows,
+    })
 }
 
 /// The crash's greedy elimination: accepts each candidate `(column, row
@@ -690,7 +953,7 @@ fn crash_pivots(
         if excluded[c] {
             continue;
         }
-        for (i, a) in std.csc.column(c) {
+        for (i, a) in std.matrix.column(c) {
             v[i] = a;
             in_v[i] = true;
             pattern.push(i);
@@ -792,11 +1055,11 @@ impl<'a> Rsx<'a> {
     fn solve_xb(&mut self) {
         debug_assert!(self.etas.is_empty(), "x_B solved through a stale factor");
         let mut b = self.std.rhs.clone();
-        self.xb = self.factor.ftran(&self.std.csc, &mut b);
+        self.xb = self.factor.ftran(&self.std.matrix, &mut b);
         if cfg!(debug_assertions) {
             let mut residual: Vec<f64> = self.std.rhs.iter().map(|&b| -b).collect();
             for (&c, &x) in self.basis.iter().zip(&self.xb) {
-                for (r, v) in self.std.csc.column(c) {
+                for (r, v) in self.std.matrix.column(c) {
                     residual[r] += v * x;
                 }
             }
@@ -964,8 +1227,8 @@ impl<'a> Rsx<'a> {
     /// FTRAN: `B⁻¹ a_col` for a matrix column.
     fn ftran_col(&self, col: usize) -> Vec<f64> {
         let mut a = vec![0.0; self.std.m];
-        self.std.csc.scatter_column(col, &mut a);
-        let mut x = self.factor.ftran(&self.std.csc, &mut a);
+        self.std.matrix.scatter_column(col, &mut a);
+        let mut x = self.factor.ftran(&self.std.matrix, &mut a);
         ftran_etas(&self.etas, &mut x);
         x
     }
@@ -973,7 +1236,7 @@ impl<'a> Rsx<'a> {
     /// BTRAN: `yᵀ = y₀ᵀ B⁻¹` for a dense row vector.
     fn btran_vec(&self, mut y: Vec<f64>) -> Vec<f64> {
         btran_etas(&self.etas, &mut y);
-        self.factor.btran(&self.std.csc, &y)
+        self.factor.btran(&self.std.matrix, &y)
     }
 
     /// The simplex multipliers `yᵀ = c_Bᵀ B⁻¹` for a phase cost vector.
@@ -1040,7 +1303,7 @@ impl<'a> Rsx<'a> {
         let y = self.multipliers(cost);
         let before = (cfg!(debug_assertions) && carried).then(|| self.d.clone());
         self.std
-            .csc
+            .matrix
             .price_into(&y, cost, &self.in_basis, &mut self.d);
         for (j, (old, new)) in before.iter().flatten().zip(&self.d).enumerate() {
             debug_assert!(
@@ -1078,8 +1341,9 @@ impl<'a> Rsx<'a> {
                 continue;
             }
             let w = if std.negated[i] { -p } else { p };
-            for &(v, c) in row_coeffs(std.rows, &std.bound_rows, i) {
-                add(v, w * c);
+            let (cols, vals) = std.row_coeffs(i);
+            for (&v, &c) in cols.iter().zip(vals) {
+                add(v as usize, w * c);
             }
             if let Some(s) = std.slack_of_row[i] {
                 add(s, p);
@@ -1577,14 +1841,26 @@ mod tests {
         // transpose) carries the error.
         rsx.refactor(&cfg()).unwrap();
         let f = &mut rsx.factor;
-        let k = f.kernel_pos.len();
         let eq_row = f
             .kernel_rows
             .iter()
             .position(|&r| r < 2)
             .expect("one equality row stays in the kernel");
-        f.kinv[eq_row] -= 1e-6;
-        f.kinv_t[eq_row * k] -= 1e-6;
+        let inv = &mut f.kinv;
+        let (row, col) = (
+            inv.row_start[0]..inv.row_start[1],
+            inv.col_start[eq_row]..inv.col_start[eq_row + 1],
+        );
+        let in_row = row
+            .clone()
+            .find(|&e| inv.rows[e].0 == eq_row)
+            .expect("K⁻¹ holds the entry");
+        let in_col = col
+            .clone()
+            .find(|&e| inv.cols[e].0 == 0)
+            .expect("K⁻¹ holds the entry");
+        inv.rows[in_row].1 -= 1e-6;
+        inv.cols[in_col].1 -= 1e-6;
         rsx.drive_out_artificials(&cfg()).unwrap();
         assert_eq!(rsx.basis[art_row], artificial);
         let mut seen = vec![false; rsx.std.n_total];
@@ -1777,7 +2053,7 @@ mod tests {
         assert_eq!(std.negated, vec![false, true, false, false, false]);
         // Each structural column lists its rows ascending, negated rows
         // flipped and exact zeros dropped; the bound row comes last.
-        let column = |j| std.csc.column(j).collect::<Vec<_>>();
+        let column = |j| std.matrix.column(j).collect::<Vec<_>>();
         assert_eq!(column(0), vec![(0, 1.0), (1, -1.0), (3, 2.0)]);
         assert_eq!(column(1), vec![(1, 3.0), (2, 1.0), (4, 1.0)]);
         assert_eq!(column(2), vec![(0, 2.0), (3, 4.0)]);
@@ -1836,13 +2112,13 @@ mod tests {
                 let mut entering: Option<usize> = None;
                 if bland {
                     for (j, &cj) in cost.iter().enumerate().take(art_start) {
-                        if !rsx.in_basis[j] && cj - rsx.std.csc.dot_column(&y, j) < -config.eps {
+                        if !rsx.in_basis[j] && cj - rsx.std.matrix.dot_column(&y, j) < -config.eps {
                             entering = Some(j);
                             break;
                         }
                     }
                 } else {
-                    rsx.std.csc.price_into(&y, cost, &rsx.in_basis, &mut red);
+                    rsx.std.matrix.price_into(&y, cost, &rsx.in_basis, &mut red);
                     entering = match rule {
                         Rule::Devex => devex::pick(&red, &inv_w, config.eps),
                         Rule::Dantzig => {
@@ -1887,7 +2163,7 @@ mod tests {
                     e[row] = 1.0;
                     let rho = rsx.btran_vec(e);
                     rsx.std
-                        .csc
+                        .matrix
                         .price_into(&rho, &zeros, &rsx.in_basis, &mut neg_alpha);
                     let is_ref = |c: usize| c < art_start && in_ref[c];
                     let wq = devex::entering_weight(
@@ -1929,12 +2205,12 @@ mod tests {
                     return true;
                 };
                 let y = rsx.multipliers(cost);
-                rsx.std.csc.price_into(&y, cost, &rsx.in_basis, &mut red);
+                rsx.std.matrix.price_into(&y, cost, &rsx.in_basis, &mut red);
                 let mut e = vec![0.0; m];
                 e[pos] = 1.0;
                 let beta = rsx.btran_vec(e);
                 rsx.std
-                    .csc
+                    .matrix
                     .price_into(&beta, &zeros, &rsx.in_basis, &mut neg_alpha);
                 let mut best: Option<(usize, f64)> = None;
                 for (j, (&na, &dj)) in neg_alpha.iter().zip(&red).enumerate() {
@@ -2188,7 +2464,7 @@ mod tests {
                 continue;
             }
             let mut v = vec![0.0; m];
-            std.csc.scatter_column(c, &mut v);
+            std.matrix.scatter_column(c, &mut v);
             for (t, &(_, pr)) in transformed.iter().zip(&accepted) {
                 let f = v[pr] / t[pr];
                 if f != 0.0 {
@@ -2307,11 +2583,149 @@ mod tests {
         let m = std.m;
         let mut b = vec![0.0; m * m];
         for (p, &c) in basis.iter().enumerate() {
-            for (i, v) in std.csc.column(c) {
+            for (i, v) in std.matrix.column(c) {
                 b[i * m + p] = v;
             }
         }
-        invert(b, m, cfg().eps)
+        dense_invert(b, m, cfg().eps)
+    }
+
+    /// The dense Gauss-Jordan inverse [`invert`] replaced, kept as its
+    /// reference: a row-major `m × m` matrix in, its row-major inverse out,
+    /// every row swap, normalization and elimination over whole rows.
+    fn dense_invert(mut a: Vec<f64>, m: usize, eps: f64) -> Result<Vec<f64>, usize> {
+        let mut inv = vec![0.0; m * m];
+        for i in 0..m {
+            inv[i * m + i] = 1.0;
+        }
+        for col in 0..m {
+            let pivot_row = (col..m)
+                .max_by(|&p, &q| {
+                    a[p * m + col]
+                        .abs()
+                        .partial_cmp(&a[q * m + col].abs())
+                        .expect("finite matrix entries")
+                })
+                .expect("non-empty pivot range");
+            if a[pivot_row * m + col].abs() <= eps {
+                return Err(col);
+            }
+            if pivot_row != col {
+                for j in 0..m {
+                    a.swap(col * m + j, pivot_row * m + j);
+                    inv.swap(col * m + j, pivot_row * m + j);
+                }
+            }
+            let p = a[col * m + col];
+            let pinv = 1.0 / p;
+            for j in 0..m {
+                a[col * m + j] *= pinv;
+                inv[col * m + j] *= pinv;
+            }
+            for r in 0..m {
+                if r == col {
+                    continue;
+                }
+                let f = a[r * m + col];
+                if f != 0.0 {
+                    for j in 0..m {
+                        a[r * m + j] -= f * a[col * m + j];
+                        inv[r * m + j] -= f * inv[col * m + j];
+                    }
+                }
+            }
+        }
+        Ok(inv)
+    }
+
+    /// Whether two matrices hold bitwise the same values where either is
+    /// nonzero: equal apart from the sign of zeros.
+    fn same_nonzeros(got: &[f64], want: &[f64]) -> bool {
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(g, w)| g.to_bits() == w.to_bits() || (*g == 0.0 && *w == 0.0))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The nonzero-pattern inverse makes the dense loops' operations on
+        /// nonzeros: on random kernels, sparse like the slot LP's, dense, or
+        /// made singular by a dependent column, it fails at the same column
+        /// or returns `K⁻¹` and its transpose equal to the dense inverse
+        /// bit for bit apart from the sign of zeros. Ties in `|a|`, which
+        /// the search must break toward the same row, are common: values
+        /// come from a short list.
+        #[test]
+        fn pattern_inverse_matches_the_dense_loops(
+            seed in 0u64..u64::MAX,
+            k in 1usize..24,
+            density in 0.0f64..1.0,
+            dependent in 0usize..3,
+        ) {
+            let mut next = uniforms(seed);
+            let choices = [1.0, -1.0, 0.5, 2.0, -3.0, 0.25, 7.5];
+            let mut dense = vec![0.0; k * k];
+            for (i, row) in dense.chunks_exact_mut(k).enumerate() {
+                for (j, v) in row.iter_mut().enumerate() {
+                    if i == j || next() < density {
+                        *v = if next() < 0.5 {
+                            choices[(next() * choices.len() as f64) as usize % choices.len()]
+                        } else {
+                            next() * 4.0 - 2.0
+                        };
+                    }
+                }
+            }
+            if dependent > 0 && k >= 2 {
+                // Column `b` becomes a multiple of column `a`, or a sum
+                // with a third, so the kernel is singular in exact
+                // arithmetic and usually below `eps` after elimination.
+                let a = (next() * k as f64) as usize % k;
+                let b = (a + 1 + (next() * (k - 1) as f64) as usize % (k - 1)) % k;
+                let c = (b + 1) % k;
+                for i in 0..k {
+                    dense[i * k + b] = if dependent == 1 {
+                        2.0 * dense[i * k + a]
+                    } else {
+                        dense[i * k + a] + dense[i * k + c]
+                    };
+                }
+            }
+            let mut start = vec![0];
+            let mut entries = Vec::new();
+            for j in 0..k {
+                for i in 0..k {
+                    if dense[i * k + j] != 0.0 {
+                        entries.push((i, dense[i * k + j]));
+                    }
+                }
+                start.push(entries.len());
+            }
+            let eps = cfg().eps;
+            match (invert(k, &start, &entries, eps), dense_invert(dense, k, eps)) {
+                (Ok(inv), Ok(want)) => {
+                    // The columns and the rows each hold every nonzero of
+                    // the dense inverse, bit for bit, and nothing else.
+                    let mut by_cols = vec![0.0; k * k];
+                    let mut by_rows = vec![0.0; k * k];
+                    for x in 0..k {
+                        for &(q, v) in inv.column(x) {
+                            by_cols[q * k + x] = v;
+                        }
+                        for &(i, v) in inv.row(x) {
+                            by_rows[x * k + i] = v;
+                        }
+                    }
+                    prop_assert!(same_nonzeros(&by_cols, &want));
+                    prop_assert!(same_nonzeros(&by_rows, &want));
+                    prop_assert_eq!(inv.cols.len(), want.iter().filter(|v| **v != 0.0).count());
+                }
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+        }
     }
 
     fn assert_near(got: &[f64], want: &[f64]) {
@@ -2389,7 +2803,7 @@ mod tests {
                 let binv =
                     dense_inverse(&std, &basis).expect("exchanges keep the basis nonsingular");
                 let mut a = vec![0.0; m];
-                std.csc.scatter_column(j, &mut a);
+                std.matrix.scatter_column(j, &mut a);
                 let clear: Vec<usize> = (0..m)
                     .filter(|&p| (0..m).map(|i| binv[p * m + i] * a[i]).sum::<f64>().abs() > 0.1)
                     .collect();
@@ -2431,15 +2845,15 @@ mod tests {
                 let mut inputs: Vec<Vec<f64>> = (0..std.n_total)
                     .map(|c| {
                         let mut a = vec![0.0; m];
-                        std.csc.scatter_column(c, &mut a);
+                        std.matrix.scatter_column(c, &mut a);
                         a
                     })
                     .collect();
                 inputs.push(std.rhs.clone());
                 inputs.push((0..m).map(|_| next() - 0.5).collect());
                 for a in &inputs {
-                    assert_near(&factor.ftran(&std.csc, &mut a.clone()), &solve(a));
-                    assert_near(&factor.btran(&std.csc, a), &solve_t(a));
+                    assert_near(&factor.ftran(&std.matrix, &mut a.clone()), &solve(a));
+                    assert_near(&factor.btran(&std.matrix, a), &solve_t(a));
                 }
             }
         }
@@ -2497,17 +2911,18 @@ mod tests {
         }
     }
 
-    /// The transpose `StdForm::build` replaced, kept as its reference: a
-    /// counting sort into an `entries` temporary, then a column builder
-    /// that copies, sorts and coalesces each column and drops exact zeros,
-    /// with the unit columns appended after.
+    /// The transpose the standard form was first built with, kept as the
+    /// reference for the problem's columns plus the standard form's unit
+    /// columns: a counting sort into an `entries` temporary, then a column
+    /// builder that copies, sorts and coalesces each column and drops exact
+    /// zeros, with the unit columns appended after.
     mod old_transpose {
         use super::super::*;
 
         struct CscBuilder {
             m: usize,
             col_ptr: Vec<usize>,
-            row_idx: Vec<usize>,
+            row_idx: Vec<u32>,
             values: Vec<f64>,
             scratch: Vec<(usize, f64)>,
         }
@@ -2523,7 +2938,7 @@ mod tests {
                     if last == Some(r) {
                         *self.values.last_mut().expect("entry just pushed") += v;
                     } else if v != 0.0 {
-                        self.row_idx.push(r);
+                        self.row_idx.push(r as u32);
                         self.values.push(v);
                         last = Some(r);
                     }
@@ -2532,7 +2947,7 @@ mod tests {
             }
 
             fn push_unit(&mut self, row: usize, sign: f64) {
-                self.row_idx.push(row);
+                self.row_idx.push(row as u32);
                 self.values.push(sign);
                 self.col_ptr.push(self.row_idx.len());
             }
@@ -2540,15 +2955,36 @@ mod tests {
 
         pub(super) fn csc(problem: &Problem) -> CscMatrix {
             let n = problem.var_count();
-            let explicit = problem.rows_vec();
+            // Each explicit row as its entries, sense and rhs.
+            type Stated = (Vec<(usize, f64)>, Cmp, f64);
+            let explicit: Vec<Stated> = (0..problem.constraint_count())
+                .map(|r| {
+                    let (cols, vals) = problem.row(r);
+                    let (cmp, rhs) = problem.row_sense(r);
+                    (
+                        cols.iter()
+                            .map(|&v| v as usize)
+                            .zip(vals.iter().copied())
+                            .collect(),
+                        cmp,
+                        rhs,
+                    )
+                })
+                .collect();
             let bound_rows: Vec<((usize, f64), f64)> = problem
                 .upper_bounds_vec()
                 .iter()
                 .enumerate()
                 .filter_map(|(i, ub)| ub.map(|u| ((i, 1.0), u)))
                 .collect();
+            let row_coeffs = |r: usize| -> Vec<(usize, f64)> {
+                match explicit.get(r) {
+                    Some(row) => row.0.clone(),
+                    None => vec![bound_rows[r - explicit.len()].0],
+                }
+            };
             let m = explicit.len() + bound_rows.len();
-            let senses = explicit.iter().map(|r| (r.cmp, r.rhs));
+            let senses = explicit.iter().map(|r| (r.1, r.2));
             let (cmps, negated): (Vec<Cmp>, Vec<bool>) = senses
                 .chain(bound_rows.iter().map(|&(_, u)| (Cmp::Le, u)))
                 .map(|(cmp, b)| match (b < 0.0, cmp) {
@@ -2559,7 +2995,7 @@ mod tests {
                 .unzip();
             let mut col_ptr = vec![0usize; n + 1];
             for r in 0..m {
-                for &(v, _) in row_coeffs(explicit, &bound_rows, r) {
+                for &(v, _) in &row_coeffs(r) {
                     col_ptr[v + 1] += 1;
                 }
             }
@@ -2569,7 +3005,7 @@ mod tests {
             let mut fill = col_ptr.clone();
             let mut entries = vec![(0usize, 0.0f64); col_ptr[n]];
             for (r, &neg) in negated.iter().enumerate() {
-                for &(v, c) in row_coeffs(explicit, &bound_rows, r) {
+                for &(v, c) in &row_coeffs(r) {
                     entries[fill[v]] = (r, if neg { -c } else { c });
                     fill[v] += 1;
                 }
@@ -2683,7 +3119,8 @@ mod tests {
             at(&ws.col_ptr, ws.col_ptr.capacity()),
             at(&ws.row_idx, ws.row_idx.capacity()),
             at(&ws.values, ws.values.capacity()),
-            at(&ws.fill, ws.fill.capacity()),
+            at(&ws.unit_row, ws.unit_row.capacity()),
+            at(&ws.unit_sign, ws.unit_sign.capacity()),
             at(&ws.d, ws.d.capacity()),
             at(&ws.inv_w, ws.inv_w.capacity()),
             at(&ws.in_ref, ws.in_ref.capacity()),
@@ -2698,9 +3135,11 @@ mod tests {
 
     #[test]
     fn same_shape_resolve_reuses_workspace_buffers() {
-        // A `≥` row gives the cold solve a phase 1, so every buffer is used.
+        // A `≥` row gives the cold solve a phase 1 and a negated row the
+        // standard form its own normalized columns, so every buffer is used.
         let mut p = slot_shaped(3, 10, 3, 4, 0.0);
         p.add_constraint(vec![(VarId(0), 1.0)], Cmp::Ge, 0.1);
+        p.add_constraint(vec![(VarId(1), -1.0)], Cmp::Le, -0.05);
         let mut ws = Workspace::default();
         let (_, snap, _) = solve_with_basis(&p, &cfg(), None, &mut ws).unwrap();
         let first = buffers(&ws);
@@ -2715,8 +3154,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The single-pass transpose writes exactly the matrix the old
-        /// column builder did.
+        /// The standard form's matrix, the problem's transposed columns
+        /// (normalized where rows are negated or bounds appended) and the
+        /// unit columns, holds exactly the matrix the old column builder
+        /// wrote, bit for bit.
         #[test]
         fn std_form_csc_matches_the_column_builder(
             seed in 0u64..u64::MAX,
@@ -2724,12 +3165,22 @@ mod tests {
             m in 0usize..10,
         ) {
             let p = random_problem(seed, n, m, 0.0);
+            let want = old_transpose::csc(&p);
+            let columns = |std: &StdForm| -> Vec<Vec<(usize, u64)>> {
+                (0..std.n_total)
+                    .map(|c| std.matrix.column(c).map(|(r, v)| (r, v.to_bits())).collect())
+                    .collect()
+            };
+            let want_columns: Vec<Vec<(usize, u64)>> = (0..want.cols())
+                .map(|c| want.column(c).map(|(r, v)| (r, v.to_bits())).collect())
+                .collect();
             let mut ws = Workspace::default();
             let std = StdForm::build(&p, &mut ws);
-            prop_assert_eq!(&std.csc, &old_transpose::csc(&p));
+            prop_assert_eq!(std.m, want.rows());
+            prop_assert_eq!(columns(&std), want_columns.clone());
             // Refilled buffers give the same matrix again.
             std.release(&mut ws);
-            prop_assert_eq!(&StdForm::build(&p, &mut ws).csc, &old_transpose::csc(&p));
+            prop_assert_eq!(columns(&StdForm::build(&p, &mut ws)), want_columns);
         }
 
         /// One workspace driven through a random sequence of problems —

@@ -260,22 +260,24 @@ fn presolve_mask(problem: &Problem) -> Vec<bool> {
         Sense::Minimize => problem.objective_vec()[j] < 0.0,
     };
     let mut keep: Vec<bool> = (0..n).map(helps_objective).collect();
-    for row in problem.rows_vec() {
+    for r in 0..problem.constraint_count() {
         // Normalized cmp/coefficient signs (rhs < 0 flips both).
-        let flip = row.rhs < 0.0;
-        let cmp = match (row.cmp, flip) {
+        let (row_cmp, rhs) = problem.row_sense(r);
+        let flip = rhs < 0.0;
+        let cmp = match (row_cmp, flip) {
             (Cmp::Le, false) | (Cmp::Ge, true) => Cmp::Le,
             (Cmp::Le, true) | (Cmp::Ge, false) => Cmp::Ge,
             (Cmp::Eq, _) => Cmp::Eq,
         };
-        for &(v, c) in &row.coeffs {
+        let (cols, vals) = problem.row(r);
+        for (&v, &c) in cols.iter().zip(vals) {
             let c = if flip { -c } else { c };
             let blocks_drop = match cmp {
                 Cmp::Le => c < 0.0,            // could relax the row: must keep
                 Cmp::Ge | Cmp::Eq => c != 0.0, // could be needed for feasibility
             };
             if blocks_drop {
-                keep[v] = true;
+                keep[v as usize] = true;
             }
         }
     }
@@ -298,21 +300,23 @@ pub fn solve(problem: &Problem, config: &SimplexConfig) -> Result<Solution, LpEr
             for (j, &k) in keep.iter().enumerate() {
                 if k {
                     let v = reduced.add_var(problem.objective_vec()[j]);
-                    if let Some(u) = problem.upper_bounds_vec()[j] {
+                    if let Some(&Some(u)) = problem.upper_bounds_vec().get(j) {
                         reduced.set_upper_bound(v, u);
                     }
                     map[j] = Some(v);
                 }
             }
-            for row in problem.rows_vec() {
-                let coeffs: Vec<_> = row
-                    .coeffs
+            for r in 0..problem.constraint_count() {
+                let (cols, vals) = problem.row(r);
+                let coeffs: Vec<_> = cols
                     .iter()
-                    .filter_map(|&(v, c)| map[v].map(|nv| (nv, c)))
+                    .zip(vals)
+                    .filter_map(|(&v, &c)| map[v as usize].map(|nv| (nv, c)))
                     .collect();
                 // Dropped variables are fixed at 0, so the row carries over
                 // with the surviving coefficients and the same rhs.
-                reduced.add_constraint(coeffs, row.cmp, row.rhs);
+                let (cmp, rhs) = problem.row_sense(r);
+                reduced.add_constraint(coeffs, cmp, rhs);
             }
             let inner = SimplexConfig {
                 presolve: false,
@@ -338,13 +342,19 @@ pub fn solve(problem: &Problem, config: &SimplexConfig) -> Result<Solution, LpEr
         cmp: Cmp,
         rhs: f64,
     }
-    let mut rows: Vec<NormRow> = problem
-        .rows_vec()
-        .iter()
-        .map(|r| NormRow {
-            coeffs: r.coeffs.clone(),
-            cmp: r.cmp,
-            rhs: r.rhs,
+    let mut rows: Vec<NormRow> = (0..problem.constraint_count())
+        .map(|r| {
+            let (cols, vals) = problem.row(r);
+            let (cmp, rhs) = problem.row_sense(r);
+            NormRow {
+                coeffs: cols
+                    .iter()
+                    .map(|&v| v as usize)
+                    .zip(vals.iter().copied())
+                    .collect(),
+                cmp,
+                rhs,
+            }
         })
         .collect();
     for (i, ub) in problem.upper_bounds_vec().iter().enumerate() {

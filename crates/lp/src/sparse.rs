@@ -6,17 +6,19 @@
 //! of hundreds of rows. The dense tableau pays `O(m · n)` per pivot to
 //! ignore that structure; [`crate::revised`] walks columns through this
 //! matrix instead, so pricing costs `O(nnz)`, and an FTRAN against the
-//! refactorized basis reads its structural columns from here too.
+//! refactorized basis reads its structural columns from here too. A
+//! [`crate::Problem`] holds its structural columns in one.
 
 /// An `m × n` sparse matrix in compressed-sparse-column form.
 ///
-/// Row indices within a column are stored in strictly increasing order.
+/// Row indices within a column are stored in strictly increasing order, as
+/// `u32`: half the bytes of a `usize` on every pass over the matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CscMatrix {
     m: usize,
     n: usize,
     col_ptr: Vec<usize>,
-    row_idx: Vec<usize>,
+    row_idx: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -26,7 +28,7 @@ impl CscMatrix {
     pub(crate) fn from_parts(
         m: usize,
         col_ptr: Vec<usize>,
-        row_idx: Vec<usize>,
+        row_idx: Vec<u32>,
         values: Vec<f64>,
     ) -> Self {
         debug_assert!(!col_ptr.is_empty(), "col_ptr holds n + 1 offsets");
@@ -35,7 +37,7 @@ impl CscMatrix {
         debug_assert!(
             col_ptr.windows(2).all(|w| {
                 let rows = &row_idx[w[0]..w[1]];
-                rows.windows(2).all(|r| r[0] < r[1]) && rows.iter().all(|&r| r < m)
+                rows.windows(2).all(|r| r[0] < r[1]) && rows.iter().all(|&r| (r as usize) < m)
             }),
             "rows must ascend within each column and stay below {m}"
         );
@@ -50,7 +52,7 @@ impl CscMatrix {
 
     /// Gives the arrays back, `(col_ptr, row_idx, values)`, so a caller can
     /// refill them.
-    pub(crate) fn into_parts(self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    pub(crate) fn into_parts(self) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
         (self.col_ptr, self.row_idx, self.values)
     }
 
@@ -79,35 +81,36 @@ impl CscMatrix {
         let hi = self.col_ptr[j + 1];
         self.row_idx[lo..hi]
             .iter()
-            .copied()
+            .map(|&r| r as usize)
             .zip(self.values[lo..hi].iter().copied())
     }
 
-    /// Number of nonzeros in column `j`.
-    pub fn column_nnz(&self, j: usize) -> usize {
-        self.col_ptr[j + 1] - self.col_ptr[j]
+    /// Column `j`'s row indices and values, rows ascending.
+    pub(crate) fn column_parts(&self, j: usize) -> (&[u32], &[f64]) {
+        let span = self.col_ptr[j]..self.col_ptr[j + 1];
+        (&self.row_idx[span.clone()], &self.values[span])
     }
 
-    /// Sparse dot product `yᵀ · a_j`.
-    pub fn dot_column(&self, y: &[f64], j: usize) -> f64 {
-        debug_assert_eq!(y.len(), self.m);
-        self.column(j).map(|(r, v)| y[r] * v).sum()
-    }
-
-    /// Scatters column `j` into a dense vector (`out` must be zeroed by
-    /// the caller where it matters).
-    pub fn scatter_column(&self, j: usize, out: &mut [f64]) {
-        for (r, v) in self.column(j) {
-            out[r] += v;
-        }
+    /// Whether both matrices hold the same entries, values compared bit
+    /// for bit.
+    pub fn bit_eq(&self, other: &Self) -> bool {
+        self.m == other.m
+            && self.col_ptr == other.col_ptr
+            && self.row_idx == other.row_idx
+            && self.values.len() == other.values.len()
+            && self
+                .values
+                .iter()
+                .zip(&other.values)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
     /// Fused pricing sweep: `red[j] = cost[j] - yᵀ·a_j` for every column
     /// `j < red.len()`, writing `0.0` where `skip[j]` (basic columns).
     ///
-    /// One pass over the raw CSC arrays — equivalent to `red.len()` calls
-    /// to [`Self::dot_column`] but without per-column iterator setup,
-    /// which dominates when columns hold only a handful of nonzeros.
+    /// One pass over the raw CSC arrays, without per-column iterator
+    /// setup, which dominates when columns hold only a handful of
+    /// nonzeros.
     ///
     /// # Panics
     ///
@@ -124,7 +127,7 @@ impl CscMatrix {
             let hi = self.col_ptr[j + 1];
             let mut acc = cost[j];
             for k in lo..hi {
-                acc -= y[self.row_idx[k]] * self.values[k];
+                acc -= y[self.row_idx[k] as usize] * self.values[k];
             }
             *out = acc;
         }
@@ -153,19 +156,38 @@ mod tests {
         assert_eq!(m.rows(), 3);
         assert_eq!(m.cols(), 3);
         assert_eq!(m.nnz(), 5);
-        assert_eq!(m.column_nnz(0), 2);
-        assert_eq!(m.column_nnz(1), 1);
+        assert_eq!(m.column(1).count(), 1);
         assert_eq!(m.column(2).collect::<Vec<_>>(), vec![(0, 2.0), (2, 5.0)]);
+        assert_eq!(m.column_parts(0), (&[0u32, 2][..], &[1.0, 4.0][..]));
     }
 
     #[test]
-    fn dot_and_scatter() {
+    fn pricing_sweep() {
         let m = sample();
-        assert_eq!(m.dot_column(&[1.0, 1.0, 1.0], 0), 5.0);
-        assert_eq!(m.dot_column(&[0.0, 2.0, 0.0], 1), 6.0);
-        let mut out = vec![0.0; 3];
-        m.scatter_column(2, &mut out);
-        assert_eq!(out, vec![2.0, 0.0, 5.0]);
+        let mut red = vec![9.0; 3];
+        m.price_into(
+            &[1.0, 2.0, 0.5],
+            &[10.0, 10.0, 10.0],
+            &[false, true, false],
+            &mut red,
+        );
+        assert_eq!(red, vec![10.0 - 1.0 - 2.0, 0.0, 10.0 - 2.0 - 2.5]);
+    }
+
+    #[test]
+    fn bit_equality_tells_zero_signs_apart() {
+        let m = sample();
+        assert!(m.bit_eq(&sample()));
+        let (col_ptr, row_idx, mut values) = sample().into_parts();
+        values[0] = -values[0];
+        assert!(!m.bit_eq(&CscMatrix::from_parts(
+            3,
+            col_ptr.clone(),
+            row_idx.clone(),
+            values
+        )));
+        let zero = |v: f64| CscMatrix::from_parts(1, vec![0, 1], vec![0], vec![v]);
+        assert!(zero(0.0) == zero(-0.0) && !zero(0.0).bit_eq(&zero(-0.0)));
     }
 
     #[test]
