@@ -291,14 +291,10 @@ fn render(
     }
 
     // Per-shard work vs mailbox vs watermark-wait split (always-on stall
-    // gauges). Pre-epoch runtimes published the wait as
-    // `mec_serve_wait_ms_total`; fall back so old servers still render.
+    // gauges).
     let work = m.per_shard("mec_serve_work_ms_total");
     let mbox = m.per_shard("mec_serve_mailbox_wait_ms_total");
-    let mut wait = m.per_shard("mec_serve_watermark_wait_ms_total");
-    if wait.is_empty() {
-        wait = m.per_shard("mec_serve_wait_ms_total");
-    }
+    let wait = m.per_shard("mec_serve_watermark_wait_ms_total");
     if !work.is_empty() {
         push(
             &mut out,
