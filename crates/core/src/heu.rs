@@ -16,12 +16,11 @@
 //! distributed pipeline (§IV-B).
 
 use crate::appro::{
-    grouped_by_slot, residual_fill, sample_tentative, AdmissionState, DEFAULT_ROUNDS,
+    grouped_by_slot, residual_fill, sample_tentative, solve_relaxation, AdmissionState,
+    DEFAULT_ROUNDS,
 };
 use crate::model::{Instance, Realizations};
 use crate::outcome::{OfflineAlgorithm, OffloadOutcome};
-use crate::slotlp::{SlotLp, SlotLpSolver, Truncation};
-use mec_lp::SolverKind;
 use mec_topology::station::StationId;
 use mec_topology::units::total_cmp;
 use rand::SeedableRng;
@@ -189,12 +188,7 @@ impl OfflineAlgorithm for Heu {
         realized: &Realizations,
     ) -> Result<OffloadOutcome, String> {
         let started = Instant::now();
-        let n = instance.request_count();
-        let subset: Vec<usize> = (0..n).collect();
-        let lp = SlotLp::build(instance, &subset, Truncation::Standard);
-        let frac = SlotLpSolver::new(SolverKind::Revised)
-            .solve(&lp, n)
-            .map_err(|e| format!("LP solve failed: {e}"))?;
+        let frac = solve_relaxation(instance)?;
 
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x5EED_BEEF);
         let mut state = AdmissionState::new(instance);

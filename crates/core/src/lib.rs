@@ -56,7 +56,7 @@ pub use heu::Heu;
 pub use hindsight::hindsight_bound;
 pub use mec_bandit::RegretAccountant;
 pub use mec_lp::SolverKind;
-pub use model::{Instance, InstanceParams, Realizations};
+pub use model::{Instance, InstanceParams, Network, Realizations};
 pub use online::{
     policy_from_name, DynamicRr, DynamicRrConfig, Learner, OnlineGreedy, OnlineHeuKkt, OnlineOcorp,
     UnknownPolicy, POLICY_NAMES,
