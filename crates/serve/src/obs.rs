@@ -479,8 +479,6 @@ pub(crate) struct ObsState {
     /// Outage length of every successful restart, in slots (feeds the
     /// snapshot's recovery percentiles; driver-local, reset per run).
     recovery_samples: Vec<u64>,
-    /// Last-seen active-arm bitmap per shard, for elimination diffing.
-    prev_active: Vec<Option<Vec<bool>>>,
     /// Learning plane — regret, drift, flight recorder. `None` unless
     /// the hub requested the learner probe.
     learn: Option<LearnPlane>,
@@ -717,7 +715,6 @@ impl ObsState {
             }),
             telemetry_every,
             recovery_samples: Vec::new(),
-            prev_active: vec![None; shards],
             learn: hub
                 .as_ref()
                 .is_some_and(|h| h.probe())
@@ -982,8 +979,8 @@ impl ObsState {
     }
 
     /// Publishes one learner-telemetry sweep: shard gauges, per-arm
-    /// series, `arm_state` events, and `arm_eliminated` events for every
-    /// arm that left the active set since the previous sweep.
+    /// series and `arm_state` events. Eliminations are the arm probe's
+    /// `arm_lifecycle` events, not this sweep's.
     fn note_telemetry(&mut self, slot: u64, shard: usize, t: &mec_sim::PolicyTelemetry) {
         let g = &mut self.bandit[shard];
         g.threshold_mhz.set(t.best_value);
@@ -1024,24 +1021,6 @@ impl ObsState {
             h.lcb.set(view.lcb);
             h.active.set(f64::from(u8::from(view.active)));
         }
-        let active: Vec<bool> = t.arms.iter().map(|a| a.active).collect();
-        let active_left = active.iter().filter(|&&a| a).count() as u64;
-        if let Some(prev) = &self.prev_active[shard] {
-            for (arm, view) in t.arms.iter().enumerate() {
-                if prev.get(arm).copied().unwrap_or(true) && !view.active {
-                    mec_obs::event!(
-                        self,
-                        slot,
-                        "arm_eliminated",
-                        shard = shard,
-                        arm = arm,
-                        value_mhz = view.value,
-                        active_left = active_left,
-                    );
-                }
-            }
-        }
-        self.prev_active[shard] = Some(active);
         for (arm, view) in t.arms.iter().enumerate() {
             mec_obs::event!(
                 self,

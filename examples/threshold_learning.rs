@@ -113,7 +113,9 @@ fn traced_serve_summary() {
     let sink = Captured::default();
     let hub = ObsHub::new()
         .with_trace(mec_ar::obs::TraceWriter::new(Box::new(sink.clone())))
-        .with_telemetry_every(25);
+        .with_telemetry_every(25)
+        // Eliminations are the arm probe's lifecycle events.
+        .with_probe(true);
     let cfg = ServeConfig {
         shards: 2,
         queue_capacity: 64,
@@ -142,10 +144,9 @@ fn traced_serve_summary() {
         report.eliminations.len(),
         cfg.shards
     );
-    for e in report.eliminations.iter().take(5) {
+    for (slot, shard, arm, value_mhz, left) in report.eliminations.iter().take(5) {
         println!(
-            "  slot {:>5}  shard {}  arm {} ({:.0} MHz) out, {} left",
-            e.slot, e.shard, e.arm, e.value_mhz, e.active_left
+            "  slot {slot:>5}  shard {shard}  arm {arm} ({value_mhz:.0} MHz) out, {left} left"
         );
     }
 }
