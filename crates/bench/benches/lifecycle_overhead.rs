@@ -1,10 +1,10 @@
 //! Cost of the serving plane's event stream: one full virtual-clock
 //! replay per iteration at 4 shards, with and without a trace sink
-//! attached. Both arms compile the `obs` feature — the comparison prices
-//! the *attached* path (structured events plus per-request lifecycle
-//! records drained at every watermark fold, latency exemplars, id-map
-//! upkeep) against the dormant one (every record site short-circuits on
-//! a `None` ring). The arm names predate the merge of the lifecycle
+//! attached. The comparison prices the *attached* path (structured
+//! events plus per-request lifecycle records drained at every watermark
+//! fold, latency exemplars, id-map upkeep) against the detached one
+//! (every record site stops at its sink's `enabled()` check and builds
+//! no event). The arm names predate the merge of the lifecycle
 //! stream into the trace and stay so the committed baseline keeps
 //! gating them.
 

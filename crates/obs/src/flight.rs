@@ -89,120 +89,13 @@ pub enum FlightTrigger {
 }
 
 impl FlightTrigger {
-    /// Stable lowercase name used in CLI flags and dump headers.
+    /// Stable lowercase name written in dump headers.
     pub fn as_str(self) -> &'static str {
         match self {
             Self::Slo => "slo",
             Self::Drift => "drift",
             Self::Crash => "crash",
         }
-    }
-
-    /// All triggers, in canonical render order.
-    pub const ALL: [Self; 3] = [Self::Slo, Self::Drift, Self::Crash];
-}
-
-/// Typed parse failure for `--flight-dump-on` trigger lists.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlightTriggerParseError {
-    /// The list was empty (or only commas/whitespace).
-    Empty,
-    /// A token was not one of `slo`, `drift`, `crash`.
-    UnknownTrigger(String),
-    /// The same trigger appeared twice.
-    Duplicate(&'static str),
-}
-
-impl std::fmt::Display for FlightTriggerParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Empty => write!(f, "empty trigger list (expected e.g. \"slo,drift,crash\")"),
-            Self::UnknownTrigger(t) => write!(
-                f,
-                "unknown flight trigger {t:?} (expected \"slo\", \"drift\", or \"crash\")"
-            ),
-            Self::Duplicate(t) => write!(f, "duplicate flight trigger {t:?}"),
-        }
-    }
-}
-
-impl std::error::Error for FlightTriggerParseError {}
-
-/// A set of enabled dump triggers, parsed from a comma list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FlightTriggerSet {
-    slo: bool,
-    drift: bool,
-    crash: bool,
-}
-
-impl FlightTriggerSet {
-    /// Parses a comma-separated trigger list (`"slo,drift"`). Tokens are
-    /// trimmed; order is irrelevant; duplicates are rejected.
-    pub fn parse(raw: &str) -> Result<Self, FlightTriggerParseError> {
-        let mut set = Self::default();
-        let mut any = false;
-        for tok in raw.split(',') {
-            let tok = tok.trim();
-            if tok.is_empty() {
-                continue;
-            }
-            any = true;
-            let trigger = match tok {
-                "slo" => FlightTrigger::Slo,
-                "drift" => FlightTrigger::Drift,
-                "crash" => FlightTrigger::Crash,
-                other => return Err(FlightTriggerParseError::UnknownTrigger(other.to_string())),
-            };
-            if set.contains(trigger) {
-                return Err(FlightTriggerParseError::Duplicate(trigger.as_str()));
-            }
-            set.insert(trigger);
-        }
-        if !any {
-            return Err(FlightTriggerParseError::Empty);
-        }
-        Ok(set)
-    }
-
-    /// Every trigger enabled — the default when the learner probe and a
-    /// trace are attached without `--flight-dump-on`.
-    pub fn all() -> Self {
-        Self {
-            slo: true,
-            drift: true,
-            crash: true,
-        }
-    }
-
-    /// Is `trigger` enabled?
-    pub fn contains(&self, trigger: FlightTrigger) -> bool {
-        match trigger {
-            FlightTrigger::Slo => self.slo,
-            FlightTrigger::Drift => self.drift,
-            FlightTrigger::Crash => self.crash,
-        }
-    }
-
-    /// Enables `trigger`.
-    pub fn insert(&mut self, trigger: FlightTrigger) {
-        match trigger {
-            FlightTrigger::Slo => self.slo = true,
-            FlightTrigger::Drift => self.drift = true,
-            FlightTrigger::Crash => self.crash = true,
-        }
-    }
-
-    /// Canonical comma-list rendering (`"slo,drift,crash"` order).
-    /// `parse(render())` round-trips for every non-empty set.
-    pub fn render(&self) -> String {
-        let mut out = Vec::new();
-        for t in FlightTrigger::ALL {
-            if self.contains(t) {
-                out.push(t.as_str());
-            }
-        }
-        out.join(",")
     }
 }
 
@@ -396,66 +289,6 @@ mod tests {
         let mut r = FlightRecorder::new(8);
         assert!(r.dump_events(FlightTrigger::Drift, 3).is_empty());
         assert_eq!(r.dumps(), 0);
-    }
-
-    #[test]
-    fn trigger_set_parses_and_round_trips() {
-        let set = FlightTriggerSet::parse("drift, slo").unwrap();
-        assert!(set.contains(FlightTrigger::Slo));
-        assert!(set.contains(FlightTrigger::Drift));
-        assert!(!set.contains(FlightTrigger::Crash));
-        assert_eq!(set.render(), "slo,drift");
-        assert_eq!(FlightTriggerSet::parse(&set.render()).unwrap(), set);
-        assert_eq!(FlightTriggerSet::all().render(), "slo,drift,crash");
-    }
-
-    #[test]
-    fn trigger_parse_rejects_bad_lists() {
-        assert_eq!(
-            FlightTriggerSet::parse(""),
-            Err(FlightTriggerParseError::Empty)
-        );
-        assert_eq!(
-            FlightTriggerSet::parse(" , ,"),
-            Err(FlightTriggerParseError::Empty)
-        );
-        assert_eq!(
-            FlightTriggerSet::parse("slo,latency"),
-            Err(FlightTriggerParseError::UnknownTrigger("latency".into()))
-        );
-        assert_eq!(
-            FlightTriggerSet::parse("drift,drift"),
-            Err(FlightTriggerParseError::Duplicate("drift"))
-        );
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// Every non-empty trigger set renders to a canonical list
-            /// that parses back to the same set.
-            #[test]
-            fn trigger_set_parse_render_round_trips(mask in 0u8..8) {
-                let mut set = FlightTriggerSet::default();
-                let (slo, drift, crash) = (mask & 1 != 0, mask & 2 != 0, mask & 4 != 0);
-                if slo { set.insert(FlightTrigger::Slo); }
-                if drift { set.insert(FlightTrigger::Drift); }
-                if crash { set.insert(FlightTrigger::Crash); }
-                let rendered = set.render();
-                if slo || drift || crash {
-                    prop_assert_eq!(FlightTriggerSet::parse(&rendered), Ok(set));
-                } else {
-                    prop_assert_eq!(
-                        FlightTriggerSet::parse(&rendered),
-                        Err(FlightTriggerParseError::Empty)
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -126,22 +126,7 @@ impl MetricsServer {
     ///
     /// Fails when the address cannot be bound.
     pub fn bind(addr: &str, registry: Arc<Registry>) -> std::io::Result<Self> {
-        Self::bind_with_slo(addr, registry, None)
-    }
-
-    /// [`MetricsServer::bind`], additionally publishing `slo` at
-    /// `GET /slo.json`. Without a document that route answers 404.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the address cannot be bound.
-    pub fn bind_with_slo(
-        addr: &str,
-        registry: Arc<Registry>,
-        slo: Option<SharedDoc>,
-    ) -> std::io::Result<Self> {
-        let docs = slo.map(|d| vec![("/slo.json", d)]).unwrap_or_default();
-        Self::bind_with_docs(addr, registry, docs)
+        Self::bind_with_docs(addr, registry, Vec::new())
     }
 
     /// [`MetricsServer::bind`], additionally publishing each `(path,
@@ -272,9 +257,12 @@ mod tests {
         drop(bare);
 
         let doc: SharedDoc = Arc::new(Mutex::new("{\"slot\":0,\"slos\":[]}".to_string()));
-        let server =
-            MetricsServer::bind_with_slo("127.0.0.1:0", Arc::clone(&registry), Some(doc.clone()))
-                .unwrap();
+        let server = MetricsServer::bind_with_docs(
+            "127.0.0.1:0",
+            Arc::clone(&registry),
+            vec![("/slo.json", doc.clone())],
+        )
+        .unwrap();
         let addr = server.local_addr();
         let out = get(addr, "/slo.json");
         assert!(out.starts_with("HTTP/1.1 200"), "{out}");

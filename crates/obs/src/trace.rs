@@ -85,7 +85,7 @@ impl From<String> for Value {
 pub struct TraceEvent {
     /// The virtual slot the event is attributed to.
     pub slot: u64,
-    /// Event kind (e.g. `"restart"`, `"arm_eliminated"`).
+    /// Event kind (e.g. `"restart"`, `"arm_lifecycle"`).
     pub kind: String,
     /// Flat scalar attributes, in emission order.
     pub fields: Vec<(&'static str, Value)>,
@@ -172,6 +172,13 @@ impl TraceEvent {
 pub trait EventSink {
     /// Accepts one event.
     fn record(&self, event: TraceEvent);
+
+    /// Whether recorded events go anywhere. [`crate::event!`] builds an
+    /// event only when this is true, so a detached sink pays one check
+    /// instead of the event's allocations.
+    fn enabled(&self) -> bool {
+        true
+    }
 }
 
 // The macro expands to `EventSink::record(&$sink, ...)`, a path call that
@@ -181,11 +188,19 @@ impl<T: EventSink + ?Sized> EventSink for &T {
     fn record(&self, event: TraceEvent) {
         (**self).record(event);
     }
+
+    fn enabled(&self) -> bool {
+        (**self).enabled()
+    }
 }
 
 impl<T: EventSink + ?Sized> EventSink for &mut T {
     fn record(&self, event: TraceEvent) {
         (**self).record(event);
+    }
+
+    fn enabled(&self) -> bool {
+        (**self).enabled()
     }
 }
 
@@ -265,6 +280,10 @@ impl EventSink for Option<TraceRing> {
             ring.record(event);
         }
     }
+
+    fn enabled(&self) -> bool {
+        self.is_some()
+    }
 }
 
 /// Appends events to a byte sink as JSON lines.
@@ -273,12 +292,15 @@ pub struct TraceWriter {
     written: u64,
     /// Reused line buffer, so writing an event allocates nothing.
     line: String,
+    /// The first write or flush error; once set, nothing more is written.
+    error: Option<std::io::Error>,
 }
 
 impl std::fmt::Debug for TraceWriter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceWriter")
             .field("written", &self.written)
+            .field("error", &self.error)
             .finish()
     }
 }
@@ -290,30 +312,47 @@ impl TraceWriter {
             out,
             written: 0,
             line: String::new(),
+            error: None,
         }
     }
 
-    /// Writes one event as a JSON line. Write errors are swallowed after
-    /// the first (tracing must never take the run down); the error count
-    /// is visible as the difference between events offered and
-    /// [`TraceWriter::written`].
+    /// Writes one event as a JSON line. Tracing must never take the run
+    /// down, so an error does not propagate: the writer keeps the first
+    /// one (see [`TraceWriter::error`]) and drops every later event, so
+    /// the sink holds a prefix of the stream.
     pub fn write(&mut self, event: &TraceEvent) {
+        if self.error.is_some() {
+            return;
+        }
         self.line.clear();
         event.push_json(&mut self.line);
         self.line.push('\n');
-        if self.out.write_all(self.line.as_bytes()).is_ok() {
-            self.written += 1;
+        match self.out.write_all(self.line.as_bytes()) {
+            Ok(()) => self.written += 1,
+            Err(e) => self.error = Some(e),
         }
     }
 
-    /// Events successfully written.
+    /// Events the sink accepted. A buffered sink accepts an event before
+    /// it reaches the device, so check [`TraceWriter::error`] after the
+    /// last [`TraceWriter::flush`] before trusting this count.
     pub fn written(&self) -> u64 {
         self.written
     }
 
-    /// Flushes the underlying sink.
+    /// Flushes the underlying sink, keeping its error like
+    /// [`TraceWriter::write`] does.
     pub fn flush(&mut self) {
-        let _ = self.out.flush();
+        if self.error.is_none() {
+            if let Err(e) = self.out.flush() {
+                self.error = Some(e);
+            }
+        }
+    }
+
+    /// The first write or flush error, if any.
+    pub fn error(&self) -> Option<&std::io::Error> {
+        self.error.as_ref()
     }
 }
 
@@ -384,6 +423,69 @@ mod tests {
         assert_eq!(
             text,
             "{\"slot\":1,\"kind\":\"a\"}\n{\"slot\":2,\"kind\":\"b\",\"n\":3}\n"
+        );
+        assert!(w.error().is_none());
+    }
+
+    #[test]
+    fn writer_keeps_the_first_error_and_stops() {
+        /// Accepts `room` bytes, then fails every write; flush fails once
+        /// anything was refused.
+        struct Full {
+            room: usize,
+            refused: bool,
+        }
+        impl Write for Full {
+            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+                if self.room == 0 {
+                    self.refused = true;
+                    return Err(std::io::Error::other("device full"));
+                }
+                let n = data.len().min(self.room);
+                self.room -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                if self.refused {
+                    Err(std::io::Error::other("flush after a refused write"))
+                } else {
+                    Ok(())
+                }
+            }
+        }
+        let line = ev(1, "a", vec![]).to_json_line().len() + 1;
+        let mut w = TraceWriter::new(Box::new(Full {
+            room: line + 3,
+            refused: false,
+        }));
+        for slot in 0..4 {
+            w.write(&ev(slot, "a", vec![]));
+        }
+        w.flush();
+        assert_eq!(w.written(), 1);
+        assert_eq!(
+            w.error().map(ToString::to_string).as_deref(),
+            Some("device full")
+        );
+
+        // A flush error alone is kept too.
+        struct FailingFlush;
+        impl Write for FailingFlush {
+            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+                Ok(data.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::Error::other("flush refused"))
+            }
+        }
+        let mut w = TraceWriter::new(Box::new(FailingFlush));
+        w.write(&ev(1, "a", vec![]));
+        assert!(w.error().is_none());
+        w.flush();
+        assert_eq!(w.written(), 1);
+        assert_eq!(
+            w.error().map(ToString::to_string).as_deref(),
+            Some("flush refused")
         );
     }
 }

@@ -49,7 +49,6 @@ struct Args {
     slo: Vec<mec_obs::SloSpec>,
     stall_events: bool,
     learner_events: bool,
-    flight_dump_on: Option<mec_obs::FlightTriggerSet>,
 }
 
 impl Default for Args {
@@ -88,7 +87,6 @@ impl Default for Args {
             slo: Vec::new(),
             stall_events: false,
             learner_events: false,
-            flight_dump_on: None,
         }
     }
 }
@@ -151,7 +149,7 @@ PLACEMENT AND RECONFIGURATION:
     --max-restarts <N>    restart attempts per shard before giving up
                           [default: 8]
 
-OBSERVABILITY (requires a build with --features obs):
+OBSERVABILITY:
     --metrics-addr <ADDR> serve GET /metrics (Prometheus text) and
                           /metrics.json on this address, e.g. 127.0.0.1:9100
                           (port 0 picks a free port, printed to stderr)
@@ -179,10 +177,6 @@ OBSERVABILITY (requires a build with --features obs):
                           --trace-out stream, and GET /learning.json +
                           /flight.json (emits for learning policies,
                           i.e. DynamicRR)
-    --flight-dump-on <LIST>
-                          which events trip a flight dump, as a comma
-                          list of slo, drift, crash [default: all three];
-                          needs --learner-events and --trace-out
 ";
 
 fn parse_args() -> Result<Args, String> {
@@ -254,12 +248,6 @@ fn parse_args() -> Result<Args, String> {
             ),
             "--stall-events" => args.stall_events = true,
             "--learner-events" => args.learner_events = true,
-            "--flight-dump-on" => {
-                args.flight_dump_on = Some(
-                    mec_obs::FlightTriggerSet::parse(&value("--flight-dump-on")?)
-                        .map_err(|e| format!("--flight-dump-on: {e}"))?,
-                );
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other:?}\n\n{USAGE}")),
         }
@@ -297,22 +285,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if !args.chaos.disk_faults.is_empty() && args.state_dir.is_none() {
         return Err("disk fault injection needs a state directory (--state-dir)".to_string());
-    }
-    if args.flight_dump_on.is_some() && !(args.learner_events && args.trace_out.is_some()) {
-        return Err("--flight-dump-on needs --learner-events and --trace-out".to_string());
-    }
-    #[cfg(not(feature = "obs"))]
-    if args.metrics_addr.is_some()
-        || args.trace_out.is_some()
-        || args.telemetry_every.is_some()
-        || args.hold_metrics_ms > 0
-        || !args.slo.is_empty()
-        || args.stall_events
-        || args.learner_events
-    {
-        return Err(
-            "observability flags need the obs feature; rebuild with --features obs".to_string(),
-        );
     }
     Ok(args)
 }
@@ -363,8 +335,7 @@ fn main() -> ExitCode {
     };
 
     // Observability attachment: built only when a flag asks for it, so a
-    // plain run keeps a private registry and its exact legacy behaviour.
-    #[cfg(feature = "obs")]
+    // plain run keeps a private registry and builds no trace events.
     let hub = if args.metrics_addr.is_some()
         || args.trace_out.is_some()
         || args.telemetry_every.is_some()
@@ -386,9 +357,6 @@ fn main() -> ExitCode {
                 std::io::BufWriter::new(file),
             )));
         }
-        if let Some(on) = args.flight_dump_on {
-            hub = hub.with_flight_triggers(on);
-        }
         if let Some(every) = args.telemetry_every {
             hub = hub.with_telemetry_every(every);
         }
@@ -397,7 +365,6 @@ fn main() -> ExitCode {
     } else {
         None
     };
-    #[cfg(feature = "obs")]
     let _metrics_server = match (&args.metrics_addr, &hub) {
         (Some(addr), Some(hub)) => {
             // Live documents attach only when their producer is
@@ -428,10 +395,6 @@ fn main() -> ExitCode {
         }
         _ => None,
     };
-    #[cfg(feature = "obs")]
-    let obs = hub.clone();
-    #[cfg(not(feature = "obs"))]
-    let obs = None;
 
     let cfg = ServeConfig {
         shards: args.shards,
@@ -460,7 +423,7 @@ fn main() -> ExitCode {
             ..mec_serve::FaultConfig::default()
         },
         chaos: args.chaos.clone(),
-        obs,
+        obs: hub.clone(),
         placement: PlacementConfig {
             services: args.services,
             cache_capacity: args.cache_capacity,
@@ -562,18 +525,17 @@ fn main() -> ExitCode {
             faults.recovery_latency_slots,
         );
     }
-    #[cfg(feature = "obs")]
-    {
-        if let Some(hub) = &hub {
-            hub.flush();
-            if let Some(path) = &args.trace_out {
-                eprintln!("trace: {} event(s) written to {path}", hub.trace_written());
-            }
+    if let (Some(hub), Some(path)) = (&hub, &args.trace_out) {
+        hub.flush();
+        if let Some(e) = hub.trace_error() {
+            eprintln!("cannot write trace {path:?}: {e}");
+            return ExitCode::FAILURE;
         }
-        if args.hold_metrics_ms > 0 {
-            eprintln!("metrics: holding endpoint for {} ms", args.hold_metrics_ms);
-            std::thread::sleep(std::time::Duration::from_millis(args.hold_metrics_ms));
-        }
+        eprintln!("trace: {} event(s) written to {path}", hub.trace_written());
+    }
+    if args.hold_metrics_ms > 0 {
+        eprintln!("metrics: holding endpoint for {} ms", args.hold_metrics_ms);
+        std::thread::sleep(std::time::Duration::from_millis(args.hold_metrics_ms));
     }
     ExitCode::SUCCESS
 }

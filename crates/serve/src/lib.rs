@@ -79,12 +79,12 @@
 //! ## Observability
 //!
 //! Attach an [`ObsHub`] (see [`ServeConfig::obs`]) to scrape a live
-//! Prometheus-style metrics page via [`mec_obs::MetricsServer`] and — with
-//! the `obs` cargo feature — stream a structured JSONL event trace
+//! Prometheus-style metrics page via [`mec_obs::MetricsServer`] and, with
+//! a trace sink attached, stream a structured JSONL event trace
 //! (admission funnel, restarts, fault injections, per-arm learner state).
-//! Without a hub the runtime uses a private registry and behaves exactly
-//! as before; without the feature, tracing compiles to nothing and
-//! same-seed runs stay byte-identical. See DESIGN.md §10.
+//! Without a hub the runtime uses a private registry and builds no
+//! events; attaching one never changes a snapshot byte. See DESIGN.md
+//! §10.
 //!
 //! ## Quickstart
 //!

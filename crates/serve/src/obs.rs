@@ -5,11 +5,11 @@
 //!
 //! The metrics [`Registry`] is **always on**: the supervision loop
 //! sources its snapshot fault counters from registry atomics whether or
-//! not the `obs` cargo feature is enabled, so the counters the operator
-//! scrapes and the counters the snapshot serializes can never disagree.
-//! Event *tracing* and wall-clock *span timing*, by contrast, expand
-//! through the [`mec_obs::event!`] / [`mec_obs::span!`] macros and
-//! compile to nothing without the `obs` feature.
+//! not a hub is attached, so the counters the operator scrapes and the
+//! counters the snapshot serializes can never disagree. Event *tracing*
+//! is gated when the run starts instead: every [`mec_obs::event!`] asks
+//! its sink whether a trace is attached and builds nothing when none
+//! is, so an untraced run pays one check per event site.
 //!
 //! ## Determinism
 //!
@@ -30,9 +30,9 @@ use crate::shard::ShardTick;
 use crate::snapshot::{FaultStats, PlacementStats};
 use mec_core::RegretAccountant;
 use mec_obs::{
-    Counter, DecisionSnapshot, EventSink, FlightRecorder, FlightTrigger, FlightTriggerSet, Gauge,
-    Histogram, PageHinkley, Registry, SharedDoc, SloEngine, SloTransition, TraceEvent, TraceRing,
-    TraceWriter, LATENCY_MS_BOUNDS, STEP_MS_BOUNDS,
+    Counter, DecisionSnapshot, EventSink, FlightRecorder, FlightTrigger, Gauge, Histogram,
+    PageHinkley, Registry, SharedDoc, SloEngine, SloTransition, TraceEvent, TraceRing, TraceWriter,
+    LATENCY_MS_BOUNDS, STEP_MS_BOUNDS,
 };
 use mec_placement::{InstallDone, PlacementState, ReconfigOp};
 use std::fmt;
@@ -69,7 +69,6 @@ pub struct ObsHub {
     slo_doc: SharedDoc,
     learning_doc: SharedDoc,
     flight_doc: SharedDoc,
-    flight_on: FlightTriggerSet,
     probe: bool,
     stall_events: bool,
     telemetry_every: u64,
@@ -96,19 +95,12 @@ impl ObsHub {
     /// A hub with a fresh registry, no trace sink, and learner telemetry
     /// polled every 25 slots.
     pub fn new() -> Self {
-        Self::with_registry(Arc::new(Registry::new()))
-    }
-
-    /// A hub over an existing registry (e.g. one already served by a
-    /// [`mec_obs::MetricsServer`]).
-    pub fn with_registry(registry: Arc<Registry>) -> Self {
         Self {
-            registry,
+            registry: Arc::new(Registry::new()),
             trace: None,
             slo_doc: Arc::new(Mutex::new(String::new())),
             learning_doc: Arc::new(Mutex::new(String::new())),
             flight_doc: Arc::new(Mutex::new(String::new())),
-            flight_on: FlightTriggerSet::all(),
             probe: false,
             stall_events: false,
             telemetry_every: 25,
@@ -118,7 +110,7 @@ impl ObsHub {
     /// Attaches a JSONL trace sink; structured events, per-request
     /// `lifecycle` records (admit, start, complete, ...), and — with the
     /// probe attached — flight-recorder dumps are appended to it as the
-    /// run executes (requires the `obs` cargo feature to emit anything).
+    /// run executes.
     #[must_use]
     pub fn with_trace(mut self, writer: TraceWriter) -> Self {
         self.trace = Some(Mutex::new(writer));
@@ -133,16 +125,6 @@ impl ObsHub {
     #[must_use]
     pub fn with_probe(mut self, on: bool) -> Self {
         self.probe = on;
-        self
-    }
-
-    /// Selects which events trigger a flight-recorder dump into the
-    /// trace (default: all of SLO breach, drift, and crash). Dumps need
-    /// both the probe (the decision rings only fill while it is
-    /// attached) and a trace sink.
-    #[must_use]
-    pub fn with_flight_triggers(mut self, on: FlightTriggerSet) -> Self {
-        self.flight_on = on;
         self
     }
 
@@ -180,7 +162,7 @@ impl ObsHub {
     }
 
     /// The live SLO state document served at `/slo.json` — hand it to
-    /// [`mec_obs::MetricsServer::bind_with_slo`]; the runtime overwrites
+    /// [`mec_obs::MetricsServer::bind_with_docs`]; the runtime overwrites
     /// it every slot while an SLO engine is configured.
     pub fn slo_doc(&self) -> SharedDoc {
         Arc::clone(&self.slo_doc)
@@ -208,17 +190,25 @@ impl ObsHub {
         self.probe
     }
 
-    /// The enabled flight-dump trigger set.
-    pub fn flight_triggers(&self) -> FlightTriggerSet {
-        self.flight_on
-    }
-
-    /// Events successfully written to the trace sink so far.
+    /// Events the trace sink accepted so far (see
+    /// [`TraceWriter::written`]).
     pub fn trace_written(&self) -> u64 {
         self.trace.as_ref().map_or(0, |w| {
             w.lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .written()
+        })
+    }
+
+    /// The trace sink's first write or flush error, rendered; `None`
+    /// while every event so far reached it. Check after
+    /// [`ObsHub::flush`].
+    pub fn trace_error(&self) -> Option<String> {
+        self.trace.as_ref().and_then(|w| {
+            w.lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .error()
+                .map(ToString::to_string)
         })
     }
 
@@ -461,9 +451,8 @@ pub(crate) struct ObsState {
     /// the trace depend on wall-clock scheduling. Drained in slot order
     /// as the watermark advances.
     held_events: Vec<std::collections::VecDeque<TraceEvent>>,
-    /// Whether request-lifecycle records are emitted (see
-    /// [`ObsState::lifecycle`]).
-    lifecycle: bool,
+    /// Whether a trace sink is attached (see [`ObsState::tracing`]).
+    tracing: bool,
     /// Per-shard work/mailbox/watermark stall probes (always on, like
     /// the registry).
     stall: Vec<StallProbe>,
@@ -489,6 +478,10 @@ impl EventSink for ObsState {
         if let Some(hub) = &self.hub {
             hub.write_event(&event);
         }
+    }
+
+    fn enabled(&self) -> bool {
+        self.tracing
     }
 }
 
@@ -664,7 +657,7 @@ impl ObsState {
             held_events: (0..shards)
                 .map(|_| std::collections::VecDeque::new())
                 .collect(),
-            lifecycle: cfg!(feature = "obs") && tracing,
+            tracing,
             stall: (0..shards)
                 .map(|s| {
                     let l: &[(&str, &str)] = &[("shard", &s.to_string())];
@@ -740,11 +733,11 @@ impl ObsState {
         Some(Arc::clone(&self.step[shard]))
     }
 
-    /// Whether request-lifecycle records are emitted: the `obs` feature
-    /// is compiled in and a trace sink is attached. Gates the id
-    /// bookkeeping lifecycle records need, so untraced runs skip it.
-    pub(crate) fn lifecycle(&self) -> bool {
-        self.lifecycle
+    /// Whether a trace sink is attached, so events and request-lifecycle
+    /// records are written. Gates the id bookkeeping lifecycle records
+    /// need, so untraced runs skip it.
+    pub(crate) fn tracing(&self) -> bool {
+        self.tracing
     }
 
     /// Records one driver-side request-lifecycle stage straight into the
@@ -752,17 +745,15 @@ impl ObsState {
     /// are already deterministically ordered relative to the worker-ring
     /// drains.
     pub(crate) fn note_life(&self, slot: u64, id: u64, stage: &str, shard: i64, bs: i64) {
-        if self.lifecycle() {
-            mec_obs::event!(
-                self,
-                slot,
-                "lifecycle",
-                id = id,
-                stage = stage,
-                shard = shard,
-                bs = bs
-            );
-        }
+        mec_obs::event!(
+            self,
+            slot,
+            "lifecycle",
+            id = id,
+            stage = stage,
+            shard = shard,
+            bs = bs
+        );
     }
 
     /// The worker's stall probe for `shard`.
@@ -784,7 +775,7 @@ impl ObsState {
         self.telemetry_every
     }
 
-    /// Folds one tick reply into metrics and (with the `obs` feature)
+    /// Folds one tick reply into metrics and (with a trace attached)
     /// the trace: backlog gauge, per-sample latency, cumulative shard
     /// counters, checkpoint count, and the learner-telemetry sweep.
     pub(crate) fn note_tick(&mut self, tick: &ShardTick) {
@@ -956,17 +947,14 @@ impl ObsState {
     }
 
     /// Dumps the flight recorder's decision rings for `trigger` at
-    /// `slot` into the trace, when the trigger is enabled and a trace
-    /// sink is attached. The dump flushes immediately — dumps fire on
-    /// faults, and the run-end flush may never come.
+    /// `slot` into the trace, when a trace sink is attached. The dump
+    /// flushes immediately — dumps fire on faults, and the run-end flush
+    /// may never come.
     pub(crate) fn dump_flight(&mut self, trigger: FlightTrigger, slot: u64) {
-        let Some(hub) = &self.hub else {
-            return;
-        };
-        if !hub.has_trace() || !hub.flight_triggers().contains(trigger) {
+        if !self.tracing {
             return;
         }
-        let Some(learn) = &mut self.learn else {
+        let (Some(hub), Some(learn)) = (&self.hub, &mut self.learn) else {
             return;
         };
         let events = learn.recorder.dump_events(trigger, slot);

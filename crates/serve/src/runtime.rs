@@ -476,7 +476,7 @@ fn apply_tick(
 ) {
     obs.note_tick(tick);
     if let Some(state) = &tick.checkpoint {
-        if obs.lifecycle() {
+        if obs.tracing() {
             // Fold the journal suffix and handoff events this checkpoint
             // embeds into the id mirror *before* they are pruned away —
             // the worker's map as of the new base is the old base's map

@@ -303,10 +303,9 @@ pub struct SpawnSpec {
     /// from stale incarnations.
     pub gen: u64,
     /// Worker-side trace ring, drained by the coordinator at each
-    /// watermark fold: fault injections plus, with the `obs` feature,
-    /// the serve-side request-lifecycle records (start, complete,
-    /// expire, abort). `None` when tracing is off (events become
-    /// no-ops).
+    /// watermark fold: fault injections plus the serve-side
+    /// request-lifecycle records (start, complete, expire, abort).
+    /// `None` when tracing is off (events are never built).
     pub ring: Option<TraceRing>,
     /// Wall-clock engine-step timing histogram (live metrics only; never
     /// reaches snapshots or traces).
@@ -434,20 +433,17 @@ fn worker_main(
     let mut faults = spec.faults;
     let mut next_live_slot = 0u64;
     let mut seen_latencies = 0usize;
-    // Lifecycle records exist only with the `obs` feature; without it
-    // the tracker's id bookkeeping and engine trace would be dead weight.
-    let mut life = spec
-        .ring
-        .clone()
-        .filter(|_| cfg!(feature = "obs"))
-        .map(|ring| LifeTracker {
-            ring,
-            ids: spec
-                .recover
-                .as_ref()
-                .map_or_else(Vec::new, |r| r.life_ids.clone()),
-            emit_from: spec.recover.as_ref().map_or(0, |r| r.life_from),
-        });
+    // Lifecycle records exist only while a trace is attached; without
+    // one the tracker's id bookkeeping and engine trace would be dead
+    // weight.
+    let mut life = spec.ring.clone().map(|ring| LifeTracker {
+        ring,
+        ids: spec
+            .recover
+            .as_ref()
+            .map_or_else(Vec::new, |r| r.life_ids.clone()),
+        emit_from: spec.recover.as_ref().map_or(0, |r| r.life_from),
+    });
     if life.is_some() {
         // Drained every step, so the cap never binds.
         engine.enable_trace(usize::MAX);
@@ -684,8 +680,12 @@ fn worker_main(
                             }
                         }
                     }
-                    let report = match mec_obs::span!(spec.step_hist, engine.step(policy.as_mut()))
-                    {
+                    let step_start = std::time::Instant::now();
+                    let stepped = engine.step(policy.as_mut());
+                    if let Some(hist) = &spec.step_hist {
+                        hist.observe(step_start.elapsed().as_secs_f64() * 1e3);
+                    }
+                    let report = match stepped {
                         Ok(report) => report,
                         Err(e) => {
                             let _ = spec.progress.send(ShardProgress {
@@ -946,27 +946,25 @@ mod tests {
         }
         assert_eq!(engine.backlog(), 0);
         assert_eq!(completed.len(), engine.metrics().completed());
-        // With records compiled in, every injected request has exactly
-        // one terminal record on the ring.
-        if cfg!(feature = "obs") {
-            let mut terminal: Vec<u64> = ring
-                .drain()
-                .into_iter()
-                .filter(|e| {
-                    e.fields.iter().any(|(key, value)| {
-                        *key == "stage"
-                            && matches!(value, mec_obs::Value::Str(s)
-                                if matches!(s.as_str(), "complete" | "expire" | "abort"))
-                    })
+        // Every injected request has exactly one terminal record on the
+        // ring.
+        let mut terminal: Vec<u64> = ring
+            .drain()
+            .into_iter()
+            .filter(|e| {
+                e.fields.iter().any(|(key, value)| {
+                    *key == "stage"
+                        && matches!(value, mec_obs::Value::Str(s)
+                            if matches!(s.as_str(), "complete" | "expire" | "abort"))
                 })
-                .filter_map(|e| match e.fields.iter().find(|(key, _)| *key == "id") {
-                    Some((_, mec_obs::Value::U64(id))) => Some(*id),
-                    _ => None,
-                })
-                .collect();
-            terminal.sort_unstable();
-            assert_eq!(terminal, (0..20).collect::<Vec<u64>>());
-        }
+            })
+            .filter_map(|e| match e.fields.iter().find(|(key, _)| *key == "id") {
+                Some((_, mec_obs::Value::U64(id))) => Some(*id),
+                _ => None,
+            })
+            .collect();
+        terminal.sort_unstable();
+        assert_eq!(terminal, (0..20).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Request-lifecycle tracing integration tests (compiled only with the
-//! `obs` feature): `lifecycle` records in the trace keep id continuity
+//! Request-lifecycle tracing integration tests: `lifecycle` records in the trace keep id continuity
 //! across crash+restart and drain handoffs, the stream is deterministic,
 //! and attaching (or detaching) the trace never changes a run's
 //! deterministic snapshot.

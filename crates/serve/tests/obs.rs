@@ -1,5 +1,4 @@
-//! Observability integration tests (compiled only with the `obs`
-//! feature): trace determinism across same-seed chaos runs and epoch
+//! Observability integration tests: trace determinism across same-seed chaos runs and epoch
 //! horizons, metrics-page content, learner telemetry and flight dumps in
 //! the one event stream, and the snapshot recovery percentiles.
 

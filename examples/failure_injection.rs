@@ -7,9 +7,9 @@
 //!
 //! Run with: `cargo run --release --example failure_injection`
 //!
-//! With `--features obs` the example also crashes a shard inside the
-//! traced serving runtime and prints the fault/restart log plus the
-//! admission funnel recovered from the event stream.
+//! The example also crashes a shard inside the traced serving runtime
+//! and prints the fault/restart log plus the admission funnel recovered
+//! from the event stream.
 
 use mec_ar::lp::{Cmp, Problem, Sense};
 use mec_ar::prelude::*;
@@ -125,13 +125,11 @@ fn main() {
 
     println!("\nall injected failures were caught");
 
-    #[cfg(feature = "obs")]
     traced_fault_summary();
 }
 
 /// Crashes a shard mid-run under tracing and summarizes the fault,
 /// restart, and funnel events the runtime recorded about it.
-#[cfg(feature = "obs")]
 fn traced_fault_summary() {
     use std::sync::{Arc, Mutex};
 
@@ -170,7 +168,7 @@ fn traced_fault_summary() {
     let bytes = sink.0.lock().unwrap();
     let text = String::from_utf8_lossy(&bytes);
     let report = mec_ar::obs::build_report(text.lines()).expect("well-formed trace");
-    println!("\n== traced shard crash (--features obs) ==");
+    println!("\n== traced shard crash ==");
     println!("events captured: {}", report.events);
     let offered: u64 = report.funnel.values().sum();
     print!("funnel: offered {offered}");
