@@ -7,10 +7,11 @@
 //! allocations (plus `DynamicRR`'s own per-slot decision digest). The
 //! arm-lifecycle stream `DynamicRR`'s learner probe emits over the same
 //! episode is pinned for every learner, and so is the final snapshot of
-//! a `serve()` run at one and two shards.
+//! a `serve()` run at one and two shards, and every periodic snapshot of
+//! a run at one and two shards and of one crash-and-recover run.
 
 use mec_core::{DynamicRr, DynamicRrConfig, Learner, OnlineGreedy, OnlineHeuKkt, OnlineOcorp};
-use mec_serve::{serve, LoadGen, ServeConfig};
+use mec_serve::{serve, ChaosSpec, FaultConfig, LoadGen, ServeConfig};
 use mec_sim::{Allocation, Engine, Metrics, SlotConfig, SlotContext, SlotPolicy};
 use mec_topology::{Topology, TopologyBuilder};
 use mec_workload::{ArrivalProcess, Request, WorkloadBuilder};
@@ -341,4 +342,57 @@ fn serve_digest(shards: usize) -> u64 {
 fn serve_final_snapshots_match_recorded_digests() {
     assert_eq!(serve_digest(1), 0x4f6f_7927_7fb6_4ca3);
     assert_eq!(serve_digest(2), 0xadf0_0a20_03c9_5679);
+}
+
+/// FNV-1a over the bytes of every periodic snapshot (`slots_per_sec`
+/// cleared, the one wall-clock field) of a saturated `DynamicRR` run at
+/// `shards` shards under `chaos`, checkpointing every `checkpoint_every`
+/// slots (0: genesis replay), and the number of snapshots.
+fn periodic_digest(shards: usize, chaos: &str, checkpoint_every: u64) -> (u64, usize) {
+    let topo = TopologyBuilder::new(STATIONS).seed(SEED).build();
+    let population = WorkloadBuilder::new(&topo)
+        .seed(SEED)
+        .count(REQUESTS)
+        .build();
+    let load = LoadGen::poisson(population, 1_000.0, 50.0, SEED);
+    let cfg = ServeConfig {
+        shards,
+        queue_capacity: 256,
+        snapshot_every: 3,
+        policy: "DynamicRR".to_string(),
+        sim: SlotConfig {
+            seed: SEED,
+            ..SlotConfig::default()
+        },
+        chaos: ChaosSpec::parse(chaos).expect("chaos spec parses"),
+        faults: FaultConfig {
+            checkpoint_every,
+            ..FaultConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    let mut h = Fnv::new();
+    let mut count = 0;
+    serve(&topo, load, &cfg, |snap| {
+        let mut snap = snap.clone();
+        snap.slots_per_sec = None;
+        h.bytes(snap.to_json().as_bytes());
+        count += 1;
+    })
+    .expect("serve runs");
+    (h.0, count)
+}
+
+#[test]
+fn serve_periodic_snapshots_match_recorded_digests() {
+    assert_eq!(periodic_digest(1, "", 0), (0xa9c2_daba_ef85_1f07, 36));
+    assert_eq!(periodic_digest(2, "", 0), (0xf642_f742_9721_5fc1, 53));
+    // Recovery replaces the shard's latency samples wholesale. From a
+    // checkpoint the learner restarts fresh, so the samples replayed
+    // after that checkpoint differ from those the crashed worker had
+    // reported: the snapshot's sorted history must be rebuilt.
+    assert_eq!(
+        periodic_digest(2, "crash:shard=1@slot=30,recover@slot=40", 8),
+        (0x5ef9_3321_c4a2_dabe, 53)
+    );
 }
