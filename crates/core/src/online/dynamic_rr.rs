@@ -41,7 +41,7 @@
 //! buffer live in `SlotBuffers` and are reused from slot to slot.
 
 use crate::model::{Instance, InstanceParams, Network};
-use crate::online::{startable_at, useful_compute, SlotCapacity, StationMax};
+use crate::online::{most_startable, startable_at, useful_compute, SlotCapacity, StationMax};
 use crate::slotlp::{ColumnCache, SlotLp, SlotLpSolver, SolverStats, Truncation};
 use mec_bandit::{
     ArmId, ArmProbe, BanditPolicy, ConfidenceSchedule, DiscountedUcb, EpsilonGreedy,
@@ -311,15 +311,9 @@ impl DynamicRr {
                     .map(|&(s, _, _)| s)
             });
             let fallback = || {
-                ctx.topo
-                    .station_ids()
-                    .filter(|&s| startable_at(view, ctx, s))
-                    .max_by(|&a, &b| {
-                        total_cmp(
-                            &(ctx.topo.station(a).capacity() - reserved[a.index()]).as_mhz(),
-                            &(ctx.topo.station(b).capacity() - reserved[b.index()]).as_mhz(),
-                        )
-                    })
+                most_startable(view, ctx, |s| {
+                    (ctx.topo.station(s).capacity() - reserved[s.index()]).as_mhz()
+                })
             };
             if let Some(station) = choice.or_else(fallback) {
                 reserved[station.index()] += need;
@@ -351,9 +345,14 @@ struct SlotBuffers {
     admitted: Vec<usize>,
     /// Residual capacity while admitted jobs are placed.
     capacity: SlotCapacity,
-    /// Placed jobs, in placement order until [`Self::materialize`] groups
-    /// them by station.
+    /// Placed jobs, in placement order.
     placed: Vec<Placed>,
+    /// `placed` grouped by station id, each station's jobs in placement
+    /// order (a stable counting sort in [`Self::materialize`]).
+    grouped: Vec<Placed>,
+    /// Where each station's group starts in `grouped`; one entry per
+    /// station plus the end.
+    group_start: Vec<usize>,
     caps: Vec<Compute>,
     fill: WaterFill,
     /// Whether each view got an allocation from the main assignment.
@@ -405,12 +404,7 @@ impl SlotBuffers {
             let best = if view.job.realized().is_some() {
                 self.capacity.most_remaining()
             } else {
-                ctx.topo
-                    .station_ids()
-                    .filter(|&s| startable_at(view, ctx, s))
-                    .max_by(|&a, &b| {
-                        total_cmp(&self.capacity.remaining(a), &self.capacity.remaining(b))
-                    })
+                most_startable(view, ctx, |s| self.capacity.remaining(s))
             };
             if let Some(station) = best {
                 // Reserve the job's useful demand so subsequent placement
@@ -432,11 +426,13 @@ impl SlotBuffers {
     fn materialize(&mut self, ctx: &SlotContext<'_>) -> Vec<Allocation> {
         self.served.clear();
         self.served.resize(ctx.views.len(), false);
-        // Stable: a station's jobs keep their placement order.
-        self.placed.sort_by_key(|p| p.station);
-        let mut out = Vec::with_capacity(self.placed.len());
-        for local in self.placed.chunk_by(|a, b| a.station == b.station) {
-            let station = local[0].station;
+        self.group_by_station(ctx.topo.station_count());
+        let mut out = Vec::with_capacity(self.grouped.len());
+        for bounds in self.group_start.windows(2) {
+            let local = &self.grouped[bounds[0]..bounds[1]];
+            let Some(&Placed { station, .. }) = local.first() else {
+                continue;
+            };
             self.caps.clear();
             self.caps.extend(local.iter().map(|p| p.need));
             let grants = self
@@ -454,6 +450,30 @@ impl SlotBuffers {
             }
         }
         out
+    }
+
+    /// Stable counting sort of `placed` into `grouped` by station id, so
+    /// a station's jobs keep their placement order.
+    fn group_by_station(&mut self, stations: usize) {
+        self.group_start.clear();
+        self.group_start.resize(stations + 1, 0);
+        for p in &self.placed {
+            self.group_start[p.station.index() + 1] += 1;
+        }
+        for s in 0..stations {
+            self.group_start[s + 1] += self.group_start[s];
+        }
+        self.grouped.clear();
+        self.grouped.extend_from_slice(&self.placed);
+        // `group_start[s]` walks through station `s`'s slots as they fill,
+        // ending at the next group's start; the shift below restores it.
+        for &p in &self.placed {
+            let at = &mut self.group_start[p.station.index()];
+            self.grouped[*at] = p;
+            *at += 1;
+        }
+        self.group_start.copy_within(0..stations, 1);
+        self.group_start[0] = 0;
     }
 
     /// Anti-starvation keep-alive (§V's stated goal: "avoid their
@@ -502,10 +522,7 @@ impl SlotBuffers {
             let target = if view.job.realized().is_some() {
                 self.free.argmax()
             } else {
-                ctx.topo
-                    .station_ids()
-                    .filter(|&s| startable_at(view, ctx, s))
-                    .max_by(|&a, &b| total_cmp(&self.free.get(a), &self.free.get(b)))
+                most_startable(view, ctx, |s| self.free.get(s))
             }
             .filter(|&s| self.free.get(s).as_mhz() >= 1.0);
             if let Some(s) = target {

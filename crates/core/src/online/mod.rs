@@ -51,6 +51,30 @@ pub(crate) fn startable_at(view: &JobView<'_>, ctx: &SlotContext<'_>, station: S
         .meets_deadline_at(ctx.topo, ctx.paths, station, waiting, ctx.config.slot_ms)
 }
 
+/// The station that `station_ids().filter(startable_at).max_by(value)`
+/// picks: among the stations where the job may start, the last one
+/// holding the most `value`. A station's deadline is checked only when
+/// its value would take the lead, so a job that may start anywhere pays
+/// for a few checks instead of one per station.
+pub(crate) fn most_startable<T: PartialOrd>(
+    view: &JobView<'_>,
+    ctx: &SlotContext<'_>,
+    value: impl Fn(StationId) -> T,
+) -> Option<StationId> {
+    let mut best: Option<(StationId, T)> = None;
+    for s in ctx.topo.station_ids() {
+        let v = value(s);
+        // `max_by` keeps the later of two equal elements.
+        let leads = best
+            .as_ref()
+            .is_none_or(|(_, b)| total_cmp(b, &v) != Ordering::Greater);
+        if leads && startable_at(view, ctx, s) {
+            best = Some((s, v));
+        }
+    }
+    best.map(|(s, _)| s)
+}
+
 /// Per-station quantities with a tournament tree over them, so the
 /// station holding the most is read in O(1) and a change costs O(log S).
 ///

@@ -36,6 +36,7 @@ use mec_obs::{
 };
 use mec_placement::{InstallDone, PlacementState, ReconfigOp};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Capacity of each worker's event ring. Lifecycle records are per
@@ -66,6 +67,9 @@ const INSTALL_SLOT_BOUNDS: &[f64] = &[1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 13.0];
 pub struct ObsHub {
     registry: Arc<Registry>,
     trace: Option<Mutex<TraceWriter>>,
+    /// Set once the trace sink has kept an error: every later event would
+    /// be dropped, so producers stop building them.
+    trace_failed: AtomicBool,
     slo_doc: SharedDoc,
     learning_doc: SharedDoc,
     flight_doc: SharedDoc,
@@ -98,6 +102,7 @@ impl ObsHub {
         Self {
             registry: Arc::new(Registry::new()),
             trace: None,
+            trace_failed: AtomicBool::new(false),
             slo_doc: Arc::new(Mutex::new(String::new())),
             learning_doc: Arc::new(Mutex::new(String::new())),
             flight_doc: Arc::new(Mutex::new(String::new())),
@@ -212,23 +217,34 @@ impl ObsHub {
         })
     }
 
+    /// Whether the trace sink has kept a write or flush error, after
+    /// which it drops every event. A cheap read of [`Self::trace_error`]'s
+    /// condition for the per-event gate.
+    pub(crate) fn trace_failed(&self) -> bool {
+        self.trace_failed.load(Ordering::Relaxed)
+    }
+
     /// Appends one event to the trace sink, if any.
     pub(crate) fn write_event(&self, event: &TraceEvent) {
-        if let Some(writer) = &self.trace {
-            writer
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .write(event);
-        }
+        self.with_writer(|w| w.write(event));
     }
 
     /// Flushes the trace sink, if any.
     pub fn flush(&self) {
+        self.with_writer(TraceWriter::flush);
+    }
+
+    /// Runs `op` on the trace sink, if any, and notes whether the sink
+    /// has failed.
+    fn with_writer(&self, op: impl FnOnce(&mut TraceWriter)) {
         if let Some(writer) = &self.trace {
-            writer
+            let mut writer = writer
                 .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .flush();
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            op(&mut writer);
+            if writer.error().is_some() {
+                self.trace_failed.store(true, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -480,8 +496,10 @@ impl EventSink for ObsState {
         }
     }
 
+    /// A trace sink is attached and has not failed: after a write error
+    /// the sink drops every event, so none is built.
     fn enabled(&self) -> bool {
-        self.tracing
+        self.tracing && self.hub.as_ref().is_some_and(|h| !h.trace_failed())
     }
 }
 
@@ -951,7 +969,7 @@ impl ObsState {
     /// flushes immediately — dumps fire on faults, and the run-end flush
     /// may never come.
     pub(crate) fn dump_flight(&mut self, trigger: FlightTrigger, slot: u64) {
-        if !self.tracing {
+        if !self.enabled() {
             return;
         }
         let (Some(hub), Some(learn)) = (&self.hub, &mut self.learn) else {
@@ -1580,6 +1598,30 @@ mod tests {
         obs.note_tick(&tick(31, 4));
         let learn = obs.learn.as_ref().expect("the hub requested the probe");
         assert_eq!(learn.probe_drop_counter.get(), 11);
+    }
+
+    /// A sink that refuses every write.
+    struct Full;
+
+    impl std::io::Write for Full {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::new(std::io::ErrorKind::StorageFull, "full"))
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_trace_sink_stops_event_building() {
+        let hub = Arc::new(ObsHub::new().with_trace(TraceWriter::new(Box::new(Full))));
+        let obs = ObsState::new(1, Some(Arc::clone(&hub)));
+        assert!(obs.enabled(), "a fresh sink takes events");
+        obs.note_life(3, 7, "admit", 0, 0);
+        assert!(hub.trace_error().is_some(), "the write failed");
+        assert!(!obs.enabled(), "no event is built after the error");
+        assert_eq!(hub.trace_written(), 0);
     }
 
     #[test]

@@ -98,7 +98,7 @@ use crate::shard::{
     HandoffEvent, RecoverPlan, ShardCommand, ShardEvent, ShardHandle, ShardProgress, ShardReply,
     ShardTick, SpawnSpec,
 };
-use crate::snapshot::{LatencyStats, Snapshot};
+use crate::snapshot::{LatencyStats, Snapshot, SortedLatencies};
 use mec_core::{policy_from_name, UnknownPolicy};
 use mec_obs::{SloEngine, SloSpec, SlotSample};
 use mec_placement::{OpsLog, PlacementConfig, ReconfigOp};
@@ -384,6 +384,12 @@ struct Supervised {
     /// Every latency sample this shard has reported (replaced wholesale on
     /// recovery; per-tick deltas from before a crash are unreliable).
     latencies: Vec<f64>,
+    /// How many of `latencies` the periodic snapshot's sorted history
+    /// already holds.
+    snapshot_merged: usize,
+    /// `latencies` was replaced by a recovery since the last snapshot, so
+    /// that history must be rebuilt rather than extended.
+    latencies_replaced: bool,
     /// Global ids of every request `base` issued a local id to (retired
     /// ones included), indexed by engine-local id — the supervisor-side
     /// mirror of the worker's lifecycle id map. The engine re-identifies
@@ -662,6 +668,7 @@ fn restart(
             sup.expired = rec.expired;
             sup.aborted = rec.aborted;
             sup.latencies = rec.latencies;
+            sup.latencies_replaced = true;
             router.observe_backlog(shard, rec.backlog);
             router.mark_up(shard);
             sup.handle = Some(handle);
@@ -1111,6 +1118,8 @@ pub fn serve<F: FnMut(&Snapshot)>(
                 expired: 0,
                 aborted: 0,
                 latencies: Vec::new(),
+                snapshot_merged: 0,
+                latencies_replaced: false,
                 life_ids: Vec::new(),
             })
         })
@@ -1119,6 +1128,7 @@ pub fn serve<F: FnMut(&Snapshot)>(
     let mut clock = Clock::new(cfg.clock);
     let mut arrivals = load.into_requests().into_iter().peekable();
     let mut snapshots_emitted = 0;
+    let mut latency_history = SortedLatencies::default();
     let mut pending: Vec<PendingHandoff> = Vec::new();
     let backoff = cfg.faults.restart_backoff_slots;
     let mut slo_engine = SloEngine::new(cfg.slo.clone());
@@ -1463,10 +1473,17 @@ pub fn serve<F: FnMut(&Snapshot)>(
         if cfg.snapshot_every > 0 && slots_done.is_multiple_of(cfg.snapshot_every) {
             obs.sync_router(&router);
             obs.sync_placement(plane.state());
-            let samples: Vec<f64> = supervised
-                .iter()
-                .flat_map(|s| s.latencies.iter().copied())
-                .collect();
+            if supervised.iter().any(|s| s.latencies_replaced) {
+                latency_history.clear();
+                for sup in &mut supervised {
+                    sup.snapshot_merged = 0;
+                    sup.latencies_replaced = false;
+                }
+            }
+            for sup in &mut supervised {
+                latency_history.push(&sup.latencies[sup.snapshot_merged..]);
+                sup.snapshot_merged = sup.latencies.len();
+            }
             let snap = Snapshot {
                 slot: slots_done,
                 shards: cfg.shards,
@@ -1477,7 +1494,7 @@ pub fn serve<F: FnMut(&Snapshot)>(
                 aborted: supervised.iter().map(|s| s.aborted).sum(),
                 unserved: 0,
                 total_reward: supervised.iter().map(|s| s.total_reward).sum(),
-                latency: LatencyStats::from_samples(&samples),
+                latency: latency_history.stats(),
                 queue_depths: router.backlogs().to_vec(),
                 faults: obs.fault_stats(),
                 placement: plane.stats().clone(),

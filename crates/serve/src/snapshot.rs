@@ -30,11 +30,20 @@ impl LatencyStats {
     /// samples cannot occur in practice (latencies are sums of finite
     /// delays); `total_cmp` keeps even that case panic-free.
     pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Self::default();
-        }
         let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
+        Self::from_sorted(&sorted)
+    }
+
+    /// Computes the statistics from samples already ordered by
+    /// [`f64::total_cmp`]. The mean is summed in that order, so any two
+    /// sortings of the same samples give the same bits: samples that
+    /// `total_cmp` calls equal are bit-identical.
+    pub(crate) fn from_sorted(sorted: &[f64]) -> Self {
+        let Some(&max_ms) = sorted.last() else {
+            return Self::default();
+        };
+        debug_assert!(sorted.is_sorted_by(|a, b| a.total_cmp(b).is_le()));
         let n = sorted.len();
         let q = |frac: f64| sorted[((frac * (n - 1) as f64).round()) as usize];
         Self {
@@ -43,8 +52,67 @@ impl LatencyStats {
             p50_ms: q(0.50),
             p95_ms: q(0.95),
             p99_ms: q(0.99),
-            max_ms: sorted[n - 1],
+            max_ms,
         }
+    }
+}
+
+/// A run's latency history kept sorted by [`f64::total_cmp`] between
+/// snapshots, so a snapshot sorts only the samples reported since the
+/// previous one and merges them in, in place, instead of re-sorting
+/// the whole history.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SortedLatencies {
+    /// Every merged sample, in `total_cmp` order.
+    sorted: Vec<f64>,
+    /// Samples pushed since the last merge, in any order.
+    pending: Vec<f64>,
+}
+
+impl SortedLatencies {
+    /// Queues samples for the next [`Self::stats`].
+    pub(crate) fn push(&mut self, samples: &[f64]) {
+        self.pending.extend_from_slice(samples);
+    }
+
+    /// Drops every sample, merged or pending: the caller pushes the
+    /// whole history again (a shard's samples were replaced).
+    pub(crate) fn clear(&mut self) {
+        self.sorted.clear();
+        self.pending.clear();
+    }
+
+    /// Merges the pending samples and returns the statistics over every
+    /// sample so far, bit-identical to [`LatencyStats::from_samples`] of
+    /// all of them.
+    pub(crate) fn stats(&mut self) -> LatencyStats {
+        self.merge_pending();
+        LatencyStats::from_sorted(&self.sorted)
+    }
+
+    /// Sorts the pending samples and merges them from the back, so each
+    /// merged sample moves at most once.
+    fn merge_pending(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        self.pending.sort_by(f64::total_cmp);
+        let (sorted, pending) = (&mut self.sorted, &self.pending);
+        let mut i = sorted.len();
+        let mut j = pending.len();
+        sorted.resize(i + j, 0.0);
+        // Invariant: `sorted[i + j..]` holds the largest merged samples.
+        while j > 0 {
+            let take_old = i > 0 && sorted[i - 1].total_cmp(&pending[j - 1]).is_gt();
+            if take_old {
+                sorted[i + j - 1] = sorted[i - 1];
+                i -= 1;
+            } else {
+                sorted[i + j - 1] = pending[j - 1];
+                j -= 1;
+            }
+        }
+        self.pending.clear();
     }
 }
 
@@ -333,6 +401,62 @@ mod tests {
         assert!((s.p95_ms - 95.0).abs() <= 1.0);
         assert_eq!(s.max_ms, 100.0);
         assert!(s.p50_ms <= s.p95_ms && s.p95_ms <= s.p99_ms && s.p99_ms <= s.max_ms);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One latency sample, drawn so that ties, `±0.0`, subnormals and
+        /// signs the plain `<` order cannot tell apart all turn up.
+        fn sample() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                Just(0.0),
+                Just(-0.0),
+                (1u64..4).prop_map(f64::from_bits),
+                (1u64..4).prop_map(|b| -f64::from_bits(b)),
+                (0u32..16).prop_map(|k| f64::from(k) * 0.25),
+                0.0f64..500.0,
+            ]
+        }
+
+        fn bits(s: &LatencyStats) -> [u64; 6] {
+            [
+                s.count as u64,
+                s.mean_ms.to_bits(),
+                s.p50_ms.to_bits(),
+                s.p95_ms.to_bits(),
+                s.p99_ms.to_bits(),
+                s.max_ms.to_bits(),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The kept-sorted history reads, after every batch, exactly
+            /// what a full sort of all samples so far reads; one batch
+            /// replaces the history wholesale, as a recovered shard does.
+            #[test]
+            fn merged_history_matches_a_full_sort(
+                batches in prop::collection::vec(prop::collection::vec(sample(), 0..40), 1..12),
+                replace_at in 0usize..12,
+            ) {
+                let mut kept = SortedLatencies::default();
+                let mut all: Vec<f64> = Vec::new();
+                for (k, batch) in batches.iter().enumerate() {
+                    if k == replace_at {
+                        all = batch.clone();
+                        kept.clear();
+                        kept.push(&all);
+                    } else {
+                        all.extend_from_slice(batch);
+                        kept.push(batch);
+                    }
+                    prop_assert_eq!(bits(&kept.stats()), bits(&LatencyStats::from_samples(&all)));
+                }
+            }
+        }
     }
 
     #[test]
