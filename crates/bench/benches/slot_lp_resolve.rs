@@ -6,8 +6,14 @@
 //! its kernel factorization, the pivots, and the bandit. Every iteration
 //! replays the same episode from a fresh engine and policy, built before
 //! the timed window, and must end with the same metrics.
+//!
+//! A second case times one cold `SlotLp::solve` of the Fig. 3 instance
+//! (|R| = 300, 20 stations), the relaxation the offline `Appro` and `Heu`
+//! solve first: the LP is built before the timed window, and every solve
+//! must reach the same objective.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mec_core::slotlp::{SlotLp, Truncation};
 use mec_core::{DynamicRr, DynamicRrConfig, Instance, InstanceParams};
 use mec_sim::{Engine, SlotConfig};
 use mec_topology::{Latency, TopologyBuilder};
@@ -73,6 +79,35 @@ fn slot_lp_resolve(c: &mut Criterion) {
                     "every replay of the episode decides the same"
                 );
                 metrics
+            })
+        },
+    );
+
+    let fig3_requests = WorkloadBuilder::new(&topo)
+        .seed(7)
+        .count(REQUESTS)
+        .rate_range(30.0, 50.0)
+        .levels(5)
+        .decay(0.75)
+        .deadline(Latency::ms(200.0))
+        .build();
+    let fig3 = Instance::new(topo, fig3_requests, params);
+    let subset: Vec<usize> = (0..REQUESTS).collect();
+    let lp = SlotLp::build(&fig3, &subset, Truncation::Standard);
+    let mut objective = None;
+    group.bench_with_input(
+        BenchmarkId::new("fig3_cold_solve", format!("{REQUESTS}x{STATIONS}")),
+        &(),
+        |b, ()| {
+            b.iter(|| {
+                let solved = lp.solve(REQUESTS).expect("the relaxation is feasible");
+                let value = solved.objective();
+                assert_eq!(
+                    objective.get_or_insert(value).to_bits(),
+                    value.to_bits(),
+                    "every cold solve reaches the same optimum"
+                );
+                solved
             })
         },
     );

@@ -18,8 +18,10 @@
 //! entering column (`O(n)`, no arithmetic on the matrix), runs one FTRAN
 //! of that column and the ratio test, then one BTRAN for the leaving row
 //! `ρ = e_rᵀB⁻¹`. It forms the pivot row `α_r = ρᵀA` from the problem's
-//! CSR rows over the nonzeros of `ρ`, and updates `d` and the weights on
-//! just the columns that row touches. A full
+//! CSR rows over the nonzeros of `ρ`. A row built from few row entries
+//! lists the columns it touches, and the ratio test and the update of `d`
+//! and the weights visit just those; a row built from many is scattered
+//! densely and visited in one ascending pass over the columns. A full
 //! `O(nnz)` pricing sweep runs only at phase start, after each
 //! refactorization, and when the carried `d` offers no entering column. So
 //! optimality is always decided on fresh prices. On the slot-indexed LP
@@ -70,6 +72,7 @@ use crate::solution::{LpError, Solution};
 use crate::sparse::CscMatrix;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::marker::PhantomData;
 use std::ops::Range;
 
 /// Which simplex implementation a caller wants.
@@ -439,6 +442,37 @@ impl<'a> StdForm<'a> {
         }
     }
 
+    /// Visits the terms of `ρᵀA` over the columns below `art_start`: for
+    /// each nonzero `ρ_i` in row order, row `i`'s coefficients with the
+    /// sign of its rhs normalization, then its slack or surplus unit.
+    fn row_terms(&self, rho: &[f64], mut add: impl FnMut(usize, f64)) {
+        for (i, &p) in rho.iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            let w = if self.negated[i] { -p } else { p };
+            let (cols, vals) = self.row_coeffs(i);
+            for (&v, &c) in cols.iter().zip(vals) {
+                add(v as usize, w * c);
+            }
+            if let Some(s) = self.slack_of_row[i] {
+                add(s, p);
+            } else if let Some(s) = self.surplus_of_row[i] {
+                add(s, -p);
+            }
+        }
+    }
+
+    /// The row entries [`Self::row_terms`] reads for `ρ`, unit columns
+    /// aside.
+    fn row_work(&self, rho: &[f64]) -> usize {
+        rho.iter()
+            .enumerate()
+            .filter(|&(_, &p)| p != 0.0)
+            .map(|(i, _)| self.row_coeffs(i).0.len())
+            .sum()
+    }
+
     /// Maps a structural [`BasisCol`] to this problem's column index.
     fn resolve(&self, col: BasisCol) -> Option<usize> {
         match col {
@@ -660,7 +694,7 @@ impl Factor {
 }
 
 /// Revised simplex working state.
-struct Rsx<'a> {
+struct Rsx<'a, F = ByDensity> {
     std: StdForm<'a>,
     basis: Vec<usize>,
     in_basis: Vec<bool>,
@@ -680,13 +714,44 @@ struct Rsx<'a> {
     /// The reference framework: the columns below `art_start` that were
     /// nonbasic when [`Self::optimize`] started.
     in_ref: Vec<bool>,
-    /// The last pivot row `α_r` over the columns below `art_start`, dense;
-    /// `touched` lists its nonzero positions once each, in any order
-    /// (`in_row` marks them), so clearing and updating cost the row's
-    /// size, not `n`.
+    /// The last pivot row `α_r` over the columns below `art_start`, dense.
+    /// Formed sparsely, `touched` lists its nonzero positions once each,
+    /// in any order (`in_row` marks them), so clearing and updating cost
+    /// the row's size, not `n`; formed densely (`dense`), `touched` is
+    /// empty and its users scan every column.
     alpha: Vec<f64>,
     in_row: Vec<bool>,
     touched: Vec<usize>,
+    dense: bool,
+    form: PhantomData<F>,
+}
+
+/// [`ByDensity`] forms a pivot row densely once its row work, the row
+/// entries it reads, passes `1/DENSE_ROW_SHARE` of the priced columns.
+/// Past that the sparse form's per-entry bookkeeping and the sort of its
+/// ratio-test candidates cost more than a memset and a scan of every
+/// column. Measured with perfbench, seed 1, on a 2-vCPU host: a
+/// `fig3_offline` row reads ~5 300 entries over ~12 400 columns, a
+/// `dynrr_lp` dual row ~3 000 over ~5 700 and a primal row ~330, so 8
+/// forms the first two densely and the last sparsely. Shares of 4 and 16
+/// against 8, in 4 and 6 alternating pairs of 5 s runs, moved
+/// `req_per_cpu_s` on both workloads by less than the runs spread; a
+/// prototype that formed every row densely lost to the switch on both.
+const DENSE_ROW_SHARE: usize = 8;
+
+/// Chooses the form of each pivot row from its row work and the number of
+/// priced columns.
+trait RowForm {
+    fn dense(work: usize, priced: usize) -> bool;
+}
+
+/// The solver's choice: dense past `1/DENSE_ROW_SHARE` of the columns.
+struct ByDensity;
+
+impl RowForm for ByDensity {
+    fn dense(work: usize, priced: usize) -> bool {
+        work > priced / DENSE_ROW_SHARE
+    }
 }
 
 /// `K⁻¹` as its nonzeros, `(index, value)` pairs, held twice: by column
@@ -1006,7 +1071,7 @@ fn crash_pivots(
     accepted
 }
 
-impl<'a> Rsx<'a> {
+impl<'a, F: RowForm> Rsx<'a, F> {
     /// Working state for `basis` with its `factor`, basic values solved
     /// from the rhs, an empty eta file and unpriced reduced costs. Its
     /// per-column arrays are the workspace's buffers; [`Self::release`]
@@ -1032,6 +1097,8 @@ impl<'a> Rsx<'a> {
             alpha: take_filled(&mut ws.alpha, priced, 0.0),
             in_row: take_filled(&mut ws.in_row, priced, false),
             touched,
+            dense: false,
+            form: PhantomData,
         };
         rsx.solve_xb();
         rsx
@@ -1314,49 +1381,65 @@ impl<'a> Rsx<'a> {
     }
 
     /// Forms row `r` of the tableau, `α_r = ρᵀA` with `ρ = e_rᵀB⁻¹`, over
-    /// the columns below `art_start`: one BTRAN, then the problem's rows
-    /// read row-wise over the nonzeros of `ρ`, each with the sign of its
-    /// rhs normalization, plus each row's slack or surplus unit. Leaves it
-    /// in `alpha`/`touched`. Call before the basis changes.
+    /// the columns below `art_start`: one BTRAN, then [`StdForm::row_terms`]
+    /// scattered in the form `F` picks from the row work. Leaves it in
+    /// `alpha` (and `touched` when sparse). Call before the basis changes.
     fn pivot_row(&mut self, r: usize) {
-        for &j in &self.touched {
-            self.alpha[j] = 0.0;
-            self.in_row[j] = false;
+        let rho = self.rho(r);
+        if F::dense(self.std.row_work(&rho), self.alpha.len()) {
+            self.dense_row(&rho);
+        } else {
+            self.sparse_row(&rho);
         }
-        self.touched.clear();
+    }
+
+    /// Row `r` of the basis inverse, `ρ = e_rᵀB⁻¹`.
+    fn rho(&self, r: usize) -> Vec<f64> {
         let mut e = vec![0.0; self.std.m];
         e[r] = 1.0;
-        let rho = self.btran_vec(e);
-        let std = &self.std;
+        self.btran_vec(e)
+    }
+
+    /// `α = ρᵀA`, listing each column it touches in `touched`.
+    fn sparse_row(&mut self, rho: &[f64]) {
+        if self.dense {
+            self.alpha.fill(0.0);
+        } else {
+            for &j in &self.touched {
+                self.alpha[j] = 0.0;
+                self.in_row[j] = false;
+            }
+        }
+        self.touched.clear();
+        self.dense = false;
         let (alpha, in_row, touched) = (&mut self.alpha, &mut self.in_row, &mut self.touched);
-        let mut add = |j: usize, v: f64| {
+        self.std.row_terms(rho, |j, v| {
             if !in_row[j] {
                 in_row[j] = true;
                 touched.push(j);
             }
             alpha[j] += v;
-        };
-        for (i, &p) in rho.iter().enumerate() {
-            if p == 0.0 {
-                continue;
-            }
-            let w = if std.negated[i] { -p } else { p };
-            let (cols, vals) = std.row_coeffs(i);
-            for (&v, &c) in cols.iter().zip(vals) {
-                add(v as usize, w * c);
-            }
-            if let Some(s) = std.slack_of_row[i] {
-                add(s, p);
-            } else if let Some(s) = std.surplus_of_row[i] {
-                add(s, -p);
-            }
+        });
+    }
+
+    /// `α = ρᵀA` over every priced column, with no bookkeeping. Each
+    /// column receives the same terms in the same order, from the same
+    /// `+0.0`, as in [`Self::sparse_row`].
+    fn dense_row(&mut self, rho: &[f64]) {
+        for &j in &self.touched {
+            self.in_row[j] = false;
         }
+        self.touched.clear();
+        self.dense = true;
+        let alpha = &mut self.alpha;
+        alpha.fill(0.0);
+        self.std.row_terms(rho, |j, v| alpha[j] += v);
     }
 
     /// Carries `d` and the Devex weights across the pivot that brings `q`
     /// in at row `r`, from the row [`Self::pivot_row`] formed for it and
-    /// the reference weight `wq` of `q`. On the nonbasic columns the row
-    /// touches, `d_j −= θ·α_rj` with `θ = d_q / α_rq` and
+    /// the reference weight `wq` of `q`. On the nonbasic columns where the
+    /// row is nonzero, `d_j −= θ·α_rj` with `θ = d_q / α_rq` and
     /// `w_j = max(w_j, (α_rj/α_rq)²·w_q)`; then `d_q = 0`, and the leaving
     /// column takes `−θ` and the weight `max(w_q/α_rq², 1)` (an artificial
     /// carries neither). Call before [`Self::pivot`].
@@ -1364,11 +1447,23 @@ impl<'a> Rsx<'a> {
         let aq = self.alpha[q];
         let theta = self.d[q] / aq;
         let step = devex::Step::new(wq, aq);
-        for &j in &self.touched {
-            if !self.in_basis[j] {
-                let a = self.alpha[j];
-                self.d[j] -= theta * a;
-                self.inv_w[j] = step.raise(self.inv_w[j], a);
+        // An exact zero moves neither `d_j` nor `w_j`.
+        let carry = |dj: &mut f64, inv_wj: &mut f64, a: f64, basic: bool| {
+            if a != 0.0 && !basic {
+                *dj -= theta * a;
+                *inv_wj = step.raise(*inv_wj, a);
+            }
+        };
+        let (d, inv_w, alpha, in_basis) =
+            (&mut self.d, &mut self.inv_w, &self.alpha, &self.in_basis);
+        if self.dense {
+            let columns = d.iter_mut().zip(inv_w.iter_mut()).zip(alpha).zip(in_basis);
+            for (((dj, inv_wj), &a), &basic) in columns {
+                carry(dj, inv_wj, a, basic);
+            }
+        } else {
+            for &j in &self.touched {
+                carry(&mut d[j], &mut inv_w[j], alpha[j], in_basis[j]);
             }
         }
         self.d[q] = 0.0;
@@ -1522,28 +1617,7 @@ impl<'a> Rsx<'a> {
                 return Some(pivots); // primal feasible
             };
             self.pivot_row(pos);
-            // Only the columns the row touches can have `−α_j > eps`. The
-            // nonbasic ones that do move to the front of `touched`, a
-            // small share of it; sorted ascending, they meet the same ties
-            // as a scan of all `n` columns.
-            let mut k = 0;
-            for i in 0..self.touched.len() {
-                let j = self.touched[i];
-                if -self.alpha[j] > config.eps && !self.in_basis[j] {
-                    self.touched.swap(k, i);
-                    k += 1;
-                }
-            }
-            let candidates = &mut self.touched[..k];
-            candidates.sort_unstable();
-            let mut best: Option<(usize, f64)> = None;
-            for &j in candidates.iter() {
-                let ratio = self.d[j].max(0.0) / -self.alpha[j];
-                if best.is_none_or(|(_, b)| ratio < b - config.eps) {
-                    best = Some((j, ratio));
-                }
-            }
-            let (col, _) = best?; // no dual step exists — give up, start cold
+            let col = self.dual_ratio_col(config.eps)?; // no dual step exists — give up, start cold
             let d = self.ftran_col(col);
             if d[pos] >= -config.eps {
                 return None;
@@ -1558,6 +1632,57 @@ impl<'a> Rsx<'a> {
         None
     }
 
+    /// The entering column of a dual pivot on the row in `alpha`: the
+    /// nonbasic column minimizing `max(d̄_j, 0) / −α_j` over `−α_j > eps`,
+    /// lowest index on ties within eps. A sparse row moves its candidates,
+    /// a small share of it, to the front of `touched` and sorts them; in
+    /// ascending order they meet the same ties as a scan of all `n`
+    /// columns, which is what a dense row gets.
+    fn dual_ratio_col(&mut self, eps: f64) -> Option<usize> {
+        let (d, alpha, in_basis) = (&self.d, &self.alpha, &self.in_basis);
+        let mut best: Option<(usize, f64)> = None;
+        let candidate = |a: f64, basic: bool| -a > eps && !basic;
+        let mut consider = |j: usize| {
+            let ratio = d[j].max(0.0) / -alpha[j];
+            if best.is_none_or(|(_, b)| ratio < b - eps) {
+                best = Some((j, ratio));
+            }
+        };
+        if self.dense {
+            for (j, (&a, &basic)) in alpha.iter().zip(in_basis).enumerate() {
+                if candidate(a, basic) {
+                    consider(j);
+                }
+            }
+        } else {
+            let touched = &mut self.touched;
+            let mut k = 0;
+            for i in 0..touched.len() {
+                let j = touched[i];
+                if candidate(alpha[j], in_basis[j]) {
+                    touched.swap(k, i);
+                    k += 1;
+                }
+            }
+            touched[..k].sort_unstable();
+            touched[..k].iter().for_each(|&j| consider(j));
+        }
+        best.map(|(j, _)| j)
+    }
+
+    /// The column that drives out the basic artificial of the row in
+    /// `alpha`: the lowest-index nonbasic column with `|α_j| > eps`. Basic
+    /// columns are 0 there up to rounding and must not enter a second
+    /// time.
+    fn drive_out_col(&self, eps: f64) -> Option<usize> {
+        let usable = |j: usize| !self.in_basis[j] && self.alpha[j].abs() > eps;
+        if self.dense {
+            (0..self.alpha.len()).find(|&j| usable(j))
+        } else {
+            self.touched.iter().copied().filter(|&j| usable(j)).min()
+        }
+    }
+
     /// Pivots degenerate basic artificials out where a usable column
     /// exists; all-zero rows are redundant and stay harmlessly basic.
     fn drive_out_artificials(&mut self, config: &RevisedConfig) -> Result<(), LpError> {
@@ -1565,17 +1690,9 @@ impl<'a> Rsx<'a> {
             if self.basis[r] < self.std.art_start {
                 continue;
             }
-            // Row r of the tableau is the one the dense solver scans; the
-            // lowest-index usable entry enters. Basic columns are 0 there
-            // up to rounding and must not enter a second time.
+            // Row r of the tableau is the one the dense solver scans.
             self.pivot_row(r);
-            let col = self
-                .touched
-                .iter()
-                .copied()
-                .filter(|&j| !self.in_basis[j] && self.alpha[j].abs() > config.eps)
-                .min();
-            if let Some(col) = col {
+            if let Some(col) = self.drive_out_col(config.eps) {
                 let d = self.ftran_col(col);
                 self.pivot(r, col, &d, config)?;
                 note_pivot();
@@ -1611,6 +1728,16 @@ pub fn solve_with_basis(
     warm: Option<&BasisSnapshot>,
     ws: &mut Workspace,
 ) -> Result<(Solution, BasisSnapshot, WarmOutcome), LpError> {
+    solve_forming::<ByDensity>(problem, config, warm, ws)
+}
+
+/// [`solve_with_basis`] with every pivot row formed as `F` chooses.
+fn solve_forming<F: RowForm>(
+    problem: &Problem,
+    config: &RevisedConfig,
+    warm: Option<&BasisSnapshot>,
+    ws: &mut Workspace,
+) -> Result<(Solution, BasisSnapshot, WarmOutcome), LpError> {
     let std_form = StdForm::build(problem, ws);
     let n = std_form.n;
     let n_total = std_form.n_total;
@@ -1633,7 +1760,7 @@ pub fn solve_with_basis(
     // A repair that made no pivot leaves `d` priced fresh under the phase-2
     // cost, so phase 2 starts without pricing again.
     let (mut rsx, outcome, priced) = match warm {
-        Some(snap) => match Rsx::try_warm(std_form, &snap.cols, config, ws) {
+        Some(snap) => match Rsx::<F>::try_warm(std_form, &snap.cols, config, ws) {
             Ok(mut warm_rsx) => match warm_rsx.dual_repair(&c2, config) {
                 Some(pivots) if warm_rsx.artificial_mass() <= config.feas_tol => {
                     (warm_rsx, WarmOutcome::Warm, pivots == 0)
@@ -1825,7 +1952,7 @@ mod tests {
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 2.0);
         p.add_constraint(vec![(x, 1.0)], Cmp::Ge, 1.0);
         let mut ws = Workspace::default();
-        let mut rsx = Rsx::cold(StdForm::build(&p, &mut ws), &mut ws);
+        let mut rsx: Rsx = Rsx::cold(StdForm::build(&p, &mut ws), &mut ws);
         let mut c1 = vec![0.0; rsx.std.n_total];
         c1[rsx.std.art_start..].fill(1.0);
         rsx.optimize(&c1, &cfg(), false).unwrap();
@@ -2872,7 +2999,7 @@ mod tests {
             let p = mixed_rows(seed, requests, stations, slots, extra);
             let config = RevisedConfig { refactor_every: usize::MAX, ..cfg() };
             let mut ws = Workspace::default();
-        let mut rsx = Rsx::cold(StdForm::build(&p, &mut ws), &mut ws);
+        let mut rsx: Rsx = Rsx::cold(StdForm::build(&p, &mut ws), &mut ws);
             let m = rsx.std.m;
             let mut next = uniforms(seed ^ 0xe7a);
             let mut dense = Vec::new();
@@ -3229,6 +3356,132 @@ mod tests {
                         last = Some((structure, a, b, slot, basis));
                     }
                     (got, want) => prop_assert_eq!(got.err(), want.err()),
+                }
+            }
+        }
+    }
+
+    /// Pins every pivot row to [`Rsx::sparse_row`].
+    struct Sparse;
+
+    impl RowForm for Sparse {
+        fn dense(_: usize, _: usize) -> bool {
+            false
+        }
+    }
+
+    /// Pins every pivot row to [`Rsx::dense_row`].
+    struct Dense;
+
+    impl RowForm for Dense {
+        fn dense(_: usize, _: usize) -> bool {
+            true
+        }
+    }
+
+    /// The bits of `values`, with every zero read as `+0.0`.
+    fn bits_up_to_zero_signs(values: &[f64]) -> Vec<u64> {
+        values
+            .iter()
+            .map(|&v| if v == 0.0 { 0 } else { v.to_bits() })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// On a basis reached by real pivots, phase 1 and then phase 2
+        /// each cut after `steps`, every row of the tableau formed
+        /// sparsely, densely, and sparsely again holds the same `α` up to
+        /// the signs of zeros, and the dual ratio test and the drive-out
+        /// pick the same column from each.
+        #[test]
+        fn both_row_forms_agree(
+            seed in 0u64..u64::MAX,
+            random in 0u8..2,
+            a in 1usize..16,
+            b in 0usize..10,
+            steps in 0usize..40,
+        ) {
+            let p = if random == 1 {
+                random_problem(seed, a, b, 0.0)
+            } else {
+                mixed_rows(seed, a, 1 + b % 4, 1 + b % 5, b % 4)
+            };
+            let config = cfg();
+            let cut = RevisedConfig { max_iterations: steps, ..cfg() };
+            let mut ws = Workspace::default();
+            let mut rsx: Rsx = Rsx::cold(StdForm::build(&p, &mut ws), &mut ws);
+            let mut cost = vec![0.0; rsx.std.n_total];
+            cost[rsx.std.art_start..].fill(1.0);
+            let _ = rsx.optimize(&cost, &cut, false);
+            let objective = p.objective_vec();
+            cost.fill(0.0);
+            cost[..objective.len()].copy_from_slice(objective);
+            let _ = rsx.optimize(&cost, &cut, false);
+            for r in 0..rsx.std.m {
+                let rho = rsx.rho(r);
+                let mut formed = Vec::new();
+                for dense in [false, true, false] {
+                    if dense {
+                        rsx.dense_row(&rho);
+                    } else {
+                        rsx.sparse_row(&rho);
+                    }
+                    formed.push((
+                        bits_up_to_zero_signs(&rsx.alpha),
+                        rsx.dual_ratio_col(config.eps),
+                        rsx.drive_out_col(config.eps),
+                    ));
+                }
+                prop_assert_eq!(&formed[0], &formed[1], "row {}", r);
+                prop_assert_eq!(&formed[0], &formed[2], "row {}", r);
+            }
+        }
+
+        /// Whole solves with every pivot row formed sparsely and with
+        /// every one formed densely take the solver's own pivots to its
+        /// basis and point, cold, warm from a neighbour and through a
+        /// phase 1 that drives artificials out, with the default eta file
+        /// and with one refactorized every three pivots.
+        #[test]
+        fn forced_row_forms_solve_alike(
+            seed in 0u64..u64::MAX,
+            requests in 1usize..20,
+            stations in 1usize..5,
+            slots in 1usize..6,
+            shift in 0.05f64..0.6,
+            extra in 0usize..6,
+        ) {
+            type Form = fn(
+                &Problem,
+                &RevisedConfig,
+                Option<&BasisSnapshot>,
+                &mut Workspace,
+            ) -> Result<(Solution, BasisSnapshot, WarmOutcome), LpError>;
+            let forms: [Form; 2] = [solve_forming::<Sparse>, solve_forming::<Dense>];
+            let base = slot_shaped(seed, requests, stations, slots, 0.0);
+            let moved = slot_shaped(seed, requests, stations, slots, shift);
+            let mixed = mixed_rows(seed, requests, stations, slots, extra);
+            for config in [cfg(), RevisedConfig { refactor_every: 3, ..cfg() }] {
+                let (_, snap, _) = solve_with_basis(&base, &config, None, &mut Workspace::default()).unwrap();
+                for (problem, warm) in [(&base, None), (&moved, Some(&snap)), (&mixed, None)] {
+                    let (want, want_pivots, want_refactors) =
+                        counted(|| solve_with_basis(problem, &config, warm, &mut Workspace::default()));
+                    for form in forms {
+                        let (got, pivots, refactors) =
+                            counted(|| form(problem, &config, warm, &mut Workspace::default()));
+                        prop_assert_eq!((pivots, refactors), (want_pivots, want_refactors));
+                        match (got, &want) {
+                            (Ok((sol, basis, how)), Ok((want_sol, want_basis, want_how))) => {
+                                prop_assert_eq!(bits(sol.values()), bits(want_sol.values()));
+                                prop_assert_eq!(bits(sol.duals()), bits(want_sol.duals()));
+                                prop_assert_eq!(&basis, want_basis);
+                                prop_assert_eq!(how, *want_how);
+                            }
+                            (got, want) => prop_assert_eq!(got.err(), want.clone().err()),
+                        }
+                    }
                 }
             }
         }

@@ -79,8 +79,20 @@ pub const RECOVERY_SLOTS_BOUNDS: &[f64] = &[1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100
 
 /// Records one structured [`TraceEvent`] into an [`EventSink`].
 ///
-/// ```ignore
+/// ```
+/// use mec_obs::{TraceRing, Value};
+///
+/// let sink = TraceRing::with_capacity(16);
+/// let (slot, shard, n) = (42, 1u64, 7u64);
 /// mec_obs::event!(sink, slot, "restart", shard = shard, replayed = n, ok = true);
+/// let events = sink.drain();
+/// assert_eq!(events.len(), 1);
+/// assert_eq!((events[0].slot, events[0].kind.as_str()), (42, "restart"));
+/// assert!(matches!(events[0].fields[..], [
+///     ("shard", Value::U64(1)),
+///     ("replayed", Value::U64(7)),
+///     ("ok", Value::Bool(true)),
+/// ]));
 /// ```
 ///
 /// When [`EventSink::enabled`] is true this constructs the event (field

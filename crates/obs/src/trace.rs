@@ -14,6 +14,7 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A scalar field value.
@@ -213,10 +214,13 @@ struct RingInner {
 /// A bounded, shareable event buffer: workers push, the supervisor
 /// drains at each watermark fold. When full, the *newest* event is dropped
 /// (and counted) — keeping the prefix preserves causality for whatever
-/// was already recorded.
+/// was already recorded. A ring can share a stop flag with whatever its
+/// events end up in ([`TraceRing::stopped_by`]); once the flag is set the
+/// ring answers [`EventSink::enabled`] false and takes nothing more.
 #[derive(Clone)]
 pub struct TraceRing {
     inner: Arc<Mutex<RingInner>>,
+    stop: Arc<AtomicBool>,
 }
 
 impl TraceRing {
@@ -248,7 +252,16 @@ impl TraceRing {
                 cap: cap.max(1),
                 dropped: 0,
             })),
+            stop: Arc::new(AtomicBool::new(false)),
         }
+    }
+
+    /// This ring, stopping once `stop` is set: a drain target that has
+    /// failed sets it, and producers stop building events it would drop.
+    #[must_use]
+    pub fn stopped_by(mut self, stop: Arc<AtomicBool>) -> Self {
+        self.stop = stop;
+        self
     }
 
     /// Removes and returns every buffered event, in push order.
@@ -265,12 +278,19 @@ impl TraceRing {
 
 impl EventSink for TraceRing {
     fn record(&self, event: TraceEvent) {
+        if !self.enabled() {
+            return;
+        }
         let mut inner = self.lock();
         if inner.buf.len() >= inner.cap {
             inner.dropped += 1;
             return;
         }
         inner.buf.push_back(event);
+    }
+
+    fn enabled(&self) -> bool {
+        !self.stop.load(Ordering::Relaxed)
     }
 }
 
@@ -282,7 +302,7 @@ impl EventSink for Option<TraceRing> {
     }
 
     fn enabled(&self) -> bool {
-        self.is_some()
+        self.as_ref().is_some_and(EventSink::enabled)
     }
 }
 
@@ -399,6 +419,32 @@ mod tests {
         assert_eq!(drained[0].slot, 0);
         assert_eq!(drained[1].slot, 1);
         assert!(ring.drain().is_empty());
+    }
+
+    #[test]
+    fn a_stopped_ring_builds_and_keeps_nothing() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let ring = Some(TraceRing::with_capacity(8).stopped_by(Arc::clone(&stop)));
+        crate::event!(ring, 1, "kept");
+        assert!(ring.enabled());
+        stop.store(true, Ordering::Relaxed);
+        assert!(!ring.enabled());
+        let mut built = false;
+        crate::event!(
+            ring,
+            2,
+            "dropped",
+            n = {
+                built = true;
+                1u64
+            }
+        );
+        assert!(!built, "a stopped ring builds no event");
+        ring.record(ev(3, "dropped", vec![]));
+        let kept = ring.as_ref().unwrap().drain();
+        assert_eq!(kept.len(), 1);
+        assert_eq!(kept[0].kind, "kept");
+        assert_eq!(ring.as_ref().unwrap().dropped(), 0);
     }
 
     #[test]

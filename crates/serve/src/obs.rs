@@ -68,8 +68,9 @@ pub struct ObsHub {
     registry: Arc<Registry>,
     trace: Option<Mutex<TraceWriter>>,
     /// Set once the trace sink has kept an error: every later event would
-    /// be dropped, so producers stop building them.
-    trace_failed: AtomicBool,
+    /// be dropped, so producers stop building them. The workers' rings
+    /// share it.
+    trace_failed: Arc<AtomicBool>,
     slo_doc: SharedDoc,
     learning_doc: SharedDoc,
     flight_doc: SharedDoc,
@@ -102,7 +103,7 @@ impl ObsHub {
         Self {
             registry: Arc::new(Registry::new()),
             trace: None,
-            trace_failed: AtomicBool::new(false),
+            trace_failed: Arc::new(AtomicBool::new(false)),
             slo_doc: Arc::new(Mutex::new(String::new())),
             learning_doc: Arc::new(Mutex::new(String::new())),
             flight_doc: Arc::new(Mutex::new(String::new())),
@@ -222,6 +223,11 @@ impl ObsHub {
     /// condition for the per-event gate.
     pub(crate) fn trace_failed(&self) -> bool {
         self.trace_failed.load(Ordering::Relaxed)
+    }
+
+    /// A worker ring that stops taking events once the trace sink fails.
+    fn worker_ring(&self) -> TraceRing {
+        TraceRing::with_capacity(RING_CAP).stopped_by(Arc::clone(&self.trace_failed))
     }
 
     /// Appends one event to the trace sink, if any.
@@ -670,7 +676,7 @@ impl ObsState {
             ),
             occupancy: Vec::new(),
             rings: (0..shards)
-                .map(|_| tracing.then(|| TraceRing::with_capacity(RING_CAP)))
+                .map(|_| hub.as_ref().filter(|_| tracing).map(|h| h.worker_ring()))
                 .collect(),
             held_events: (0..shards)
                 .map(|_| std::collections::VecDeque::new())
@@ -1622,6 +1628,24 @@ mod tests {
         assert!(hub.trace_error().is_some(), "the write failed");
         assert!(!obs.enabled(), "no event is built after the error");
         assert_eq!(hub.trace_written(), 0);
+    }
+
+    #[test]
+    fn a_failed_trace_sink_stops_the_worker_rings() {
+        let hub = Arc::new(ObsHub::new().with_trace(TraceWriter::new(Box::new(Full))));
+        let obs = ObsState::new(2, Some(Arc::clone(&hub)));
+        let rings = [obs.ring(0), obs.ring(1)];
+        assert!(
+            rings.iter().all(EventSink::enabled),
+            "fresh rings take events"
+        );
+        obs.note_life(3, 7, "admit", 0, 0);
+        assert!(hub.trace_failed());
+        for ring in &rings {
+            assert!(!ring.enabled(), "no worker builds an event after the error");
+            mec_obs::event!(ring, 4, "lifecycle", id = 7u64);
+            assert!(ring.as_ref().unwrap().drain().is_empty());
+        }
     }
 
     #[test]
