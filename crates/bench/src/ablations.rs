@@ -11,6 +11,7 @@
 
 use crate::params::Defaults;
 use crate::table::Table;
+use mec_core::appro::solve_relaxation;
 use mec_core::model::{Instance, Realizations};
 use mec_core::online::{DynamicRr, DynamicRrConfig, Learner};
 use mec_core::{policy_from_name, Appro, OfflineAlgorithm, POLICY_NAMES};
@@ -102,14 +103,21 @@ pub fn rounds_ablation(d: &Defaults) -> Table {
         "Ablation: Appro rounding rounds",
         &["rounds", "reward", "admitted"],
     );
+    // Each seed's relaxation is solved once and rounded at every setting.
+    let worlds: Vec<_> = (0..d.runs)
+        .map(|seed| {
+            let (instance, realized) = d.offline_instance(seed);
+            let frac = solve_relaxation(&instance).expect("LP solves");
+            (instance, realized, frac)
+        })
+        .collect();
     for rounds in [1usize, 2, 4, 8, 16, 32] {
         let mut reward = 0.0;
         let mut admitted = 0.0;
-        for seed in 0..d.runs {
-            let (instance, realized) = d.offline_instance(seed);
+        for (seed, (instance, realized, frac)) in (0..d.runs).zip(&worlds) {
             let out = Appro::new(seed)
                 .rounds(rounds)
-                .solve(&instance, &realized)
+                .round(instance, realized, frac)
                 .expect("appro succeeds");
             reward += out.metrics().total_reward() / d.runs as f64;
             admitted += out.admitted() as f64 / d.runs as f64;

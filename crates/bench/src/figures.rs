@@ -7,6 +7,7 @@ use crate::parallel::{mean_rows, parallel_seeds};
 use crate::params::Defaults;
 use crate::table::Table;
 use mec_bandit::{ArmId, BanditPolicy, ConfidenceSchedule, LipschitzDomain, SuccessiveElimination};
+use mec_core::appro::solve_relaxation;
 use mec_core::model::Realizations;
 use mec_core::{
     policy_from_name, Appro, DynamicRr, DynamicRrConfig, Exact, Greedy, Heu, HeuKkt, Ocorp,
@@ -335,12 +336,13 @@ pub fn approx_ratio(seeds: u64, trials_per_seed: u64) -> Table {
         };
         let (instance, _) = d.offline_instance(seed);
         let (opt, _) = Exact::new().solve_ilp(&instance).expect("small ILPs solve");
+        let frac = solve_relaxation(&instance).expect("LP solves");
         let mut mean = 0.0;
         for trial in 0..trials_per_seed {
             let realized = Realizations::draw(&instance, seed * 10_000 + trial);
             let out = Appro::new(seed * 131 + trial)
                 .rounds(1)
-                .solve(&instance, &realized)
+                .round(&instance, &realized, &frac)
                 .expect("appro succeeds");
             mean += out.metrics().total_reward() / trials_per_seed as f64;
         }

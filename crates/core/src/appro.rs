@@ -1,13 +1,17 @@
 //! `Appro` — Algorithm 1, the randomized-rounding 1/8-approximation
-//! (Theorem 1).
+//! (Theorem 1), and the rounding driver it shares with `Heu`.
 //!
-//! 1. Solve the slot-indexed **LP** (see [`crate::slotlp`]).
+//! 1. Solve the slot-indexed **LP** (see [`crate::slotlp`]):
+//!    [`solve_relaxation`].
 //! 2. Tentatively assign each request `r_j` to `(station i, slot l)` with
 //!    probability `y_{jil} / 4`, ignore it otherwise.
 //! 3. Admit slot-by-slot: walking `l = 1..L` and each station, requests
 //!    tentatively parked at `(i, l)` are considered in increasing expected
 //!    rate, and admitted iff the station's already-realized demand still
 //!    fits in the slot prefix `l · C_l`.
+//!
+//! Steps 2–3 are one driver for `Appro` and `Heu`, whose parameter is
+//! what a candidate meeting a full prefix does: `Appro` rejects it.
 //!
 //! Demands realize *at admission* (the paper's reveal-on-schedule model);
 //! a realized demand larger than the station's remaining capacity earns no
@@ -26,8 +30,14 @@ use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
 /// Step 1 of Algorithms 1 and 2: the **LP** over every request of the
-/// instance, solved cold by the revised simplex.
-pub(crate) fn solve_relaxation(instance: &Instance) -> Result<FractionalAssignment, String> {
+/// instance, solved cold by the revised simplex. It does not depend on
+/// the realizations, so one relaxation serves every rounding of the
+/// instance ([`Appro::round`], [`crate::Heu::round`]).
+///
+/// # Errors
+///
+/// Reports an LP solver failure as a human-readable string.
+pub fn solve_relaxation(instance: &Instance) -> Result<FractionalAssignment, String> {
     let subset: Vec<usize> = (0..instance.request_count()).collect();
     SlotLp::build(instance, &subset, Truncation::Standard)
         .solve(subset.len())
@@ -35,33 +45,26 @@ pub(crate) fn solve_relaxation(instance: &Instance) -> Result<FractionalAssignme
 }
 
 /// The rounding scale of Algorithm 1 (`y_{jil} / 4`).
-pub(crate) const ROUNDING_DIVISOR: f64 = 4.0;
+const ROUNDING_DIVISOR: f64 = 4.0;
 
-/// A tentative (pre-admission) placement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Tentative {
-    pub station: StationId,
-    pub slot: usize,
-}
-
-/// Samples step 2 of Algorithm 1: each request keeps one `(i, l)` with
-/// probability `y_{jil}/4`, or is ignored. Requests where `eligible` is
-/// `false` (already admitted in a previous backfill round) are skipped.
-pub(crate) fn sample_tentative<R: Rng + ?Sized>(
+/// Samples step 2 of Algorithm 1: each request keeps one tentative
+/// `(station i, slot l)` with probability `y_{jil}/4`, or is ignored.
+/// Requests already assigned (in a previous backfill round) are skipped.
+fn sample_tentative<R: Rng + ?Sized>(
     frac: &FractionalAssignment,
-    eligible: &[bool],
+    assigned: &[Option<StationId>],
     rng: &mut R,
-) -> Vec<Option<Tentative>> {
+) -> Vec<Option<(StationId, usize)>> {
     (0..frac.request_count())
         .map(|j| {
-            if !eligible[j] {
+            if assigned[j].is_some() {
                 return None;
             }
             let mut u: f64 = rng.gen();
             for &(station, slot, y) in frac.for_request(j) {
                 let p = y / ROUNDING_DIVISOR;
                 if u < p {
-                    return Some(Tentative { station, slot });
+                    return Some((station, slot));
                 }
                 u -= p;
             }
@@ -140,9 +143,9 @@ impl AdmissionState {
 
 /// Groups tentative placements by `(station, slot)` and sorts each group by
 /// expected rate ascending — the order step 5 of Algorithm 1 consumes.
-pub(crate) fn grouped_by_slot(
+fn grouped_by_slot(
     instance: &Instance,
-    tentative: &[Option<Tentative>],
+    tentative: &[Option<(StationId, usize)>],
 ) -> Vec<Vec<Vec<usize>>> {
     let stations = instance.topo().station_count();
     let max_l = (0..stations)
@@ -152,8 +155,8 @@ pub(crate) fn grouped_by_slot(
     // grouped[station][l - 1] = request indices.
     let mut grouped: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); max_l]; stations];
     for (j, t) in tentative.iter().enumerate() {
-        if let Some(t) = t {
-            grouped[t.station.index()][t.slot - 1].push(j);
+        if let Some((station, slot)) = t {
+            grouped[station.index()][slot - 1].push(j);
         }
     }
     for station_groups in &mut grouped {
@@ -169,34 +172,65 @@ pub(crate) fn grouped_by_slot(
     grouped
 }
 
-/// Runs one slot-by-slot admission sweep (steps 3-7 of Algorithm 1) over a
-/// tentative placement, mutating the shared [`AdmissionState`].
-pub(crate) fn admission_sweep(
+/// The rounding driver of Algorithms 1 and 2 over the relaxation `frac`:
+/// `rounds` rounds of the lottery and the admission sweep for the
+/// requests still unassigned, then (past one round) the
+/// [`residual_fill`]. A candidate meeting a full slot prefix is admitted
+/// only if `overflow` frees room at the station and the prefix then fits.
+/// Fails when `frac` covers another number of requests than `instance`.
+pub(crate) fn round_relaxation(
     instance: &Instance,
     realized: &Realizations,
-    tentative: &[Option<Tentative>],
-    state: &mut AdmissionState,
-) {
-    let grouped = grouped_by_slot(instance, tentative);
-    let max_l = grouped.iter().map(Vec::len).max().unwrap_or(0);
-    for l in 1..=max_l {
-        for station in instance.topo().station_ids() {
-            let layout = instance.slot_layout(station);
-            if l > layout.count() {
-                continue;
-            }
-            let prefix = layout.slot_size() * l as f64;
-            // Requests parked at (station, l), cheapest expected rate
-            // first (step 5).
-            for &j in &grouped[station.index()][l - 1] {
-                // Step 6: admit only while the realized occupancy still
-                // fits inside the slot prefix.
-                if state.occupied[station.index()].as_mhz() <= prefix.as_mhz() + 1e-9 {
-                    state.admit(instance, realized, j, station);
+    frac: &FractionalAssignment,
+    seed: u64,
+    rounds: usize,
+    mut overflow: impl FnMut(&mut AdmissionState, StationId) -> bool,
+) -> Result<OffloadOutcome, String> {
+    if frac.request_count() != instance.request_count() {
+        return Err(format!(
+            "relaxation covers {} requests, the instance has {}",
+            frac.request_count(),
+            instance.request_count()
+        ));
+    }
+    let started = Instant::now();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut state = AdmissionState::new(instance);
+    for _ in 0..rounds {
+        if state.assignment.iter().all(Option::is_some) {
+            break;
+        }
+        let tentative = sample_tentative(frac, &state.assignment, &mut rng);
+        let grouped = grouped_by_slot(instance, &tentative);
+        let max_l = grouped.iter().map(Vec::len).max().unwrap_or(0);
+        for l in 1..=max_l {
+            for station in instance.topo().station_ids() {
+                let layout = instance.slot_layout(station);
+                if l > layout.count() {
+                    continue;
+                }
+                let prefix = layout.slot_size() * l as f64;
+                let fits = |state: &AdmissionState| {
+                    state.occupied[station.index()].as_mhz() <= prefix.as_mhz() + 1e-9
+                };
+                // Requests parked at (station, l), cheapest expected rate
+                // first (step 5); step 6 admits only while the realized
+                // occupancy still fits inside the slot prefix.
+                for &j in &grouped[station.index()][l - 1] {
+                    if fits(&state) || (overflow(&mut state, station) && fits(&state)) {
+                        state.admit(instance, realized, j, station);
+                    }
                 }
             }
         }
     }
+    if rounds > 1 {
+        // rounds == 1 is the verbatim paper algorithm (used by the
+        // Theorem-1 ratio experiment); otherwise finish with the
+        // revealed-information fill.
+        residual_fill(instance, realized, &mut state);
+    }
+    Ok(state.into_outcome(instance, started))
 }
 
 /// Final revealed-information fill (§IV-A: "we determine the assignment of
@@ -207,11 +241,7 @@ pub(crate) fn admission_sweep(
 /// residual capacity still covers their expected demand. Admission uses the
 /// same reveal-at-admission accounting, so this step only ever adds reward
 /// and the Theorem-1 guarantee from round 1 is untouched.
-pub(crate) fn residual_fill(
-    instance: &Instance,
-    realized: &Realizations,
-    state: &mut AdmissionState,
-) {
+fn residual_fill(instance: &Instance, realized: &Realizations, state: &mut AdmissionState) {
     let mut order: Vec<usize> = (0..instance.request_count())
         .filter(|&j| state.assignment[j].is_none())
         .collect();
@@ -282,6 +312,25 @@ impl Appro {
     }
 }
 
+impl Appro {
+    /// Rounds a relaxation of `instance` ([`solve_relaxation`]): steps 2–7
+    /// of Algorithm 1, timed without the LP.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `frac` covers another number of requests than `instance`.
+    pub fn round(
+        &self,
+        instance: &Instance,
+        realized: &Realizations,
+        frac: &FractionalAssignment,
+    ) -> Result<OffloadOutcome, String> {
+        // An overflowing candidate is rejected: nothing frees room.
+        let seed = self.seed ^ 0xA55A_5AA5;
+        round_relaxation(instance, realized, frac, seed, self.rounds, |_, _| false)
+    }
+}
+
 impl OfflineAlgorithm for Appro {
     fn name(&self) -> &'static str {
         "Appro"
@@ -292,29 +341,10 @@ impl OfflineAlgorithm for Appro {
         instance: &Instance,
         realized: &Realizations,
     ) -> Result<OffloadOutcome, String> {
+        // Fig 3(c)'s runtime includes the LP.
         let started = Instant::now();
         let frac = solve_relaxation(instance)?;
-
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xA55A_5AA5);
-        let mut state = AdmissionState::new(instance);
-        for _ in 0..self.rounds {
-            let eligible: Vec<bool> = state.assignment.iter().map(Option::is_none).collect();
-            if eligible.iter().all(|&e| !e) {
-                break;
-            }
-            let tentative = sample_tentative(&frac, &eligible, &mut rng);
-            if tentative.iter().all(Option::is_none) {
-                continue;
-            }
-            admission_sweep(instance, realized, &tentative, &mut state);
-        }
-        if self.rounds > 1 {
-            // rounds == 1 is the verbatim paper algorithm (used by the
-            // Theorem-1 ratio experiment); otherwise finish with the
-            // revealed-information fill.
-            residual_fill(instance, realized, &mut state);
-        }
-        Ok(state.into_outcome(instance, started))
+        Ok(self.round(instance, realized, &frac)?.timed_from(started))
     }
 }
 
@@ -390,21 +420,20 @@ mod tests {
 
     #[test]
     fn tentative_sampling_respects_mass() {
-        // A fabricated fractional solution with known mass: request 0 has
-        // y = 1.0 total, so it should be kept ~ 25% of the time.
+        // One request on an empty network is admitted in round 1 exactly
+        // when the y/4 lottery keeps it, so over many rounding seeds it
+        // is admitted ~ mass/4 of the time.
         let inst = instance(1, 2, 3);
-        let subset = vec![0usize];
-        let lp = SlotLp::build(&inst, &subset, Truncation::Standard);
-        let frac = lp.solve(1).unwrap();
+        let realized = Realizations::draw(&inst, 3);
+        let frac = solve_relaxation(&inst).unwrap();
         let mass = frac.mass(0);
-        let mut kept = 0usize;
         let trials = 20_000;
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        for _ in 0..trials {
-            if sample_tentative(&frac, &[true], &mut rng)[0].is_some() {
-                kept += 1;
-            }
-        }
+        let kept = (0..trials)
+            .filter(|&seed| {
+                let out = Appro::new(seed).rounds(1).round(&inst, &realized, &frac);
+                out.unwrap().admitted() == 1
+            })
+            .count();
         let freq = kept as f64 / trials as f64;
         let expect = mass / ROUNDING_DIVISOR;
         assert!(

@@ -6,8 +6,9 @@
 //! realized reward of **any** policy — the distance to it is the "price of
 //! uncertainty" the slot-indexed design tries to shrink.
 
+use crate::exact::assignment_lp;
 use crate::model::{Instance, Realizations};
-use mec_lp::{Cmp, LpError, Problem, Sense, VarId};
+use mec_lp::LpError;
 
 /// Certified upper bound on the realized reward any offline policy can
 /// collect on `(instance, realized)`: the LP relaxation of the clairvoyant
@@ -20,42 +21,13 @@ use mec_lp::{Cmp, LpError, Problem, Sense, VarId};
 /// bounded (each request at most once), so errors indicate numerical
 /// trouble only.
 pub fn hindsight_bound(instance: &Instance, realized: &Realizations) -> Result<f64, LpError> {
-    let n = instance.request_count();
-    let mut problem = Problem::new(Sense::Maximize);
-    let mut vars: Vec<(usize, usize, VarId)> = Vec::new();
-    for j in 0..n {
-        let outcome = realized.outcome(j);
-        for station in instance.feasible_stations(j) {
-            // Clairvoyant: the realized reward, earned iff the request is
-            // (fractionally) placed.
-            let v = problem.add_var(outcome.reward);
-            vars.push((j, station.index(), v));
-        }
-    }
-    for j in 0..n {
-        let coeffs: Vec<(VarId, f64)> = vars
-            .iter()
-            .filter(|&&(jj, _, _)| jj == j)
-            .map(|&(_, _, v)| (v, 1.0))
-            .collect();
-        if !coeffs.is_empty() {
-            problem.add_constraint(coeffs, Cmp::Le, 1.0);
-        }
-    }
-    for station in instance.topo().station_ids() {
-        let coeffs: Vec<(VarId, f64)> = vars
-            .iter()
-            .filter(|&&(_, s, _)| s == station.index())
-            .map(|&(j, _, v)| (v, instance.demand_of(realized.outcome(j).rate).as_mhz()))
-            .collect();
-        if !coeffs.is_empty() {
-            problem.add_constraint(
-                coeffs,
-                Cmp::Le,
-                instance.topo().station(station).capacity().as_mhz(),
-            );
-        }
-    }
+    // Clairvoyant: the realized reward, earned iff the request is
+    // (fractionally) placed, and the realized demand.
+    let (problem, _) = assignment_lp(
+        instance,
+        |j| realized.outcome(j).reward,
+        |j| instance.demand_of(realized.outcome(j).rate),
+    );
     problem.solve().map(|s| s.objective())
 }
 

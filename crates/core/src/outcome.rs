@@ -4,7 +4,7 @@ use crate::model::{Instance, Realizations};
 use mec_sim::Metrics;
 use mec_topology::station::StationId;
 use std::fmt;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Result of running one offline algorithm on one instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,6 +44,12 @@ impl OffloadOutcome {
     /// Wall-clock runtime of the solve (Fig 3(c)).
     pub const fn runtime(&self) -> Duration {
         self.runtime
+    }
+
+    /// The same outcome, its runtime measured from `started` to now.
+    pub(crate) fn timed_from(mut self, started: Instant) -> Self {
+        self.runtime = started.elapsed();
+        self
     }
 }
 
