@@ -113,12 +113,24 @@ fn row_err(line: usize, reason: impl Into<String>) -> CodecError {
     }
 }
 
+/// Parses a finite, non-negative number: every real-valued field of a row
+/// is one, and the constructors it feeds assert so.
+fn non_negative(line: usize, field: &str, what: &str) -> Result<f64, CodecError> {
+    field
+        .parse::<f64>()
+        .ok()
+        .filter(|v| v.is_finite() && *v >= 0.0)
+        .ok_or_else(|| row_err(line, format!("bad {what} '{field}'")))
+}
+
 /// Parses a request set written by [`write_requests`].
 ///
 /// # Errors
 ///
 /// Returns [`CodecError`] on any malformed header, row, task, or demand
-/// entry (including demand distributions that fail validation).
+/// entry (including demand distributions that fail validation, and any
+/// real-valued field that is not a finite, non-negative number): a
+/// malformed file is an error, never a panic.
 pub fn parse_requests(text: &str) -> Result<Vec<Request>, CodecError> {
     let mut lines = text.lines().enumerate();
     match lines.next() {
@@ -148,7 +160,7 @@ pub fn parse_requests(text: &str) -> Result<Vec<Request>, CodecError> {
             .ok_or_else(|| row_err(line, "bad home station"))?;
         let arrival: u64 = cols[2].parse().map_err(|_| row_err(line, "bad arrival"))?;
         let duration: u64 = cols[3].parse().map_err(|_| row_err(line, "bad duration"))?;
-        let deadline: f64 = cols[4].parse().map_err(|_| row_err(line, "bad deadline"))?;
+        let deadline = non_negative(line, cols[4], "deadline")?;
         let tasks: Vec<Task> = cols[5]
             .split('|')
             .map(|t| {
@@ -158,12 +170,8 @@ pub fn parse_requests(text: &str) -> Result<Vec<Request>, CodecError> {
                 }
                 let kind = kind_of(parts[0])
                     .ok_or_else(|| row_err(line, format!("bad task kind '{}'", parts[0])))?;
-                let size: f64 = parts[1]
-                    .parse()
-                    .map_err(|_| row_err(line, "bad task size"))?;
-                let complexity: f64 = parts[2]
-                    .parse()
-                    .map_err(|_| row_err(line, "bad task complexity"))?;
+                let size = non_negative(line, parts[1], "task size")?;
+                let complexity = non_negative(line, parts[2], "task complexity")?;
                 Ok(Task::new(kind, size, complexity))
             })
             .collect::<Result<_, _>>()?;
@@ -174,9 +182,9 @@ pub fn parse_requests(text: &str) -> Result<Vec<Request>, CodecError> {
                 if parts.len() != 3 {
                     return Err(row_err(line, format!("bad demand entry '{o}'")));
                 }
-                let rate: f64 = parts[0].parse().map_err(|_| row_err(line, "bad rate"))?;
-                let prob: f64 = parts[1].parse().map_err(|_| row_err(line, "bad prob"))?;
-                let reward: f64 = parts[2].parse().map_err(|_| row_err(line, "bad reward"))?;
+                let rate = non_negative(line, parts[0], "rate")?;
+                let prob = non_negative(line, parts[1], "prob")?;
+                let reward = non_negative(line, parts[2], "reward")?;
                 Ok(DemandOutcome {
                     rate: DataRate::mbps(rate),
                     prob,
@@ -241,6 +249,23 @@ mod tests {
         let err = parse_requests(&bad_demand).unwrap_err();
         assert!(matches!(err, CodecError::BadRow { line: 2, .. }));
         assert!(err.to_string().contains("invalid demand"));
+    }
+
+    #[test]
+    fn negative_or_non_finite_numbers_rejected() {
+        for row in [
+            "0,bs0,0,10,-5,render:64:1,30:1:100",
+            "0,bs0,0,10,NaN,render:64:1,30:1:100",
+            "0,bs0,0,10,inf,render:64:1,30:1:100",
+            "0,bs0,0,10,200,render:-1:1,30:1:100",
+            "0,bs0,0,10,200,render:64:-2,30:1:100",
+            "0,bs0,0,10,200,render:64:1,NaN:1:100",
+            "0,bs0,0,10,200,render:64:1,30:NaN:100",
+            "0,bs0,0,10,200,render:64:1,30:1:inf",
+        ] {
+            let err = parse_requests(&format!("{HEADER}\n{row}\n")).unwrap_err();
+            assert!(matches!(err, CodecError::BadRow { line: 2, .. }), "{row}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use mec_topology::units::DataRate;
 use mec_topology::TopologyBuilder;
 use mec_workload::demand::{DemandDistribution, DemandOutcome};
-use mec_workload::{ArrivalProcess, WorkloadBuilder};
+use mec_workload::{parse_requests, write_requests, ArrivalProcess, WorkloadBuilder};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -24,7 +24,47 @@ fn demand() -> impl Strategy<Value = DemandDistribution> {
     })
 }
 
+/// Values a mutated trace field takes.
+const MUTATIONS: [&str; 11] = [
+    "-5", "-1", "-0", "0", "NaN", "nan", "inf", "-inf", "1e400", "", "junk",
+];
+
+/// Replaces the `k`-th (mod their count) atomic field of a written row —
+/// a column, or one `:`-separated part of a task or demand entry — with
+/// `value`.
+fn mutate_row(row: &str, k: usize, value: &str) -> String {
+    let mut cols: Vec<Vec<Vec<&str>>> = row
+        .split(',')
+        .map(|c| c.split('|').map(|e| e.split(':').collect()).collect())
+        .collect();
+    let mut parts: Vec<&mut &str> = cols.iter_mut().flatten().flatten().collect();
+    let count = parts.len();
+    *parts[k % count] = value;
+    cols.iter()
+        .map(|c| c.iter().map(|e| e.join(":")).collect::<Vec<_>>().join("|"))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
 proptest! {
+    /// A written trace with one field of one row replaced by a negative,
+    /// non-finite, empty or junk value parses to `Ok` or `Err`; it never
+    /// panics.
+    #[test]
+    fn mutated_rows_never_panic(
+        seed in 0u64..100,
+        row in 0usize..3,
+        k in 0usize..64,
+        value in 0usize..MUTATIONS.len(),
+    ) {
+        let topo = TopologyBuilder::new(4).seed(seed).build();
+        let requests = WorkloadBuilder::new(&topo).seed(seed).count(3).build();
+        let text = write_requests(&requests);
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        lines[row + 1] = mutate_row(&lines[row + 1], k, MUTATIONS[value]);
+        let _ = parse_requests(&lines.join("\n"));
+    }
+
     /// `E[min(ρ, cap)]` is monotone in `cap`, bounded by `E[ρ]`, and equals
     /// it once `cap` clears the support.
     #[test]
