@@ -312,13 +312,23 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            match mec_workload::codec::parse_requests(&text) {
+            let requests = match mec_workload::codec::parse_requests(&text) {
                 Ok(requests) => requests,
                 Err(e) => {
                     eprintln!("cannot parse trace {path:?}: {e}");
                     return ExitCode::from(2);
                 }
+            };
+            if let Some(r) = requests.iter().find(|r| r.home().index() >= args.stations) {
+                eprintln!(
+                    "trace {path:?}: request {} is homed at bs{} but --stations is {}",
+                    r.id().index(),
+                    r.home().index(),
+                    args.stations
+                );
+                return ExitCode::from(2);
             }
+            requests
         }
         None => WorkloadBuilder::new(&topo)
             .seed(args.seed)

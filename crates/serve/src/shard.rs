@@ -333,7 +333,9 @@ pub struct SpawnSpec {
 pub struct ShardHandle {
     /// The shard this handle drives.
     pub shard: usize,
-    cmd_tx: SyncSender<ShardCommand>,
+    /// `None` once the handle shuts the worker down: closing the channel
+    /// ends the worker's command loop, so it must close before a join.
+    cmd_tx: Option<SyncSender<ShardCommand>>,
     reply_rx: Receiver<ShardReply>,
     join: Option<JoinHandle<()>>,
     abandoned: Arc<AtomicBool>,
@@ -803,7 +805,7 @@ impl ShardHandle {
             })?;
         Ok(Self {
             shard,
-            cmd_tx,
+            cmd_tx: Some(cmd_tx),
             reply_rx,
             join: Some(join),
             abandoned,
@@ -853,7 +855,10 @@ impl ShardHandle {
     ///
     /// Fails only if the worker already exited (after an error reply).
     pub fn send(&self, cmd: ShardCommand) -> Result<(), SendError<ShardCommand>> {
-        self.cmd_tx.send(cmd)
+        match &self.cmd_tx {
+            Some(tx) => tx.send(cmd),
+            None => Err(SendError(cmd)),
+        }
     }
 
     /// Receives the next reply, blocking until the worker produces one.
@@ -877,10 +882,12 @@ impl ShardHandle {
         self.reply_rx.recv_timeout(timeout)
     }
 
-    /// Waits for the worker thread to exit. Dropping the handle without
-    /// joining also shuts the worker down (its command channel closes),
-    /// but joining makes teardown deterministic.
+    /// Closes the command channel and waits for the worker thread to
+    /// exit, once it has handled every command already sent. Dropping the
+    /// handle without joining also shuts the worker down, but joining
+    /// makes teardown deterministic.
     pub fn join(mut self) {
+        self.cmd_tx = None;
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
@@ -901,9 +908,11 @@ impl ShardHandle {
 
 impl Drop for ShardHandle {
     fn drop(&mut self) {
-        // Closing cmd_tx ends the worker's command loop; the abandon flag
-        // frees a stalled worker from its park loop. Join if possible so
-        // panics in the worker are not silently leaked mid-test.
+        // Closing cmd_tx ends the worker's command loop — here, before the
+        // join, since fields drop only after this returns; the abandon
+        // flag frees a stalled worker from its park loop. Join if possible
+        // so panics in the worker are not silently leaked mid-test.
+        self.cmd_tx = None;
         self.abandoned.store(true, Ordering::Release);
         if let Some(join) = self.join.take() {
             join.thread().unpark();
@@ -1196,6 +1205,24 @@ mod tests {
         }
         handle.send(ShardCommand::Finish).unwrap();
         handle.join();
+    }
+
+    #[test]
+    fn dropping_a_live_handle_without_finish_returns() {
+        let topo = TopologyBuilder::new(4).seed(1).build();
+        let plan = partition(&topo, 1).remove(0);
+        let policy = policy_from_name("Greedy", 100).unwrap();
+        let (handle, _events) =
+            ShardHandle::spawn_fresh(plan, SlotConfig::default(), policy, 8).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(handle);
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "dropping a handle without Finish did not return within 5 s"
+        );
     }
 
     #[test]

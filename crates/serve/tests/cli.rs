@@ -1,10 +1,12 @@
 //! The `mec-serve` binary end to end: attaching telemetry to a chaos run
 //! changes no stdout byte and writes a trace the report reads, a
-//! removed flag is refused, and a trace that cannot be written fails the
-//! run instead of passing silently.
+//! removed flag is refused, a trace that cannot be written fails the
+//! run instead of passing silently, and a malformed `--trace` input exits
+//! 2 with a message instead of panicking or hanging.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 /// A small two-shard run whose shard 1 crashes and recovers.
 const CHAOS_RUN: &[&str] = &[
@@ -108,4 +110,46 @@ fn unwritable_trace_fails_the_run() {
         "the error names the trace: {err}"
     );
     assert!(!err.contains("event(s) written"), "{err}");
+}
+
+/// Runs `mec-serve` on a one-row `--trace` file and fails the test if it
+/// does not exit within 30 s.
+fn serve_trace_row(name: &str, row: &str) -> Output {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let header = mec_workload::write_requests(&[]);
+    std::fs::write(&path, format!("{header}{row}\n")).expect("trace written");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mec-serve"))
+        .args(["--stations", "4", "--trace", path.to_str().expect("utf-8")])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("mec-serve starts");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().expect("child status").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("mec-serve --trace {name} still running after 30 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("child output")
+}
+
+#[test]
+fn trace_homed_outside_the_topology_is_refused() {
+    let out = serve_trace_row("bad_home.csv", "7,bs999,0,10,200,render:64:1,30:1:100");
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("request 7 is homed at bs999"), "{err}");
+}
+
+#[test]
+fn trace_with_a_negative_deadline_is_refused() {
+    let out = serve_trace_row("bad_deadline.csv", "0,bs1,0,10,-5,render:64:1,30:1:100");
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("cannot parse trace") && err.contains("bad deadline"),
+        "{err}"
+    );
 }
